@@ -22,7 +22,7 @@ import time
 
 from .counter import (CounterConfig, MemoryBudgetExceeded, ModelCounter,
                       SolveTimeout, count_models)
-from .formula import OpbParseError, parse_opb
+from .formula import OpbParseError, parse_opb, parse_opb_file
 from .generators import gen_auction, gen_knapsack, gen_sensor
 from .oracle import ENUMERATION_LIMIT, brute_count
 
@@ -52,8 +52,7 @@ def _env_override(value, name: str, cast):
 def _read_formula(path: str):
     if path == "-":
         return parse_opb(sys.stdin.read())
-    with open(path, "rb") as handle:
-        return parse_opb(handle.read())
+    return parse_opb_file(path)
 
 
 def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
@@ -74,7 +73,6 @@ def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
         max_memory_bytes=None if memory_mb is None else int(memory_mb * (1 << 20)),
         timeout_s=timeout,
         seed=seed,
-        fingerprint_cache=getattr(args, "unsafe_fingerprint_cache", False),
     )
 
 
@@ -87,7 +85,6 @@ def _config_echo(config: CounterConfig) -> dict:
         "max_memory_bytes": config.max_memory_bytes,
         "timeout_s": config.timeout_s,
         "seed": config.seed,
-        "fingerprint_cache": config.fingerprint_cache,
     }
 
 
@@ -231,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_count_options(p_count)
     p_count.add_argument("--max-memory-mb", type=float, default=None, metavar="MB",
                          help="abort with exit code 20 above this accounted footprint")
-    p_count.add_argument("--unsafe-fingerprint-cache", action="store_true",
-                         help="hash cache keys to 16 bytes; collisions would "
-                              "silently corrupt counts")
     p_count.add_argument("--stats", action="store_true",
                          help="include search statistics in the stderr report")
     p_count.set_defaults(func=_cmd_count)

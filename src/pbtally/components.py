@@ -16,7 +16,6 @@ the store.
 from __future__ import annotations
 
 import random
-from hashlib import blake2b
 from typing import Iterable, Optional
 
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
@@ -217,14 +216,11 @@ class CountCache:
     entries inserted at or after ``pos``, which the search uses to
     retract results computed under assumptions a conflict later refuted.
     When the byte budget overflows, a random entry among the oldest
-    window is evicted, so long-lived entries near the root go last.
-
-    ``fingerprint_only`` replaces keys by 16-byte digests. That trades
-    away exactness: a digest collision would silently merge two different
-    subproblems, so it is opt-in and excluded from verification modes.
+    window is evicted, so long-lived entries near the root go last. Keys
+    are stored whole, so two different subproblems never share an entry.
     """
 
-    __slots__ = ("max_bytes", "fingerprint_only", "bytes_used", "bytes_peak",
+    __slots__ = ("max_bytes", "bytes_used", "bytes_peak",
                  "hits", "misses", "stores", "evictions", "purged",
                  "debug_corrupt_after",
                  "_store", "_log", "_scan_start", "_rng", "_store_seq")
@@ -232,10 +228,8 @@ class CountCache:
     ENTRY_OVERHEAD = 64
     EVICTION_WINDOW = 1024
 
-    def __init__(self, max_bytes: int = 256 << 20, fingerprint_only: bool = False,
-                 seed: int = 0):
+    def __init__(self, max_bytes: int = 256 << 20, seed: int = 0):
         self.max_bytes = max_bytes
-        self.fingerprint_only = fingerprint_only
         self.bytes_used = 0
         self.bytes_peak = 0
         self.hits = 0
@@ -254,11 +248,6 @@ class CountCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def _key(self, key: bytes) -> bytes:
-        if self.fingerprint_only:
-            return blake2b(key, digest_size=16).digest()
-        return key
-
     @staticmethod
     def _entry_bytes(key: bytes, count: int) -> int:
         return len(key) + max(1, (count.bit_length() + 7) // 8) + CountCache.ENTRY_OVERHEAD
@@ -268,7 +257,7 @@ class CountCache:
         return len(self._log)
 
     def lookup(self, key: bytes):
-        entry = self._store.get(self._key(key))
+        entry = self._store.get(key)
         if entry is None:
             self.misses += 1
             return None
@@ -276,17 +265,16 @@ class CountCache:
         return entry[0]
 
     def store(self, key: bytes, count: int) -> None:
-        k = self._key(key)
-        if k in self._store:
+        if key in self._store:
             # the earlier entry for the same subproblem stays authoritative
             return
         if self.debug_corrupt_after is not None and self._store_seq == self.debug_corrupt_after:
             count += 1
         self._store_seq += 1
-        self._store[k] = (count, len(self._log))
-        self._log.append(k)
+        self._store[key] = (count, len(self._log))
+        self._log.append(key)
         self.stores += 1
-        self.bytes_used += self._entry_bytes(k, count)
+        self.bytes_used += self._entry_bytes(key, count)
         if self.bytes_used > self.bytes_peak:
             self.bytes_peak = self.bytes_used
         if self.bytes_used > self.max_bytes:

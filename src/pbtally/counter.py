@@ -20,13 +20,14 @@ independently-multiplied components actually independent.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from .components import Component, CountCache, encode_component
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
 
-_BUDGET_CHECK_MASK = (1 << 14) - 1
+#: budgets are checked every 256 decisions plus conflicts
+_BUDGET_CHECK_MASK = (1 << 8) - 1
 
 
 class SolveTimeout(Exception):
@@ -38,20 +39,24 @@ class MemoryBudgetExceeded(Exception):
 
 
 class CounterConfig:
-    """Knobs for one counting run; defaults match the command line."""
+    """Knobs for one counting run; defaults match the command line.
+
+    ``on_event(kind, payload)``, when set, sees the search as it runs:
+    ``("decision", (level, lit))`` after each decision, and
+    ``("learned", (terms, degree, jump))`` after the backjump to ``jump``
+    and before the learned constraint joins the engine.
+    """
 
     __slots__ = ("heuristic", "vcis_static_only", "saturate_keys",
                  "max_cache_bytes", "max_memory_bytes", "timeout_s", "seed",
-                 "fingerprint_cache", "max_learned",
-                 "collect_learned_log", "collect_decision_log", "debug_checks")
+                 "max_learned", "on_event", "debug_checks")
 
     def __init__(self, heuristic: str = "vcis", vcis_static_only: bool = False,
                  saturate_keys: bool = True, max_cache_bytes: int = 256 << 20,
                  max_memory_bytes: Optional[int] = None,
                  timeout_s: Optional[float] = None, seed: int = 0,
-                 fingerprint_cache: bool = False, max_learned: int = 10000,
-                 collect_learned_log: bool = False,
-                 collect_decision_log: bool = False,
+                 max_learned: int = 10000,
+                 on_event: Optional[Callable[[str, tuple], None]] = None,
                  debug_checks: bool = False):
         if heuristic not in ("vcis", "baseline"):
             raise ValueError("heuristic must be 'vcis' or 'baseline'")
@@ -62,10 +67,8 @@ class CounterConfig:
         self.max_memory_bytes = max_memory_bytes
         self.timeout_s = timeout_s
         self.seed = seed
-        self.fingerprint_cache = fingerprint_cache
         self.max_learned = max_learned
-        self.collect_learned_log = collect_learned_log
-        self.collect_decision_log = collect_decision_log
+        self.on_event = on_event
         self.debug_checks = debug_checks
 
 
@@ -178,13 +181,12 @@ class ModelCounter:
         self.formula = dedup_constraints(formula)
         self.engine = Engine(self.formula, max_learned=self.config.max_learned)
         self.cache = CountCache(max_bytes=self.config.max_cache_bytes,
-                                fingerprint_only=self.config.fingerprint_cache,
                                 seed=self.config.seed)
         self.stats = SearchStats()
         self.vcis_scores, self.vcis_phases = compute_vcis_scores(self.formula)
-        self.learned_log = []
-        self.decision_log = []
         self.level_log_pos = [0]
+        #: components waiting in the ``pending`` lists of all stack frames
+        self._open_pending = 0
         self._var_stamp = [0] * (self.formula.num_vars + 1)
         self._cstr_stamp = [0] * len(self.formula.constraints)
         self._stamp = 0
@@ -320,26 +322,23 @@ class ModelCounter:
         # not trustworthy; drop everything inserted since
         self.cache.purge_from(self.level_log_pos[jump + 1])
         del self.level_log_pos[jump + 1:]
+        self._open_pending -= sum(len(fr.pending) for fr in stack[jump:]
+                                  if fr.pending)
         del stack[jump + 1:]
         frame = stack[jump]
         frame.prod = 1
         frame.pending = None
         frame.needs_body = True
-        if self.config.collect_learned_log:
-            slack_now = sum(a for a, lit in terms
-                            if engine.lit_value(lit) is not False) - degree
-            forcing = any(engine.lit_value(lit) is None and a > slack_now
-                          for a, lit in terms)
-            self.learned_log.append((terms, degree, jump,
-                                     slack_now >= 0 and forcing))
+        if self.config.on_event is not None:
+            self.config.on_event("learned", (terms, degree, jump))
         engine.add_learned(terms, degree)
         return True
 
     def _note_decision(self, lit: int) -> None:
         self.stats.decisions += 1
         self._budget_tick()
-        if self.config.collect_decision_log:
-            self.decision_log.append((self.engine.current_level(), lit))
+        if self.config.on_event is not None:
+            self.config.on_event("decision", (self.engine.current_level(), lit))
 
     # ----- main loop --------------------------------------------------------
 
@@ -380,12 +379,13 @@ class ModelCounter:
                 comps, free = self._split_scope(scope)
                 frame.prod = 1 << free
                 frame.pending = comps
-                open_comps = sum(len(fr.pending) for fr in stack if fr.pending)
-                open_comps += len(stack) - 1
+                self._open_pending += len(comps)
+                open_comps = self._open_pending + len(stack) - 1
                 if open_comps > stats.peak_open_components:
                     stats.peak_open_components = open_comps
             elif frame.pending:
                 comp = frame.pending.pop()
+                self._open_pending -= 1
                 key = encode_component(comp, engine.constraints, cfg.saturate_keys)
                 cached = cache.lookup(key)
                 if cached is not None:

@@ -3,7 +3,7 @@ mini-formula view of one residual component."""
 
 import random
 
-from pbtally import PBFormula, build_formula
+from pbtally import CounterConfig, ModelCounter, PBFormula, build_formula
 from pbtally.formula import lit_var
 
 
@@ -72,6 +72,19 @@ def clause_heavy_formula(rng: random.Random, max_vars: int = 9):
     return build_formula(n, cons)
 
 
+def disjoint_union(formulas) -> PBFormula:
+    """One formula holding each given formula on its own block of variables."""
+    offset = 0
+    cons = []
+    for f in formulas:
+        for c in f.constraints:
+            terms = [(a, lit + offset if lit > 0 else lit - offset)
+                     for a, lit in c.terms]
+            cons.append((terms, ">=", c.degree))
+        offset += f.num_vars
+    return build_formula(offset, cons)
+
+
 def component_subformula(formula: PBFormula, comp) -> PBFormula:
     """The residual component as a standalone formula.
 
@@ -95,3 +108,31 @@ def component_subformula(formula: PBFormula, comp) -> PBFormula:
 def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0.4):
     return {v: rng.random() < 0.5 for v in range(1, num_vars + 1)
             if rng.random() < rate}
+
+
+def count_with_events(formula: PBFormula):
+    """Count through ``on_event`` and return ``(counter, result, decisions, learned)``.
+
+    ``decisions`` are the ``(level, lit)`` payloads in order. ``learned``
+    entries are ``(terms, degree, jump, asserting)``. ``asserting`` is read
+    from the engine as the event arrives, after the backjump and before the
+    constraint is added. It holds when the constraint is not falsified and
+    some unassigned literal's coefficient exceeds its slack, so propagation
+    must force that literal.
+    """
+    decisions = []
+    learned = []
+
+    def on_event(kind, payload):
+        if kind == "decision":
+            decisions.append(payload)
+            return
+        terms, degree, jump = payload
+        lit_value = counter.engine.lit_value
+        slack = sum(a for a, lit in terms if lit_value(lit) is not False) - degree
+        forcing = any(lit_value(lit) is None and a > slack for a, lit in terms)
+        learned.append((terms, degree, jump, slack >= 0 and forcing))
+
+    counter = ModelCounter(formula, CounterConfig(on_event=on_event))
+    result = counter.run()
+    return counter, result, decisions, learned

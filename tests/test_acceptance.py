@@ -16,7 +16,7 @@ from _bitparallel import bitparallel_count
 from pbtally import (CounterConfig, PBFormula, brute_count, build_formula,
                      count_models, encode_component, gen_knapsack, gen_sensor,
                      parse_opb, residual_components)
-from pbtally.counter import ModelCounter, compute_vcis_scores
+from pbtally.counter import compute_vcis_scores
 from pbtally.cli import main as cli_main
 
 # knapsack items=30 dims=2 max_coeff=9 capacity_fraction=0.5 seed=3,
@@ -225,14 +225,13 @@ def test_c7_learned_constraints_are_implied_and_asserting():
         f = _conflict_rich_formula(rng)
         if f.unsat_at_load:
             continue
-        mc = ModelCounter(f, CounterConfig(collect_learned_log=True))
-        res = mc.run()
+        mc, res, _, learned = _helpers.count_with_events(f)
         want = brute_count(f).count
         assert res.count == want
         if want == 0:
             unsat_seen += 1
         base = [c.body() for c in mc.formula.constraints]
-        for terms, degree, jump, asserting in mc.learned_log:
+        for terms, degree, jump, asserting in learned:
             assert asserting
             assert jump >= 0
             with_it = PBFormula(f.num_vars, base + [(tuple(terms), degree)])

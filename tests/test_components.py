@@ -383,16 +383,6 @@ class TestCountCache:
             survivors.append(sorted(k for k in cache._store))
         assert survivors[0] == survivors[1]
 
-    def test_fingerprint_mode_digests_keys(self):
-        cache = CountCache(fingerprint_only=True)
-        long_key = b"x" * 100
-        cache.store(long_key, 1)
-        assert cache.bytes_used == 16 + 1 + CountCache.ENTRY_OVERHEAD
-        assert cache.lookup(long_key) == 1
-        cache.store(b"y" * 100, 2)
-        assert cache.lookup(b"y" * 100) == 2
-        assert cache.lookup(b"z") is None
-
     def test_corrupt_hook_breaks_one_store(self):
         cache = CountCache()
         cache.debug_corrupt_after = 1

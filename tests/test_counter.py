@@ -1,6 +1,7 @@
-"""End-to-end counting, branching scores, budgets, and search logs."""
+"""End-to-end counting, branching scores, budgets, and search events."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from pbtally import (CounterConfig, MemoryBudgetExceeded, ModelCounter,
                      PBFormula, SolveTimeout, brute_count, build_formula,
                      compute_vcis_scores, count_models, residual_components)
 from pbtally.counter import dedup_constraints
-from pbtally.generators import gen_knapsack
+from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import parse_opb
 
 
@@ -51,15 +52,6 @@ class TestCountMatchesOracle:
             want = brute_count(f).count
             cfg = CounterConfig(max_cache_bytes=2048, max_learned=12)
             assert count_models(f, cfg).count == want
-
-    def test_fingerprint_cache_small_instances(self):
-        rng = random.Random(6604)
-        for _ in range(100):
-            f = _helpers.clause_heavy_formula(rng)
-            if f.unsat_at_load:
-                continue
-            cfg = CounterConfig(fingerprint_cache=True)
-            assert count_models(f, cfg).count == brute_count(f).count
 
     def test_debug_checks_stay_silent(self):
         rng = random.Random(6605)
@@ -102,7 +94,6 @@ class TestCountMatchesOracle:
                 continue
             counts = {count_models(f, cfg).count for cfg in all_configs()}
             counts.add(count_models(f, CounterConfig(vcis_static_only=True)).count)
-            counts.add(count_models(f, CounterConfig(fingerprint_cache=True)).count)
             assert len(counts) == 1
 
 
@@ -243,6 +234,15 @@ class TestBudgets:
         with pytest.raises(MemoryBudgetExceeded):
             count_models(f, CounterConfig(max_memory_bytes=1000))
 
+    def test_timeout_overshoot_is_bounded(self):
+        # few decisions, each propagating through many learned constraints,
+        # so the budget must be polled often to stop near the deadline
+        f = parse_opb(gen_auction(bids=40, items=20, revenue_fraction=0.15, seed=5))
+        started = time.monotonic()
+        with pytest.raises(SolveTimeout):
+            count_models(f, CounterConfig(timeout_s=0.5))
+        assert time.monotonic() - started < 2.5
+
     def test_generous_budgets_do_not_interfere(self):
         f = build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)])
         cfg = CounterConfig(timeout_s=60.0, max_memory_bytes=1 << 30)
@@ -257,10 +257,9 @@ class TestLogsAndStats:
             f = _helpers.tight_formula(rng, max_vars=9)
             if f.unsat_at_load:
                 continue
-            mc = ModelCounter(f, CounterConfig(collect_decision_log=True))
-            res = mc.run()
-            assert len(mc.decision_log) == res.stats.decisions
-            for level, lit in mc.decision_log:
+            _, res, decisions, _ = _helpers.count_with_events(f)
+            assert len(decisions) == res.stats.decisions
+            for level, lit in decisions:
                 assert level >= 1
                 assert 1 <= abs(lit) <= f.num_vars
             seen += 1
@@ -273,17 +272,38 @@ class TestLogsAndStats:
             f = _helpers.tight_formula(rng, max_vars=8)
             if f.unsat_at_load:
                 continue
-            mc = ModelCounter(f, CounterConfig(collect_learned_log=True))
-            res = mc.run()
+            mc, res, _, learned = _helpers.count_with_events(f)
             assert res.count == brute_count(f).count
             base = [c.body() for c in mc.formula.constraints]
-            for terms, degree, jump, asserting in mc.learned_log:
+            for terms, degree, jump, asserting in learned:
                 assert asserting
                 assert jump >= 0
                 with_it = PBFormula(f.num_vars, base + [(tuple(terms), degree)])
                 assert brute_count(with_it).count == res.count
                 logged += 1
         assert logged > 50
+
+    def test_peak_open_components_pinned(self):
+        # disjoint conflict-prone blocks make backjumps discard frames whose
+        # sibling components were still waiting; the generator instances
+        # add conflicts at larger depth
+        rng = random.Random(1)
+        formulas = [_helpers.disjoint_union(
+            [_helpers.tight_formula(rng, max_vars=7) for _ in range(rng.randint(2, 3))])
+            for _ in range(12)]
+        formulas += [parse_opb(gen_auction(bids=16, items=10, revenue_fraction=0.15,
+                                           seed=s)) for s in range(4)]
+        formulas.append(parse_opb(gen_sensor(
+            sensors=30, targets=40, cost_aware=True, budget_fraction=0.7,
+            max_cover=5, redundancy_rate=0.4, seed=3)))
+        peaks = []
+        conflicts = 0
+        for f in formulas:
+            stats = count_models(f).stats
+            peaks.append(stats.peak_open_components)
+            conflicts += stats.conflicts
+        assert conflicts > 50
+        assert peaks == [0, 3, 5, 0, 1, 4, 4, 4, 5, 5, 5, 6, 10, 12, 11, 8, 20]
 
     def test_stats_are_coherent(self):
         rng = random.Random(6611)
