@@ -46,7 +46,7 @@ def _env_override(value, name: str, cast):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit("%s: cannot parse %r" % (name, raw))
+        raise ValueError("%s: cannot parse %r" % (name, raw)) from None
 
 
 def _read_formula(path: str):

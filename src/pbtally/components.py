@@ -151,27 +151,64 @@ def encode_component(comp: Component, constraints, saturate: bool = True) -> byt
     ``saturate`` the stored degree is first canonicalized through
     :func:`saturate_gap`, merging residual subproblems that differ only
     in degrees too low to matter.
+
+    Values below 0x80 are one varint byte and are appended directly; only
+    larger ones go through :func:`_write_uvarint`.
     """
     out = bytearray()
-    _write_uvarint(out, len(comp.var_ids))
+    append = out.append
+    var_ids = comp.var_ids
+    n = len(var_ids)
+    if n < 0x80:
+        append(n)
+    else:
+        _write_uvarint(out, n)
     prev = 0
-    for v in comp.var_ids:
-        _write_uvarint(out, v - prev)
+    for v in var_ids:
+        d = v - prev
+        if d < 0x80:
+            append(d)
+        else:
+            _write_uvarint(out, d)
         prev = v
-    _write_uvarint(out, len(comp.cstr_ids))
+    n = len(comp.cstr_ids)
+    if n < 0x80:
+        append(n)
+    else:
+        _write_uvarint(out, n)
     prev = 0
     for cid in comp.cstr_ids:
-        _write_uvarint(out, cid - prev)
+        d = cid - prev
+        if d < 0x80:
+            append(d)
+        else:
+            _write_uvarint(out, d)
         prev = cid
-    in_comp = set(comp.var_ids)
+    in_comp = set(var_ids)
     for cid, gap in zip(comp.cstr_ids, comp.gaps):
         c = constraints[cid]
-        if c.is_clausal():
+        if c.clausal:
             continue
         if saturate:
-            min_open = min(a for a, l in c.terms if lit_var(l) in in_comp)
-            gap = saturate_gap(gap, min_open)
-        _write_uvarint(out, gap - 1)
+            # saturate_gap(gap, smallest in-component coefficient) in one
+            # pass: the first in-component coefficient <= gap keeps the gap
+            floor = 0
+            for a, v in c.terms:
+                if v < 0:
+                    v = -v
+                if v in in_comp:
+                    if a <= gap:
+                        floor = 0
+                        break
+                    if not floor or a < floor:
+                        floor = a
+            if floor:
+                gap = floor
+        gap -= 1
+        if gap < 0x80:
+            append(gap)
+        else:
+            _write_uvarint(out, gap)
     return bytes(out)
 
 

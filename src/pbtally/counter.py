@@ -60,6 +60,15 @@ class CounterConfig:
                  debug_checks: bool = False):
         if heuristic not in ("vcis", "baseline"):
             raise ValueError("heuristic must be 'vcis' or 'baseline'")
+        # written so that NaN fails too: every comparison with it is false
+        if timeout_s is not None and not timeout_s > 0:
+            raise ValueError("timeout_s must be positive, got %r" % (timeout_s,))
+        if max_cache_bytes < 0:
+            raise ValueError("max_cache_bytes must be non-negative, got %r"
+                             % (max_cache_bytes,))
+        if max_memory_bytes is not None and max_memory_bytes < 0:
+            raise ValueError("max_memory_bytes must be non-negative, got %r"
+                             % (max_memory_bytes,))
         self.heuristic = heuristic
         self.vcis_static_only = vcis_static_only
         self.saturate_keys = saturate_keys
@@ -231,8 +240,9 @@ class ModelCounter:
                     if gapv[ci] <= 0:
                         continue
                     comp_cids.append(ci)
-                    for _, lit in constraints[ci].terms:
-                        w = lit_var(lit)
+                    for _, w in constraints[ci].terms:
+                        if w < 0:
+                            w = -w
                         if val[w] != UNASSIGNED or vstamp[w] == stamp:
                             continue
                         vstamp[w] = stamp

@@ -59,22 +59,25 @@ class PBConstraint:
     """One normalized constraint: sum(coeff * literal) >= degree.
 
     ``terms`` is a tuple of ``(coeff, lit)`` pairs sorted by variable id,
-    with every coefficient positive and no variable repeated.
+    with every coefficient positive and no variable repeated. ``clausal``
+    caches :meth:`is_clausal`; it is computed once here, because the key
+    encoder asks it for every active constraint at every search node.
     """
 
-    __slots__ = ("cid", "terms", "degree")
+    __slots__ = ("cid", "terms", "degree", "clausal")
 
     def __init__(self, cid: int, terms: Sequence[tuple], degree: int):
         self.cid = cid
         self.terms = tuple(terms)
         self.degree = degree
+        self.clausal = degree == 1 and all(c == 1 for c, _ in self.terms)
 
     def coef_sum(self) -> int:
         return sum(c for c, _ in self.terms)
 
     def is_clausal(self) -> bool:
         """An ordinary disjunctive clause: every coefficient and the degree are 1."""
-        return self.degree == 1 and all(c == 1 for c, _ in self.terms)
+        return self.clausal
 
     def variables(self) -> list:
         return [lit_var(l) for _, l in self.terms]

@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: seeded random formulas and the
-mini-formula view of one residual component."""
+"""Shared builders for the test suite: seeded random formulas, the
+mini-formula view of one residual component, and the reference key
+encoder."""
 
 import random
 
@@ -103,6 +104,47 @@ def component_subformula(formula: PBFormula, comp) -> PBFormula:
                 terms.append((coeff, var_map[v] if lit > 0 else -var_map[v]))
         bodies.append((tuple(terms), gap))
     return PBFormula(len(comp.var_ids), bodies)
+
+
+def _write_uvarint(out: bytearray, value: int) -> None:
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def reference_encode_component(comp, constraints, saturate: bool = True) -> bytes:
+    """The plain form of ``encode_component``, kept to check its bytes.
+
+    Every field goes through one varint call, clausality is recomputed
+    from the terms, and the saturation floor is the ``min`` over the
+    in-component coefficients.
+    """
+    out = bytearray()
+    _write_uvarint(out, len(comp.var_ids))
+    prev = 0
+    for v in comp.var_ids:
+        _write_uvarint(out, v - prev)
+        prev = v
+    _write_uvarint(out, len(comp.cstr_ids))
+    prev = 0
+    for cid in comp.cstr_ids:
+        _write_uvarint(out, cid - prev)
+        prev = cid
+    in_comp = set(comp.var_ids)
+    for cid, gap in zip(comp.cstr_ids, comp.gaps):
+        c = constraints[cid]
+        if c.degree == 1 and all(a == 1 for a, _ in c.terms):
+            continue
+        if saturate:
+            min_open = min(a for a, l in c.terms if lit_var(l) in in_comp)
+            gap = min_open if gap < min_open else gap
+        _write_uvarint(out, gap - 1)
+    return bytes(out)
 
 
 def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0.4):

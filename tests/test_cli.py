@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import pbtally
-from pbtally import brute_count, count_models, gen_auction, gen_knapsack, parse_opb
+from pbtally import (brute_count, count_models, gen_auction, gen_knapsack, parse_opb,
+                     parse_opb_file)
 from pbtally.cli import main
 
 SMALL = "* #variable= 3 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+2 x2 +1 x3 <= 2 ;\n"
@@ -103,6 +104,17 @@ class TestCount:
         assert out == ""
         assert json.loads(err)["status"] == "memout"
 
+    @pytest.mark.parametrize("flags", [
+        ["--timeout", "nan"], ["--timeout", "0"], ["--timeout", "-1"],
+        ["--max-cache-mb", "-5"], ["--max-memory-mb", "-1"],
+    ])
+    def test_out_of_range_budget_exits_2(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "small.opb", SMALL)
+        code, out, err = run_cli(["count", *flags, path], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["status"] == "error"
+
     def test_reports_are_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "inst.opb", gen_knapsack(items=11, seed=4))
         payloads = []
@@ -175,7 +187,7 @@ class TestGenerate:
         assert out == ""
         code, out, _ = run_cli(["count", path], capsys)
         assert code == 0
-        f = parse_opb(open(path).read())
+        f = parse_opb_file(path)
         assert out == "s mc %d\n" % brute_count(f).count
 
     def test_bad_parameters_exit_2(self, capsys):
@@ -208,8 +220,12 @@ class TestEnvironment:
     def test_unparseable_env_value_aborts(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "small.opb", SMALL)
         monkeypatch.setenv("PBTALLY_TIMEOUT", "soon")
-        with pytest.raises(SystemExit):
-            main(["count", path])
+        code, out, err = run_cli(["count", path], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["status"] == "error"
+        assert "PBTALLY_TIMEOUT" in payload["error"]
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -7,7 +7,7 @@ import pytest
 from pbtally import (Component, CountCache, brute_count, brute_residual_count,
                      build_formula, decode_component, encode_component,
                      residual_components, saturate_gap)
-from pbtally.formula import constraint_gap, lit_var
+from pbtally.formula import PBConstraint, constraint_gap, lit_var
 
 import _helpers
 
@@ -203,6 +203,52 @@ class TestComponentKeys:
                 assert got.var_ids == comp.var_ids
                 assert got.cstr_ids == comp.cstr_ids
                 assert got.gaps == tuple(want)
+
+    @pytest.mark.parametrize("seed", [4403, 4404])
+    def test_matches_reference_encoder(self, seed):
+        rng = random.Random(seed)
+        seen = 0
+        for _ in range(150):
+            f = _helpers.random_formula(rng, max_vars=10)
+            asn = _helpers.random_partial_assignment(rng, f.num_vars)
+            comps, _ = residual_components(f, asn)
+            for comp in comps:
+                for saturate in (True, False):
+                    assert (encode_component(comp, f.constraints, saturate)
+                            == _helpers.reference_encode_component(
+                                comp, f.constraints, saturate))
+                seen += 1
+        assert seen > 100
+
+    @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
+    def test_matches_reference_at_varint_boundaries(self, n):
+        clause = PBConstraint(0, [(1, 1), (1, -2)], 1)
+        cases = [
+            # variable count n; every coefficient exceeds gap 1
+            ([PBConstraint(0, [(3 if v % 2 else 2, -v if v % 3 else v)
+                               for v in range(1, n + 1)], 5)],
+             Component(range(1, n + 1), (0,), (1,))),
+            # first variable and variable delta n; x(3n) is outside
+            ([PBConstraint(0, [(5, n), (4, -2 * n), (9, 2 * n + 1), (1, 3 * n)], 6)],
+             Component((n, 2 * n, 2 * n + 1), (0,), (3,))),
+            # constraint count n, clausal and non-clausal in turn
+            ([clause if i % 2 else PBConstraint(i, [(2, 1), (3, 2)], 3)
+              for i in range(n)],
+             Component((1, 2), range(n), [1 if i % 2 else 2 for i in range(n)])),
+            # first constraint id and constraint delta n
+            ([clause] * (2 * n) + [PBConstraint(2 * n, [(4, 1), (7, 2)], 9)],
+             Component((1, 2), (n, 2 * n), (1, 3))),
+            # remaining degree n + 1 kept, and n + 1 raised from 1
+            ([PBConstraint(0, [(n + 1, 1), (n + 7, 2)], n + 9),
+              PBConstraint(1, [(n + 2, 1), (n + 1, -2)], n + 2)],
+             Component((1, 2), (0, 1), (n + 1, 1))),
+        ]
+        for constraints, comp in cases:
+            for saturate in (True, False):
+                want = _helpers.reference_encode_component(comp, constraints, saturate)
+                assert encode_component(comp, constraints, saturate) == want
+            key = encode_component(comp, constraints, saturate=False)
+            assert decode_component(key, constraints) == comp
 
     def test_multibyte_varint_ids(self):
         f = build_formula(300, [([(2, 1), (3, 200)], ">=", 4)])

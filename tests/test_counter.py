@@ -243,6 +243,19 @@ class TestBudgets:
             count_models(f, CounterConfig(timeout_s=0.5))
         assert time.monotonic() - started < 2.5
 
+    @pytest.mark.parametrize("kwargs", [
+        {"timeout_s": float("nan")}, {"timeout_s": 0}, {"timeout_s": -1.0},
+        {"max_cache_bytes": -1}, {"max_memory_bytes": -1},
+    ])
+    def test_out_of_range_budgets_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CounterConfig(**kwargs)
+
+    def test_smallest_budgets_accepted(self):
+        cfg = CounterConfig(timeout_s=1e-6, max_cache_bytes=0, max_memory_bytes=0)
+        assert cfg.timeout_s == 1e-6
+        assert cfg.max_cache_bytes == 0 and cfg.max_memory_bytes == 0
+
     def test_generous_budgets_do_not_interfere(self):
         f = build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)])
         cfg = CounterConfig(timeout_s=60.0, max_memory_bytes=1 << 30)
