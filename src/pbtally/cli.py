@@ -8,14 +8,15 @@ Exit codes: 0 success, 1 failed verification, 2 usage or parse error,
 10 timeout, 20 memory budget exceeded.
 
 Some options have environment fallbacks (PBTALLY_HEURISTIC,
-PBTALLY_TIMEOUT, PBTALLY_MAX_CACHE_MB, PBTALLY_SEED); explicit flags
-always win.
+PBTALLY_TIMEOUT, PBTALLY_MAX_CACHE_MB); explicit flags always win.
+Budgets must be finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -55,24 +56,27 @@ def _read_formula(path: str):
     return parse_opb_file(path)
 
 
+def _mb_to_bytes(mb: float) -> int:
+    nbytes = mb * (1 << 20)
+    if not math.isfinite(nbytes):
+        raise ValueError("a budget in MB must be finite, got %r" % (mb,))
+    return int(nbytes)
+
+
 def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
     heur = heuristic or _env_override(args.heuristic, "PBTALLY_HEURISTIC", str) or "vcis"
     timeout = _env_override(args.timeout, "PBTALLY_TIMEOUT", float)
     cache_mb = _env_override(args.max_cache_mb, "PBTALLY_MAX_CACHE_MB", float)
     if cache_mb is None:
         cache_mb = 256.0
-    seed = _env_override(args.seed, "PBTALLY_SEED", int)
-    if seed is None:
-        seed = 0
     memory_mb = getattr(args, "max_memory_mb", None)
     return CounterConfig(
         heuristic=heur,
         vcis_static_only=getattr(args, "vcis_static_only", False),
         saturate_keys=not args.no_key_saturation if saturate_keys is None else saturate_keys,
-        max_cache_bytes=int(cache_mb * (1 << 20)),
-        max_memory_bytes=None if memory_mb is None else int(memory_mb * (1 << 20)),
+        max_cache_bytes=_mb_to_bytes(cache_mb),
+        max_memory_bytes=None if memory_mb is None else _mb_to_bytes(memory_mb),
         timeout_s=timeout,
-        seed=seed,
     )
 
 
@@ -84,7 +88,6 @@ def _config_echo(config: CounterConfig) -> dict:
         "max_cache_bytes": config.max_cache_bytes,
         "max_memory_bytes": config.max_memory_bytes,
         "timeout_s": config.timeout_s,
-        "seed": config.seed,
     }
 
 
@@ -214,8 +217,6 @@ def _add_count_options(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock budget for the count")
     parser.add_argument("--max-cache-mb", type=float, default=None, metavar="MB",
                         help="component cache budget (default 256)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for cache eviction tie-breaking (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="wall-clock budget per configuration")
     p_verify.add_argument("--max-cache-mb", type=float, default=None, metavar="MB")
-    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--no-key-saturation", action="store_true",
                           help=argparse.SUPPRESS)
     p_verify.add_argument("--corrupt-cache-after", type=int, default=None,

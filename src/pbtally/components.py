@@ -7,7 +7,8 @@ are encoded to canonical byte keys so that an identical residual
 subproblem, reached anywhere else in the search tree, is answered from
 the cache instead of being recounted.
 
-Cache entries are append-logged. The search can purge every entry
+Cache entries are logged in insertion order. Over its byte budget the
+cache evicts the oldest entries first. The search can purge every entry
 inserted after a recorded log position, which is how results computed
 under assumptions that later turned out contradictory are kept out of
 the store.
@@ -15,7 +16,7 @@ the store.
 
 from __future__ import annotations
 
-import random
+from collections import deque
 from typing import Iterable, Optional
 
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
@@ -247,25 +248,25 @@ def decode_component(data: bytes, constraints) -> Component:
 
 
 class CountCache:
-    """Byte-key to model-count store with an insertion log.
+    """Byte-key to model-count store, evicted oldest first.
 
-    The log gives every entry a position; ``purge_from(pos)`` drops all
-    entries inserted at or after ``pos``, which the search uses to
-    retract results computed under assumptions a conflict later refuted.
-    When the byte budget overflows, a random entry among the oldest
-    window is evicted, so long-lived entries near the root go last. Keys
-    are stored whole, so two different subproblems never share an entry.
+    Every stored entry gets the next absolute log position. The live keys
+    sit in a deque, oldest first: its head is at position ``evictions``,
+    so :meth:`log_position` is ``evictions + len(deque)``. When the byte
+    budget overflows, the oldest entries are evicted. ``purge_from(pos)``
+    drops every live entry at position ``pos`` or later, which the search
+    uses to retract results computed under assumptions a conflict later
+    refuted. Keys are stored whole, so two different subproblems never
+    share an entry.
     """
 
     __slots__ = ("max_bytes", "bytes_used", "bytes_peak",
                  "hits", "misses", "stores", "evictions", "purged",
-                 "debug_corrupt_after",
-                 "_store", "_log", "_scan_start", "_rng", "_store_seq")
+                 "debug_corrupt_after", "_store", "_log")
 
     ENTRY_OVERHEAD = 64
-    EVICTION_WINDOW = 1024
 
-    def __init__(self, max_bytes: int = 256 << 20, seed: int = 0):
+    def __init__(self, max_bytes: int = 256 << 20):
         self.max_bytes = max_bytes
         self.bytes_used = 0
         self.bytes_peak = 0
@@ -277,10 +278,7 @@ class CountCache:
         #: test hook: the Nth successful store writes a wrong count
         self.debug_corrupt_after: Optional[int] = None
         self._store = {}
-        self._log = []
-        self._scan_start = 0
-        self._rng = random.Random(seed)
-        self._store_seq = 0
+        self._log = deque()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -290,65 +288,45 @@ class CountCache:
         return len(key) + max(1, (count.bit_length() + 7) // 8) + CountCache.ENTRY_OVERHEAD
 
     def log_position(self) -> int:
-        """Current end of the insertion log; feed to :meth:`purge_from`."""
-        return len(self._log)
+        """Position the next store gets; feed to :meth:`purge_from`."""
+        return self.evictions + len(self._log)
 
     def lookup(self, key: bytes):
-        entry = self._store.get(key)
-        if entry is None:
+        count = self._store.get(key)
+        if count is None:
             self.misses += 1
             return None
         self.hits += 1
-        return entry[0]
+        return count
 
     def store(self, key: bytes, count: int) -> None:
-        if key in self._store:
+        store = self._store
+        if key in store:
             # the earlier entry for the same subproblem stays authoritative
             return
-        if self.debug_corrupt_after is not None and self._store_seq == self.debug_corrupt_after:
+        if self.debug_corrupt_after is not None and self.stores == self.debug_corrupt_after:
             count += 1
-        self._store_seq += 1
-        self._store[key] = (count, len(self._log))
-        self._log.append(key)
+        store[key] = count
+        log = self._log
+        log.append(key)
         self.stores += 1
         self.bytes_used += self._entry_bytes(key, count)
         if self.bytes_used > self.bytes_peak:
             self.bytes_peak = self.bytes_used
-        if self.bytes_used > self.max_bytes:
-            self._evict()
+        while self.bytes_used > self.max_bytes and log:
+            k = log.popleft()
+            self.bytes_used -= self._entry_bytes(k, store.pop(k))
+            self.evictions += 1
 
     def purge_from(self, pos: int) -> int:
-        """Remove every entry inserted at log position ``pos`` or later."""
-        if pos >= len(self._log):
+        """Remove every live entry stored at log position ``pos`` or later."""
+        log = self._log
+        removed = min(len(log), self.log_position() - pos)
+        if removed <= 0:
             return 0
-        removed = 0
-        for i in range(pos, len(self._log)):
-            k = self._log[i]
-            if k is None:
-                continue
-            count, _ = self._store.pop(k)
-            self.bytes_used -= self._entry_bytes(k, count)
-            removed += 1
-        del self._log[pos:]
-        if self._scan_start > pos:
-            self._scan_start = pos
+        store = self._store
+        for _ in range(removed):
+            k = log.pop()
+            self.bytes_used -= self._entry_bytes(k, store.pop(k))
         self.purged += removed
         return removed
-
-    def _evict(self) -> None:
-        while self.bytes_used > self.max_bytes and self._store:
-            log = self._log
-            start = self._scan_start
-            while start < len(log) and log[start] is None:
-                start += 1
-            self._scan_start = start
-            if start >= len(log):
-                return
-            end = min(start + self.EVICTION_WINDOW, len(log))
-            live = [i for i in range(start, end) if log[i] is not None]
-            idx = live[self._rng.randrange(len(live))] if len(live) > 1 else live[0]
-            k = log[idx]
-            log[idx] = None
-            count, _ = self._store.pop(k)
-            self.bytes_used -= self._entry_bytes(k, count)
-            self.evictions += 1

@@ -19,6 +19,7 @@ independently-multiplied components actually independent.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
@@ -41,6 +42,10 @@ class MemoryBudgetExceeded(Exception):
 class CounterConfig:
     """Knobs for one counting run; defaults match the command line.
 
+    ``max_cache_bytes`` bounds the count cache, which evicts its oldest
+    entries first; ``max_memory_bytes`` bounds the cache plus the learned
+    constraints. ``timeout_s`` must be positive and finite.
+
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, and
     ``("learned", (terms, degree, jump))`` after the backjump to ``jump``
@@ -48,21 +53,21 @@ class CounterConfig:
     """
 
     __slots__ = ("heuristic", "vcis_static_only", "saturate_keys",
-                 "max_cache_bytes", "max_memory_bytes", "timeout_s", "seed",
-                 "max_learned", "on_event", "debug_checks")
+                 "max_cache_bytes", "max_memory_bytes", "timeout_s", "max_learned",
+                 "on_event", "debug_checks")
 
     def __init__(self, heuristic: str = "vcis", vcis_static_only: bool = False,
                  saturate_keys: bool = True, max_cache_bytes: int = 256 << 20,
                  max_memory_bytes: Optional[int] = None,
-                 timeout_s: Optional[float] = None, seed: int = 0,
-                 max_learned: int = 10000,
+                 timeout_s: Optional[float] = None, max_learned: int = 10000,
                  on_event: Optional[Callable[[str, tuple], None]] = None,
                  debug_checks: bool = False):
         if heuristic not in ("vcis", "baseline"):
             raise ValueError("heuristic must be 'vcis' or 'baseline'")
         # written so that NaN fails too: every comparison with it is false
-        if timeout_s is not None and not timeout_s > 0:
-            raise ValueError("timeout_s must be positive, got %r" % (timeout_s,))
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite, got %r"
+                             % (timeout_s,))
         if max_cache_bytes < 0:
             raise ValueError("max_cache_bytes must be non-negative, got %r"
                              % (max_cache_bytes,))
@@ -75,7 +80,6 @@ class CounterConfig:
         self.max_cache_bytes = max_cache_bytes
         self.max_memory_bytes = max_memory_bytes
         self.timeout_s = timeout_s
-        self.seed = seed
         self.max_learned = max_learned
         self.on_event = on_event
         self.debug_checks = debug_checks
@@ -189,8 +193,7 @@ class ModelCounter:
         self.config = config or CounterConfig()
         self.formula = dedup_constraints(formula)
         self.engine = Engine(self.formula, max_learned=self.config.max_learned)
-        self.cache = CountCache(max_bytes=self.config.max_cache_bytes,
-                                seed=self.config.seed)
+        self.cache = CountCache(max_bytes=self.config.max_cache_bytes)
         self.stats = SearchStats()
         self.vcis_scores, self.vcis_phases = compute_vcis_scores(self.formula)
         self.level_log_pos = [0]

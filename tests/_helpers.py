@@ -1,7 +1,8 @@
 """Shared builders for the test suite: seeded random formulas, the
-mini-formula view of one residual component, and the reference key
-encoder."""
+mini-formula view of one residual component, the reference key
+encoder, and a strict parser for the command line's JSON reports."""
 
+import json
 import random
 
 from pbtally import CounterConfig, ModelCounter, PBFormula, build_formula
@@ -178,3 +179,12 @@ def count_with_events(formula: PBFormula):
     counter = ModelCounter(formula, CounterConfig(on_event=on_event))
     result = counter.run()
     return counter, result, decisions, learned
+
+
+def _reject_constant(name: str):
+    raise ValueError("report is not strict JSON: %s" % name)
+
+
+def load_report(text: str):
+    """Parse a JSON report strictly: ``NaN`` and ``Infinity`` are errors."""
+    return json.loads(text, parse_constant=_reject_constant)

@@ -6,7 +6,6 @@ enumeration, exact rational arithmetic, a bit-parallel recount, and
 frozen constants recorded from those references.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -263,7 +262,7 @@ def test_c8_reports_are_deterministic(tmp_path, capsys):
             code = cli_main(["count", "--stats", str(path)])
             out, err = capsys.readouterr()
             assert code == 0
-            payload = json.loads(err)
+            payload = _helpers.load_report(err)
             del payload["elapsed_s"]
             runs.append((out, payload))
         assert runs[0] == runs[1]

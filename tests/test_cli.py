@@ -1,7 +1,6 @@
 """Command-line contract: output channels, exit codes, env fallbacks."""
 
 import io
-import json
 import os
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import sys
 import pytest
 
 import pbtally
+from _helpers import load_report
 from pbtally import (brute_count, count_models, gen_auction, gen_knapsack, parse_opb,
                      parse_opb_file)
 from pbtally.cli import main
@@ -35,7 +35,7 @@ class TestCount:
         assert code == 0
         want = brute_count(parse_opb(SMALL)).count
         assert out == "s mc %d\n" % want
-        payload = json.loads(err)
+        payload = load_report(err)
         assert payload["status"] == "counted"
         assert payload["count"] == want
         assert payload["num_vars"] == 3
@@ -53,36 +53,43 @@ class TestCount:
         path = write(tmp_path, "small.opb", SMALL)
         code, _, err = run_cli(["count", "--stats", path], capsys)
         assert code == 0
-        stats = json.loads(err)["stats"]
+        stats = load_report(err)["stats"]
         assert "decisions" in stats and "cache_hits" in stats
 
     def test_flags_reach_the_config(self, tmp_path, capsys):
         path = write(tmp_path, "small.opb", SMALL)
         code, _, err = run_cli(
             ["count", "--heuristic", "baseline", "--no-key-saturation",
-             "--max-cache-mb", "1.5", "--seed", "9", path], capsys)
+             "--max-cache-mb", "1.5", path], capsys)
         assert code == 0
-        config = json.loads(err)["config"]
+        config = load_report(err)["config"]
         assert config["heuristic"] == "baseline"
         assert config["saturate_keys"] is False
         assert config["max_cache_bytes"] == int(1.5 * (1 << 20))
-        assert config["seed"] == 9
+        assert "seed" not in config
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "bad.opb", "+1 x1 frog 1 ;\n")
         code, out, err = run_cli(["count", path], capsys)
         assert code == 2
         assert out == ""
-        assert json.loads(err)["status"] == "error"
+        assert load_report(err)["status"] == "error"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(["count", str(tmp_path / "absent.opb")], capsys)
         assert code == 2
-        assert json.loads(err)["status"] == "error"
+        assert load_report(err)["status"] == "error"
 
     def test_missing_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_seed_flag_is_gone(self, tmp_path, capsys, command):
+        path = write(tmp_path, "small.opb", SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "3", path])
         assert exc.value.code == 2
 
     def test_timeout_exits_10(self, tmp_path, capsys):
@@ -92,7 +99,7 @@ class TestCount:
         code, out, err = run_cli(["count", "--timeout", "1e-6", path], capsys)
         assert code == 10
         assert out == ""
-        assert json.loads(err)["status"] == "timeout"
+        assert load_report(err)["status"] == "timeout"
 
     def test_memory_budget_exits_20(self, tmp_path, capsys):
         path = write(tmp_path, "slow.opb",
@@ -102,18 +109,19 @@ class TestCount:
             ["count", "--max-memory-mb", "0.001", path], capsys)
         assert code == 20
         assert out == ""
-        assert json.loads(err)["status"] == "memout"
+        assert load_report(err)["status"] == "memout"
 
     @pytest.mark.parametrize("flags", [
         ["--timeout", "nan"], ["--timeout", "0"], ["--timeout", "-1"],
         ["--max-cache-mb", "-5"], ["--max-memory-mb", "-1"],
+        ["--max-cache-mb", "inf"], ["--max-memory-mb", "inf"], ["--timeout", "inf"],
     ])
     def test_out_of_range_budget_exits_2(self, tmp_path, capsys, flags):
         path = write(tmp_path, "small.opb", SMALL)
         code, out, err = run_cli(["count", *flags, path], capsys)
         assert code == 2
         assert out == ""
-        assert json.loads(err)["status"] == "error"
+        assert load_report(err)["status"] == "error"
 
     def test_reports_are_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "inst.opb", gen_knapsack(items=11, seed=4))
@@ -121,7 +129,7 @@ class TestCount:
         for _ in range(2):
             code, out, err = run_cli(["count", "--stats", path], capsys)
             assert code == 0
-            payload = json.loads(err)
+            payload = load_report(err)
             del payload["elapsed_s"]
             payloads.append((out, payload))
         assert payloads[0] == payloads[1]
@@ -133,7 +141,7 @@ class TestVerify:
                      gen_knapsack(items=12, dims=2, seed=5))
         code, out, err = run_cli(["verify", path], capsys)
         assert code == 0
-        payload = json.loads(err)
+        payload = load_report(err)
         assert payload["status"] == "pass"
         counts = payload["counts"]
         assert set(counts) == {"vcis_saturated", "vcis_raw",
@@ -150,15 +158,25 @@ class TestVerify:
             ["verify", "--corrupt-cache-after", "0", path], capsys)
         assert code == 1
         assert out == "s verify FAIL\n"
-        payload = json.loads(err)
+        payload = load_report(err)
         assert payload["status"] == "fail"
         assert len(set(payload["counts"].values())) > 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--timeout", "inf"], ["--max-cache-mb", "inf"],
+    ])
+    def test_out_of_range_budget_exits_2(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "small.opb", SMALL)
+        code, out, err = run_cli(["verify", *flags, path], capsys)
+        assert code == 2
+        assert out == ""
+        assert load_report(err)["status"] == "error"
 
     def test_too_many_variables_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "big.opb", gen_knapsack(items=25, seed=1))
         code, _, err = run_cli(["verify", path], capsys)
         assert code == 2
-        assert json.loads(err)["status"] == "error"
+        assert load_report(err)["status"] == "error"
 
 
 class TestGenerate:
@@ -194,20 +212,18 @@ class TestGenerate:
         code, _, err = run_cli(
             ["generate", "knapsack", "--items", "0"], capsys)
         assert code == 2
-        assert json.loads(err)["status"] == "error"
+        assert load_report(err)["status"] == "error"
 
 
 class TestEnvironment:
     def test_env_sets_defaults(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "small.opb", SMALL)
         monkeypatch.setenv("PBTALLY_HEURISTIC", "baseline")
-        monkeypatch.setenv("PBTALLY_SEED", "7")
         monkeypatch.setenv("PBTALLY_MAX_CACHE_MB", "2")
         code, _, err = run_cli(["count", path], capsys)
         assert code == 0
-        config = json.loads(err)["config"]
+        config = load_report(err)["config"]
         assert config["heuristic"] == "baseline"
-        assert config["seed"] == 7
         assert config["max_cache_bytes"] == 2 << 20
 
     def test_explicit_flag_beats_env(self, tmp_path, capsys, monkeypatch):
@@ -215,7 +231,7 @@ class TestEnvironment:
         monkeypatch.setenv("PBTALLY_HEURISTIC", "baseline")
         code, _, err = run_cli(["count", "--heuristic", "vcis", path], capsys)
         assert code == 0
-        assert json.loads(err)["config"]["heuristic"] == "vcis"
+        assert load_report(err)["config"]["heuristic"] == "vcis"
 
     def test_unparseable_env_value_aborts(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "small.opb", SMALL)
@@ -223,9 +239,17 @@ class TestEnvironment:
         code, out, err = run_cli(["count", path], capsys)
         assert code == 2
         assert out == ""
-        payload = json.loads(err)
+        payload = load_report(err)
         assert payload["status"] == "error"
         assert "PBTALLY_TIMEOUT" in payload["error"]
+
+    def test_infinite_env_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "small.opb", SMALL)
+        monkeypatch.setenv("PBTALLY_MAX_CACHE_MB", "inf")
+        code, out, err = run_cli(["count", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert load_report(err)["status"] == "error"
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

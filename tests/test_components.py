@@ -395,39 +395,42 @@ class TestCountCache:
         assert cache.bytes_used <= cache.max_bytes
         assert cache.bytes_peak > cache.max_bytes
 
-    def test_eviction_prefers_oldest_window(self):
+    def test_eviction_is_oldest_first(self):
         entry = 8 + 1 + CountCache.ENTRY_OVERHEAD
-        cache = CountCache(max_bytes=entry * 1100)
-        for i in range(1101):
+        cache = CountCache(max_bytes=entry * 20)
+        for i in range(200):
             cache.store(_key(i), 1)
-        assert cache.evictions == 1
-        # the victim came from the oldest window, so everything stored
-        # after it is still present
-        for i in range(CountCache.EVICTION_WINDOW, 1101):
-            assert cache.lookup(_key(i)) == 1
-        assert len(cache) == 1100
+        assert cache.evictions == 180
+        assert sorted(cache._store) == sorted(_key(i) for i in range(180, 200))
+        assert list(cache._log) == [_key(i) for i in range(180, 200)]
 
-    def test_purge_rewinds_eviction_scan(self):
+    def test_purge_after_eviction(self):
         entry = 8 + 1 + CountCache.ENTRY_OVERHEAD
-        cache = CountCache(max_bytes=entry * 5)
-        for i in range(50):
-            cache.store(_key(i), 1)
-        assert cache.evictions == 45
-        cache.purge_from(0)
-        assert cache._scan_start == 0
-        assert cache.bytes_used == 0
-        cache.store(b"fresh", 2)
-        assert cache.lookup(b"fresh") == 2
-
-    def test_eviction_is_seeded(self):
-        entry = 8 + 1 + CountCache.ENTRY_OVERHEAD
-        survivors = []
-        for _ in range(2):
-            cache = CountCache(max_bytes=entry * 20, seed=7)
-            for i in range(200):
+        # the eviction front is at position 45; purge below, at and above it
+        for pos, removed in ((10, 5), (45, 5), (47, 3)):
+            cache = CountCache(max_bytes=entry * 5)
+            for i in range(50):
                 cache.store(_key(i), 1)
-            survivors.append(sorted(k for k in cache._store))
-        assert survivors[0] == survivors[1]
+            assert cache.evictions == 45
+            assert cache.log_position() == 50
+            assert cache.purge_from(pos) == removed
+            assert cache.purged == removed
+            assert cache.log_position() == max(pos, 45)
+            assert cache.bytes_used == entry * (5 - removed)
+            assert sorted(cache._store) == [_key(i) for i in range(45, max(pos, 45))]
+            cache.store(b"fresh", 2)
+            assert cache.lookup(b"fresh") == 2
+            assert cache.log_position() == max(pos, 45) + 1
+            assert cache.purge_from(max(pos, 45)) == 1
+            assert cache.lookup(b"fresh") is None
+
+    def test_log_is_bounded_by_live_entries(self):
+        entry = 8 + 1 + CountCache.ENTRY_OVERHEAD
+        cache = CountCache(max_bytes=entry * 20)
+        for i in range(10000):
+            cache.store(_key(i), 1)
+        assert len(cache._log) == len(cache) == 20
+        assert cache.log_position() == 10000
 
     def test_corrupt_hook_breaks_one_store(self):
         cache = CountCache()

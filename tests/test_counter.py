@@ -10,6 +10,7 @@ import _helpers
 from pbtally import (CounterConfig, MemoryBudgetExceeded, ModelCounter,
                      PBFormula, SolveTimeout, brute_count, build_formula,
                      compute_vcis_scores, count_models, residual_components)
+from pbtally.components import CountCache
 from pbtally.counter import dedup_constraints
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import parse_opb
@@ -43,15 +44,25 @@ class TestCountMatchesOracle:
         assert conflicts > 100
 
     def test_tiny_cache_and_learned_budgets(self):
-        # heavy eviction on both stores must never change the answer
+        # heavy eviction on both stores must never change the answer, and
+        # the cache's byte accounting must match its live entries
         rng = random.Random(6603)
+        evictions = 0
         for _ in range(120):
             f = _helpers.tight_formula(rng, max_vars=10)
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
             cfg = CounterConfig(max_cache_bytes=2048, max_learned=12)
-            assert count_models(f, cfg).count == want
+            res = count_models(f, cfg)
+            assert res.count == want
+            cache = res.cache
+            assert cache.bytes_used == sum(CountCache._entry_bytes(k, c)
+                                           for k, c in cache._store.items())
+            assert cache.bytes_used <= cfg.max_cache_bytes
+            assert sorted(cache._log) == sorted(cache._store)
+            evictions += res.stats.cache_evictions
+        assert evictions > 0
 
     def test_debug_checks_stay_silent(self):
         rng = random.Random(6605)
@@ -246,6 +257,7 @@ class TestBudgets:
     @pytest.mark.parametrize("kwargs", [
         {"timeout_s": float("nan")}, {"timeout_s": 0}, {"timeout_s": -1.0},
         {"max_cache_bytes": -1}, {"max_memory_bytes": -1},
+        {"timeout_s": float("inf")},
     ])
     def test_out_of_range_budgets_rejected(self, kwargs):
         with pytest.raises(ValueError):
