@@ -30,14 +30,24 @@ class Component:
     ascending, and ``gaps[i]`` is the remaining degree of constraint
     ``cstr_ids[i]``. Every unassigned variable of every listed constraint
     appears in ``var_ids``.
+
+    ``cover`` is the id of one listed constraint whose unassigned
+    variables are exactly ``var_ids``, or -1 when none is known. The
+    counter looks one up only for a component it branches on. While that
+    constraint stays active it alone keeps whatever is left of the
+    component connected, so the splits below skip their search. It is a
+    hint, not part of the subproblem: equality, hashing and the cache key
+    ignore it.
     """
 
-    __slots__ = ("var_ids", "cstr_ids", "gaps")
+    __slots__ = ("var_ids", "cstr_ids", "gaps", "cover")
 
-    def __init__(self, var_ids: Iterable[int], cstr_ids: Iterable[int], gaps: Iterable[int]):
+    def __init__(self, var_ids: Iterable[int], cstr_ids: Iterable[int], gaps: Iterable[int],
+                 cover: int = -1):
         self.var_ids = tuple(var_ids)
         self.cstr_ids = tuple(cstr_ids)
         self.gaps = tuple(gaps)
+        self.cover = cover
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Component)

@@ -201,24 +201,50 @@ class ModelCounter:
         self._open_pending = 0
         self._var_stamp = [0] * (self.formula.num_vars + 1)
         self._cstr_stamp = [0] * len(self.formula.constraints)
+        #: no constraint covers a component with more variables than its terms
+        self._widest = max((len(c.terms) for c in self.formula.constraints), default=0)
         self._stamp = 0
         self._ops = 0
         self._deadline = None
 
     # ----- pieces ---------------------------------------------------------
 
-    def _split_scope(self, scope_vars):
+    def _split_scope(self, scope_vars, parent: Optional[Component] = None):
         """Residual components among the given unassigned variables.
 
         Two variables connect when an unsatisfied original constraint
         contains both. Returns ``(components, n_free)`` with free
         variables (in no active constraint) only counted: each doubles
         the model count of the surrounding subproblem.
+
+        ``parent`` is the component whose frame is being split (``None``
+        at the root). Unless it is -1, its ``cover`` is a constraint whose
+        unassigned variables were exactly the component's when it was
+        split: :meth:`run` looks one up before branching on a component,
+        and this method passes it on. If the cover is still active, the
+        search is skipped: the answer is one component holding the
+        parent's still-unassigned variables and still-active constraints,
+        with the same cover. That is exact
+        after a conflict-free propagation below the parent's split: the
+        trail extends the one the parent was split under, so every active
+        constraint on the parent's unassigned variables is in
+        ``parent.cstr_ids``, and satisfied constraints stay satisfied.
+        Each active constraint keeps an unassigned variable, or
+        propagation would have found a conflict. The active cover holds
+        every unassigned variable, so they stay connected and none is
+        free. With ``debug_checks`` the search runs anyway and must agree.
         """
         engine = self.engine
         val = engine.val
-        occ = engine.occ_static
         gapv = engine.gapv
+        if parent is not None and parent.cover >= 0 and gapv[parent.cover] > 0:
+            cids = [ci for ci in parent.cstr_ids if gapv[ci] > 0]
+            comp = Component([v for v in parent.var_ids if val[v] == UNASSIGNED],
+                             cids, [gapv[ci] for ci in cids], parent.cover)
+            if self.config.debug_checks:
+                assert self._split_scope(scope_vars) == ([comp], 0)
+            return [comp], 0
+        occ = engine.occ_static
         constraints = engine.constraints
         self._stamp += 1
         stamp = self._stamp
@@ -259,18 +285,49 @@ class ModelCounter:
                                    [gapv[ci] for ci in comp_cids]))
         return comps, free
 
+    def _find_cover(self, comp: Component) -> int:
+        """An active constraint whose unassigned variables are exactly the
+        component's, or -1.
+
+        Only the constraints of the component's smallest variable are
+        tried, in occurrence order. Every unassigned variable of a
+        component constraint is in the component, so one with as many
+        unassigned terms as the component has variables covers it.
+        """
+        n = len(comp.var_ids)
+        if n > self._widest:
+            return -1
+        engine = self.engine
+        val = engine.val
+        gapv = engine.gapv
+        constraints = engine.constraints
+        for ci, _, _ in engine.occ_static[comp.var_ids[0]]:
+            if gapv[ci] <= 0:
+                continue
+            terms = constraints[ci].terms
+            if len(terms) < n:
+                continue
+            k = 0
+            for _, w in terms:
+                if val[w if w > 0 else -w] == UNASSIGNED:
+                    k += 1
+            if k == n:
+                return ci
+        return -1
+
     def _pick_literal(self, comp: Component) -> int:
         """Branching literal for a component, ties to the smallest id."""
         engine = self.engine
         cfg = self.config
         if cfg.heuristic == "baseline":
-            active = set(comp.cstr_ids)
+            # an active constraint of a component variable is a component
+            # constraint, so the active ones are counted without a lookup
             best_v = comp.var_ids[0]
             best = -1.0
             for v in comp.var_ids:
                 occ_count = 0
                 for ci, _, _ in engine.occ_static[v]:
-                    if ci in active and engine.gapv[ci] > 0:
+                    if engine.gapv[ci] > 0:
                         occ_count += 1
                 score = engine.activity[v] + occ_count
                 if score > best:
@@ -389,7 +446,7 @@ class ModelCounter:
                     scope = range(1, engine.num_vars + 1)
                 else:
                     scope = frame.comp.var_ids
-                comps, free = self._split_scope(scope)
+                comps, free = self._split_scope(scope, frame.comp)
                 frame.prod = 1 << free
                 frame.pending = comps
                 self._open_pending += len(comps)
@@ -406,6 +463,11 @@ class ModelCounter:
                     continue
                 if cfg.debug_checks:
                     assert all(engine.val[v] == UNASSIGNED for v in comp.var_ids)
+                # a cache miss is about to be branched on, so its split
+                # may skip the search; the trail is still the one it was
+                # split under
+                if comp.cover < 0:
+                    comp.cover = self._find_cover(comp)
                 lit = self._pick_literal(comp)
                 child = _Frame(comp, key, engine.current_level(), lit)
                 stack.append(child)

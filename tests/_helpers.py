@@ -58,6 +58,22 @@ def tight_formula(rng: random.Random, max_vars: int = 12):
     return build_formula(n, cons)
 
 
+def covered_formula(rng: random.Random, max_vars: int = 12):
+    """A random formula plus one constraint over all of its variables.
+
+    The extra constraint covers the root component, and its degree is low
+    enough that the search satisfies it partway down, so the splits below
+    it skip the component search at first and search again later.
+    """
+    base = random_formula(rng, max_vars=max_vars)
+    n = base.num_vars
+    wide = tuple((rng.randint(1, 4), v if rng.random() < 0.5 else -v)
+                 for v in range(1, n + 1))
+    degree = rng.randint(1, max(1, sum(a for a, _ in wide) // 2))
+    return PBFormula(n, [c.body() for c in base.constraints] + [(wide, degree)],
+                     base.unsat_at_load)
+
+
 def clause_heavy_formula(rng: random.Random, max_vars: int = 9):
     """Mostly clauses plus one small knapsack; splits often, keys repeat."""
     n = rng.randint(4, max_vars)

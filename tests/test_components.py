@@ -169,6 +169,16 @@ class TestComponentKeys:
         key = encode_component(comp, f.constraints, saturate=False)
         assert key == bytes([2, 1, 1, 1, 0, 3])
 
+    def test_cover_is_not_part_of_the_subproblem(self):
+        f = build_formula(2, [([(2, 1), (3, 2)], ">=", 4)])
+        plain = Component((1, 2), (0,), (4,))
+        covered = Component((1, 2), (0,), (4,), cover=0)
+        assert plain.cover == -1 and covered.cover == 0
+        assert covered == plain and hash(covered) == hash(plain)
+        key = encode_component(covered, f.constraints)
+        assert key == encode_component(plain, f.constraints)
+        assert decode_component(key, f.constraints).cover == -1
+
     def test_round_trip_without_saturation(self):
         rng = random.Random(4403)
         seen = 0

@@ -7,18 +7,94 @@ from fractions import Fraction
 import pytest
 
 import _helpers
-from pbtally import (CounterConfig, MemoryBudgetExceeded, ModelCounter,
-                     PBFormula, SolveTimeout, brute_count, build_formula,
-                     compute_vcis_scores, count_models, residual_components)
+from pbtally import (Component, CounterConfig, MemoryBudgetExceeded,
+                     ModelCounter, PBFormula, SearchStats, SolveTimeout,
+                     brute_count, build_formula, compute_vcis_scores,
+                     count_models, residual_components)
 from pbtally.components import CountCache
 from pbtally.counter import dedup_constraints
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
-from pbtally.formula import parse_opb
+from pbtally.formula import lit_var, parse_opb
 
 
 def all_configs():
     return [CounterConfig(heuristic=h, saturate_keys=s)
             for h in ("vcis", "baseline") for s in (True, False)]
+
+
+def _pinned_formulas():
+    """Instances whose search statistics the tests pin.
+
+    Disjoint conflict-prone blocks make backjumps discard frames whose
+    sibling components were still waiting; the auction and sensor
+    instances add conflicts at larger depth, and the knapsack instances
+    are one wide component that never splits.
+    """
+    rng = random.Random(1)
+    formulas = [_helpers.disjoint_union(
+        [_helpers.tight_formula(rng, max_vars=7) for _ in range(rng.randint(2, 3))])
+        for _ in range(12)]
+    formulas += [parse_opb(gen_auction(bids=16, items=10, revenue_fraction=0.15,
+                                       seed=s)) for s in range(4)]
+    formulas.append(parse_opb(gen_sensor(
+        sensors=30, targets=40, cost_aware=True, budget_fraction=0.7,
+        max_cover=5, redundancy_rate=0.4, seed=3)))
+    formulas += [parse_opb(gen_knapsack(items=18, dims=2, seed=s)) for s in range(3)]
+    return formulas
+
+
+_STAT_FIELDS = ("decisions", "conflicts", "propagations", "learned",
+                "cache_hits", "cache_misses", "cache_stores",
+                "cache_evictions", "cache_purged", "cache_entries",
+                "cache_bytes_peak", "peak_depth", "peak_open_components")
+
+#: (count, SearchStats values in _STAT_FIELDS order) per pinned instance
+_PINNED_STATS = {
+    "vcis": [
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        (21, (14, 2, 19, 2, 1, 8, 6, 0, 0, 6, 448, 4, 3)),
+        (1428, (14, 0, 15, 0, 0, 7, 7, 0, 0, 7, 529, 5, 5)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        (0, (1, 2, 12, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1)),
+        (120, (12, 2, 12, 2, 1, 6, 4, 0, 0, 4, 300, 5, 4)),
+        (8, (11, 4, 24, 4, 0, 6, 2, 0, 0, 2, 151, 4, 4)),
+        (77, (18, 1, 24, 1, 1, 9, 8, 0, 0, 8, 622, 5, 4)),
+        (0, (9, 2, 13, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5)),
+        (192, (22, 4, 31, 4, 2, 12, 8, 0, 0, 8, 614, 5, 5)),
+        (260, (43, 6, 53, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5)),
+        (954, (48, 4, 36, 4, 7, 24, 20, 0, 0, 20, 1503, 7, 6)),
+        (164, (131, 9, 216, 9, 21, 69, 60, 0, 0, 60, 4978, 11, 10)),
+        (296, (150, 12, 269, 12, 14, 80, 68, 0, 0, 68, 5689, 13, 12)),
+        (104, (74, 6, 146, 6, 3, 39, 33, 0, 0, 33, 2762, 12, 11)),
+        (62, (57, 6, 134, 6, 0, 31, 25, 0, 0, 25, 2087, 9, 8)),
+        (66064, (5264, 32, 4471, 32, 2017, 2642, 2610, 0, 0, 2610, 206195, 20, 20)),
+        (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17)),
+        (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17)),
+        (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17)),
+    ],
+    "baseline": [
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        (21, (13, 3, 21, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4)),
+        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
+        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1)),
+        (120, (9, 2, 10, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4)),
+        (8, (5, 1, 15, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2)),
+        (77, (15, 1, 27, 1, 0, 8, 7, 0, 0, 7, 557, 5, 4)),
+        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5)),
+        (192, (23, 6, 38, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5)),
+        (260, (32, 3, 34, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5)),
+        (954, (36, 1, 28, 1, 2, 18, 17, 0, 0, 17, 1269, 6, 5)),
+        (164, (131, 1, 130, 1, 7, 66, 65, 0, 0, 65, 4989, 14, 13)),
+        (296, (180, 0, 107, 0, 29, 90, 90, 0, 0, 90, 6775, 15, 15)),
+        (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11)),
+        (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11)),
+        (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20)),
+        (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17)),
+        (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17)),
+        (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17)),
+    ],
+}
 
 
 class TestCountMatchesOracle:
@@ -72,6 +148,28 @@ class TestCountMatchesOracle:
                 continue
             cfg = CounterConfig(debug_checks=True)
             assert count_models(f, cfg).count == brute_count(f).count
+
+    def test_debug_checks_stay_silent_below_covers(self):
+        # debug mode re-splits by search wherever the cover fast path runs
+        rng = random.Random(6613)
+        fast = 0
+        for _ in range(100):
+            f = _helpers.covered_formula(rng)
+            if f.unsat_at_load:
+                continue
+            mc = ModelCounter(f, CounterConfig(debug_checks=True))
+            split = mc._split_scope
+
+            def counting_split(scope_vars, parent=None):
+                nonlocal fast
+                if (parent is not None and parent.cover >= 0
+                        and mc.engine.gapv[parent.cover] > 0):
+                    fast += 1
+                return split(scope_vars, parent)
+
+            mc._split_scope = counting_split
+            assert mc.run().count == brute_count(f).count
+        assert fast > 100
 
     def test_unconstrained_variables_double_the_count(self):
         f = build_formula(10, [([(1, 1), (1, 2)], ">=", 1)])
@@ -229,6 +327,69 @@ class TestSplitScopeMirror:
                     break
         assert compared > 120
 
+    @staticmethod
+    def _assert_cover_exact(engine, comp):
+        if comp.cover < 0:
+            return
+        assert comp.cover in comp.cstr_ids
+        open_vars = {lit_var(lit) for _, lit in engine.constraints[comp.cover].terms
+                     if engine.lit_value(lit) is None}
+        assert open_vars == set(comp.var_ids)
+
+    def test_cover_fast_path_matches_pure_splitter(self):
+        # one constraint over every variable covers the root component;
+        # the splits below it skip the search until that constraint is
+        # satisfied, and search again from then on
+        rng = random.Random(6612)
+        fast = fallback = 0
+        for _ in range(300):
+            f = _helpers.covered_formula(rng)
+            if f.unsat_at_load:
+                continue
+            n = f.num_vars
+            mc = ModelCounter(f, CounterConfig())
+            e = mc.engine
+            if e.propagate() is not None:
+                continue
+            comps, _ = mc._split_scope(range(1, n + 1))
+            while comps:
+                comp = rng.choice(comps)
+                # what the search does before branching on a cache miss
+                if comp.cover < 0:
+                    comp.cover = mc._find_cover(comp)
+                self._assert_cover_exact(e, comp)
+                v = rng.choice(comp.var_ids)
+                e.decide(v if rng.random() < 0.5 else -v)
+                if e.propagate() is not None:
+                    break
+                takes_fast_path = comp.cover >= 0 and e.gapv[comp.cover] > 0
+                comps, free = mc._split_scope(comp.var_ids, comp)
+                ref_comps, ref_free = residual_components(
+                    mc.formula, e.assignment_dict())
+                scope = set(comp.var_ids)
+                assert comps == [c for c in ref_comps if scope.issuperset(c.var_ids)]
+                assert free == len(scope.intersection(ref_free))
+                if takes_fast_path:
+                    assert [c.cover for c in comps] == [comp.cover]
+                    fast += 1
+                elif comp.cover >= 0:
+                    fallback += 1
+        assert fast > 100 and fallback > 50
+
+    def test_debug_checks_catch_a_false_cover(self):
+        # two disjoint clauses, and a parent that wrongly claims the first
+        # one covers both: the fast path answers one component, the search two
+        f = build_formula(4, [([(1, 1), (1, 2)], ">=", 1),
+                              ([(1, 3), (1, 4)], ">=", 1)])
+        parent = Component((1, 2, 3, 4), (0, 1), (1, 1), cover=0)
+        mc = ModelCounter(f, CounterConfig())
+        assert mc.engine.propagate() is None
+        assert len(mc._split_scope(parent.var_ids, parent)[0]) == 1
+        mc = ModelCounter(f, CounterConfig(debug_checks=True))
+        assert mc.engine.propagate() is None
+        with pytest.raises(AssertionError):
+            mc._split_scope(parent.var_ids, parent)
+
 
 class TestBudgets:
     def test_timeout_raises(self):
@@ -309,26 +470,25 @@ class TestLogsAndStats:
         assert logged > 50
 
     def test_peak_open_components_pinned(self):
-        # disjoint conflict-prone blocks make backjumps discard frames whose
-        # sibling components were still waiting; the generator instances
-        # add conflicts at larger depth
-        rng = random.Random(1)
-        formulas = [_helpers.disjoint_union(
-            [_helpers.tight_formula(rng, max_vars=7) for _ in range(rng.randint(2, 3))])
-            for _ in range(12)]
-        formulas += [parse_opb(gen_auction(bids=16, items=10, revenue_fraction=0.15,
-                                           seed=s)) for s in range(4)]
-        formulas.append(parse_opb(gen_sensor(
-            sensors=30, targets=40, cost_aware=True, budget_fraction=0.7,
-            max_cover=5, redundancy_rate=0.4, seed=3)))
         peaks = []
         conflicts = 0
-        for f in formulas:
+        for f in _pinned_formulas()[:17]:
             stats = count_models(f).stats
             peaks.append(stats.peak_open_components)
             conflicts += stats.conflicts
         assert conflicts > 50
         assert peaks == [0, 3, 5, 0, 1, 4, 4, 4, 5, 5, 5, 6, 10, 12, 11, 8, 20]
+
+    @pytest.mark.parametrize("heuristic", ["vcis", "baseline"])
+    def test_search_stats_pinned(self, heuristic):
+        # every decision shows in these numbers, so a change to splitting
+        # or branching that alters the search fails here
+        assert SearchStats.__slots__ == _STAT_FIELDS
+        got = []
+        for f in _pinned_formulas():
+            res = count_models(f, CounterConfig(heuristic=heuristic))
+            got.append((res.count, tuple(res.stats.as_dict().values())))
+        assert got == _PINNED_STATS[heuristic]
 
     def test_stats_are_coherent(self):
         rng = random.Random(6611)
