@@ -72,7 +72,6 @@ def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
     memory_mb = getattr(args, "max_memory_mb", None)
     return CounterConfig(
         heuristic=heur,
-        vcis_static_only=getattr(args, "vcis_static_only", False),
         saturate_keys=not args.no_key_saturation if saturate_keys is None else saturate_keys,
         max_cache_bytes=_mb_to_bytes(cache_mb),
         max_memory_bytes=None if memory_mb is None else _mb_to_bytes(memory_mb),
@@ -83,7 +82,6 @@ def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
 def _config_echo(config: CounterConfig) -> dict:
     return {
         "heuristic": config.heuristic,
-        "vcis_static_only": config.vcis_static_only,
         "saturate_keys": config.saturate_keys,
         "max_cache_bytes": config.max_cache_bytes,
         "max_memory_bytes": config.max_memory_bytes,
@@ -209,8 +207,6 @@ def _add_count_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", help="OPB input path, or - for stdin")
     parser.add_argument("--heuristic", choices=("vcis", "baseline"), default=None,
                         help="branching heuristic (default vcis)")
-    parser.add_argument("--vcis-static-only", action="store_true",
-                        help="ignore conflict activity, branch on static scores alone")
     parser.add_argument("--no-key-saturation", action="store_true",
                         help="store raw residual degrees in cache keys")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

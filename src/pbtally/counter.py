@@ -42,6 +42,16 @@ class MemoryBudgetExceeded(Exception):
 class CounterConfig:
     """Knobs for one counting run; defaults match the command line.
 
+    ``heuristic`` picks the branching variable: ``"vcis"`` weighs conflict
+    activity and the static :func:`compute_vcis_scores` score equally,
+    each scaled by its maximum over the component, and takes the score's
+    preferred phase; ``"baseline"`` adds activity to the number of active
+    constraints and branches positive first.
+
+    ``max_learned`` caps the live learned constraints. Past it the
+    coldest ones that are not a reason on the trail are evicted down to
+    3/4 of the cap.
+
     ``max_cache_bytes`` bounds the count cache, which evicts its oldest
     entries first; ``max_memory_bytes`` bounds the cache plus the learned
     constraints. ``timeout_s`` must be positive and finite.
@@ -52,12 +62,12 @@ class CounterConfig:
     and before the learned constraint joins the engine.
     """
 
-    __slots__ = ("heuristic", "vcis_static_only", "saturate_keys",
-                 "max_cache_bytes", "max_memory_bytes", "timeout_s", "max_learned",
+    __slots__ = ("heuristic", "saturate_keys", "max_cache_bytes",
+                 "max_memory_bytes", "timeout_s", "max_learned",
                  "on_event", "debug_checks")
 
-    def __init__(self, heuristic: str = "vcis", vcis_static_only: bool = False,
-                 saturate_keys: bool = True, max_cache_bytes: int = 256 << 20,
+    def __init__(self, heuristic: str = "vcis", saturate_keys: bool = True,
+                 max_cache_bytes: int = 256 << 20,
                  max_memory_bytes: Optional[int] = None,
                  timeout_s: Optional[float] = None, max_learned: int = 10000,
                  on_event: Optional[Callable[[str, tuple], None]] = None,
@@ -75,7 +85,6 @@ class CounterConfig:
             raise ValueError("max_memory_bytes must be non-negative, got %r"
                              % (max_memory_bytes,))
         self.heuristic = heuristic
-        self.vcis_static_only = vcis_static_only
         self.saturate_keys = saturate_keys
         self.max_cache_bytes = max_cache_bytes
         self.max_memory_bytes = max_memory_bytes
@@ -168,17 +177,19 @@ class _Frame:
 
     The frame at stack index i made its decision at level i; the root
     frame at index 0 decides nothing and only collects the product over
-    the top-level components.
+    the top-level components. ``log_pos`` is the cache's log position
+    when the frame's current decision was made: a conflict that cuts the
+    decision off purges every entry stored since.
     """
 
-    __slots__ = ("comp", "key", "entry_level", "lit", "phase",
+    __slots__ = ("comp", "key", "lit", "log_pos", "phase",
                  "branch_sum", "prod", "pending", "needs_body")
 
-    def __init__(self, comp, key, entry_level: int, lit):
+    def __init__(self, comp, key, lit, log_pos: int):
         self.comp = comp
         self.key = key
-        self.entry_level = entry_level
         self.lit = lit
+        self.log_pos = log_pos
         self.phase = 0
         self.branch_sum = 0
         self.prod = 1
@@ -196,7 +207,6 @@ class ModelCounter:
         self.cache = CountCache(max_bytes=self.config.max_cache_bytes)
         self.stats = SearchStats()
         self.vcis_scores, self.vcis_phases = compute_vcis_scores(self.formula)
-        self.level_log_pos = [0]
         #: components waiting in the ``pending`` lists of all stack frames
         self._open_pending = 0
         self._var_stamp = [0] * (self.formula.num_vars + 1)
@@ -318,8 +328,7 @@ class ModelCounter:
     def _pick_literal(self, comp: Component) -> int:
         """Branching literal for a component, ties to the smallest id."""
         engine = self.engine
-        cfg = self.config
-        if cfg.heuristic == "baseline":
+        if self.config.heuristic == "baseline":
             # an active constraint of a component variable is a component
             # constraint, so the active ones are counted without a lookup
             best_v = comp.var_ids[0]
@@ -336,33 +345,25 @@ class ModelCounter:
             return best_v
 
         scores = self.vcis_scores
-        if cfg.vcis_static_only:
-            best_v = comp.var_ids[0]
-            best = -1.0
-            for v in comp.var_ids:
-                if scores[v] > best:
-                    best = scores[v]
-                    best_v = v
-        else:
-            activity = engine.activity
-            act_max = 0.0
-            sta_max = 0.0
-            for v in comp.var_ids:
-                if activity[v] > act_max:
-                    act_max = activity[v]
-                if scores[v] > sta_max:
-                    sta_max = scores[v]
-            best_v = comp.var_ids[0]
-            best = -1.0
-            for v in comp.var_ids:
-                score = 0.0
-                if act_max > 0.0:
-                    score += 0.5 * (activity[v] / act_max)
-                if sta_max > 0.0:
-                    score += 0.5 * (scores[v] / sta_max)
-                if score > best:
-                    best = score
-                    best_v = v
+        activity = engine.activity
+        act_max = 0.0
+        sta_max = 0.0
+        for v in comp.var_ids:
+            if activity[v] > act_max:
+                act_max = activity[v]
+            if scores[v] > sta_max:
+                sta_max = scores[v]
+        best_v = comp.var_ids[0]
+        best = -1.0
+        for v in comp.var_ids:
+            score = 0.0
+            if act_max > 0.0:
+                score += 0.5 * (activity[v] / act_max)
+            if sta_max > 0.0:
+                score += 0.5 * (scores[v] / sta_max)
+            if score > best:
+                best = score
+                best_v = v
         return best_v if self.vcis_phases[best_v] else -best_v
 
     def _budget_tick(self) -> None:
@@ -390,8 +391,7 @@ class ModelCounter:
         engine.backjump_to(jump)
         # results stored while the contradicted assumptions were open are
         # not trustworthy; drop everything inserted since
-        self.cache.purge_from(self.level_log_pos[jump + 1])
-        del self.level_log_pos[jump + 1:]
+        self.cache.purge_from(stack[jump + 1].log_pos)
         self._open_pending -= sum(len(fr.pending) for fr in stack[jump:]
                                   if fr.pending)
         del stack[jump + 1:]
@@ -423,7 +423,7 @@ class ModelCounter:
         count = None
         if self.formula.unsat_at_load:
             count = 0
-        stack = [_Frame(None, None, -1, 0)]
+        stack = [_Frame(None, None, 0, 0)]
         stats.peak_depth = 1
 
         while count is None:
@@ -440,6 +440,7 @@ class ModelCounter:
                         break
                     continue
                 if cfg.debug_checks:
+                    assert engine.current_level() == len(stack) - 1
                     engine.check_integrity()
                 frame.needs_body = False
                 if frame.comp is None:
@@ -469,11 +470,9 @@ class ModelCounter:
                 if comp.cover < 0:
                     comp.cover = self._find_cover(comp)
                 lit = self._pick_literal(comp)
-                child = _Frame(comp, key, engine.current_level(), lit)
-                stack.append(child)
+                stack.append(_Frame(comp, key, lit, cache.log_position()))
                 if len(stack) > stats.peak_depth:
                     stats.peak_depth = len(stack)
-                self.level_log_pos.append(cache.log_position())
                 engine.decide(lit)
                 self._note_decision(lit)
             else:
@@ -481,15 +480,14 @@ class ModelCounter:
                     count = frame.prod
                     break
                 frame.branch_sum += frame.prod
-                engine.backjump_to(frame.entry_level)
-                del self.level_log_pos[frame.entry_level + 1:]
+                engine.backjump_to(len(stack) - 2)
                 if frame.phase == 0:
                     frame.phase = 1
                     frame.lit = -frame.lit
+                    frame.log_pos = cache.log_position()
                     frame.prod = 1
                     frame.pending = None
                     frame.needs_body = True
-                    self.level_log_pos.append(cache.log_position())
                     engine.decide(frame.lit)
                     self._note_decision(frame.lit)
                 else:

@@ -42,9 +42,9 @@ class Engine:
     """Propagation and learning over one normalized formula.
 
     Constraint ids index ``constraints``; the originals come first and
-    learned constraints are appended after ``first_learned``. Evicted
-    learned constraints keep their id but are marked dead and their
-    occurrence entries are dropped lazily.
+    learned constraints are appended after ``first_learned``. An evicted
+    learned constraint keeps its id with ``constraints[ci]`` set to None,
+    and its occurrence entries are removed when it is evicted.
     """
 
     def __init__(self, formula: PBFormula, max_learned: int = 10000):
@@ -69,8 +69,6 @@ class Engine:
         self.scan_terms = []
         self.slack = []
         self.gapv = []
-        self.alive = []
-        self.reason_count = []
         self.c_activity = []
         for c in self.constraints:
             for coeff, lit in c.terms:
@@ -79,8 +77,6 @@ class Engine:
                 c.terms, key=lambda t: (-t[0], lit_var(t[1])))))
             self.slack.append(c.coef_sum() - c.degree)
             self.gapv.append(c.degree)
-            self.alive.append(True)
-            self.reason_count.append(0)
             self.c_activity.append(0.0)
 
         # constraints that may force literals under the current assignment
@@ -160,7 +156,6 @@ class Engine:
         self.pos[v] = len(self.trail)
         self.reason[v] = reason_ci
         if reason_ci >= 0:
-            self.reason_count[reason_ci] += 1
             self.n_propagations += 1
         self.trail.append(lit)
 
@@ -180,8 +175,6 @@ class Engine:
             elif self.dirty:
                 ci = self.dirty.pop()
                 self.in_dirty[ci] = False
-                if not self.alive[ci]:
-                    continue
                 confl = self._scan_forcing(ci)
                 if confl is not None:
                     return confl
@@ -199,25 +192,8 @@ class Engine:
         confl = None
         gapv = self.gapv
         slack = self.slack
-        for ci, coeff, is_pos in self.occ_static[v]:
-            if is_pos == truth:
-                gapv[ci] -= coeff
-            else:
-                s = slack[ci] - coeff
-                slack[ci] = s
-                if s < 0:
-                    if confl is None:
-                        confl = ci
-                elif gapv[ci] > 0:
-                    self._mark_dirty(ci)
-        lst = self.occ_learned[v]
-        if lst:
-            alive = self.alive
-            dead_seen = False
-            for ci, coeff, is_pos in lst:
-                if not alive[ci]:
-                    dead_seen = True
-                    continue
+        for occ in (self.occ_static[v], self.occ_learned[v]):
+            for ci, coeff, is_pos in occ:
                 if is_pos == truth:
                     gapv[ci] -= coeff
                 else:
@@ -228,8 +204,6 @@ class Engine:
                             confl = ci
                     elif gapv[ci] > 0:
                         self._mark_dirty(ci)
-            if dead_seen:
-                self.occ_learned[v] = [e for e in lst if alive[e[0]]]
         return confl
 
     def _undo_apply(self, lit: int) -> None:
@@ -237,18 +211,12 @@ class Engine:
         truth = lit > 0
         gapv = self.gapv
         slack = self.slack
-        for ci, coeff, is_pos in self.occ_static[v]:
-            if is_pos == truth:
-                gapv[ci] += coeff
-            else:
-                slack[ci] += coeff
-        for ci, coeff, is_pos in self.occ_learned[v]:
-            if not self.alive[ci]:
-                continue
-            if is_pos == truth:
-                gapv[ci] += coeff
-            else:
-                slack[ci] += coeff
+        for occ in (self.occ_static[v], self.occ_learned[v]):
+            for ci, coeff, is_pos in occ:
+                if is_pos == truth:
+                    gapv[ci] += coeff
+                else:
+                    slack[ci] += coeff
 
     def _scan_forcing(self, ci: int) -> Optional[int]:
         """Force every literal whose coefficient exceeds the slack."""
@@ -283,9 +251,6 @@ class Engine:
             v = lit_var(lit)
             if i < self.qhead:
                 self._undo_apply(lit)
-            r = self.reason[v]
-            if r >= 0:
-                self.reason_count[r] -= 1
             self.val[v] = UNASSIGNED
             self.reason[v] = -1
         del trail[target:]
@@ -490,8 +455,6 @@ class Engine:
             self.occ_learned[lit_var(lit)].append((cid, coeff, lit > 0))
         self.slack.append(s - degree)
         self.gapv.append(g)
-        self.alive.append(True)
-        self.reason_count.append(0)
         self.c_activity.append(self.cla_inc)
         self.in_dirty.append(False)
         self._mark_dirty(cid)
@@ -510,21 +473,32 @@ class Engine:
         """Evict cold learned constraints down to 3/4 of the cap.
 
         Constraints currently serving as a reason on the trail stay, as
-        does the just-added one. Dead ids keep their slot; occurrence
-        entries are cleaned up lazily during later scans.
+        does the just-added one; the rest go coldest first, ties to the
+        oldest. An evicted id keeps its slot with ``constraints[ci]`` set
+        to None. Its occurrence entries are removed here, keeping the
+        order of the others, and it leaves the queue of forcing scans.
         """
-        target = 3 * self.max_learned // 4
-        cands = [ci for ci in range(self.first_learned, len(self.constraints))
-                 if self.alive[ci] and self.reason_count[ci] == 0 and ci != protect]
+        constraints = self.constraints
+        keep = {self.reason[lit_var(lit)] for lit in self.trail}
+        keep.add(protect)
+        cands = [ci for ci in range(self.first_learned, len(constraints))
+                 if constraints[ci] is not None and ci not in keep]
         cands.sort(key=lambda ci: self.c_activity[ci])
-        for ci in cands:
-            if self.learned_live <= target:
-                break
-            self.alive[ci] = False
-            self.learned_live -= 1
-            self.learned_bytes -= self._learned_cost(len(self.constraints[ci].terms))
-            self.constraints[ci] = None
+        evicted = set(cands[:self.learned_live - 3 * self.max_learned // 4])
+        touched = set()
+        for ci in evicted:
+            terms = constraints[ci].terms
+            self.learned_bytes -= self._learned_cost(len(terms))
+            for _, lit in terms:
+                touched.add(lit_var(lit))
+            constraints[ci] = None
             self.scan_terms[ci] = ()
+            self.in_dirty[ci] = False
+        self.learned_live -= len(evicted)
+        occ = self.occ_learned
+        for v in touched:
+            occ[v] = [e for e in occ[v] if e[0] not in evicted]
+        self.dirty[:] = [ci for ci in self.dirty if ci not in evicted]
 
     # ----- integrity (debug) ----------------------------------------------
 
@@ -554,7 +528,7 @@ class Engine:
         for lit in self.trail[:self.qhead]:
             applied[lit_var(lit)] = lit > 0
         for ci, c in enumerate(self.constraints):
-            if not self.alive[ci]:
+            if c is None:
                 continue
             s = -c.degree
             g = c.degree
@@ -567,6 +541,19 @@ class Engine:
             assert self.slack[ci] == s, "slack drift on constraint %d" % ci
             assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
 
+        # occ_learned holds exactly one entry per term of each live learned
+        # constraint, and nothing of an evicted one
+        live = [ci for ci in range(self.first_learned, len(self.constraints))
+                if self.constraints[ci] is not None]
+        entries = [(ci, coeff, v if is_pos else -v) for v in range(1, n + 1)
+                   for ci, coeff, is_pos in self.occ_learned[v]]
+        assert sorted(entries) == sorted((ci, coeff, lit) for ci in live
+                                         for coeff, lit in self.constraints[ci].terms), \
+            "learned occurrence lists disagree with the live constraints"
+        assert self.learned_live == len(live), "learned_live drift"
+        for ci in self.dirty:
+            assert self.constraints[ci] is not None, "evicted constraint %d queued" % ci
+
         # replay: each propagated literal had coefficient > slack when set
         replay = {}
         for lit in self.trail:
@@ -574,7 +561,7 @@ class Engine:
             r = self.reason[v]
             if r >= 0:
                 reason = self.constraints[r]
-                assert reason is not None and self.alive[r], "dead reason %d" % r
+                assert reason is not None, "deleted reason %d" % r
                 s = -reason.degree
                 a_lit = None
                 for coeff, rl in reason.terms:

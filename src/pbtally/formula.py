@@ -235,7 +235,8 @@ def _parse_opb_int(token: str, line_no: int, what: str) -> int:
     text = token
     if text.startswith("+"):
         text = text[1:]
-    if not text or not (text.isdigit() or (text[0] == "-" and text[1:].isdigit())):
+    # ASCII only: str.isdigit() also accepts digits like '²' and '٣'
+    if not (text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit()))):
         raise OpbParseError(line_no, "malformed %s token %r" % (what, token))
     value = int(text)
     if value > I64_MAX or value < -I64_MAX - 1:
@@ -249,7 +250,7 @@ def _parse_opb_literal(token: str, line_no: int) -> int:
     if text.startswith("~"):
         negated = True
         text = text[1:]
-    if not text.startswith("x") or not text[1:].isdigit():
+    if not (text.startswith("x") and text[1:].isdigit() and text.isascii()):
         raise OpbParseError(line_no, "malformed literal token %r" % (token,))
     index = int(text[1:])
     if index < 1:
@@ -287,7 +288,7 @@ def parse_opb(source) -> PBFormula:
             if header_vars is None and "#variable=" in line:
                 after = line.split("#variable=", 1)[1].strip()
                 head = after.split()
-                if head and head[0].isdigit():
+                if head and head[0].isdigit() and head[0].isascii():
                     header_vars = int(head[0])
             continue
         if line.startswith("min:") or line.startswith("max:"):

@@ -66,7 +66,8 @@ class TestCount:
         assert config["heuristic"] == "baseline"
         assert config["saturate_keys"] is False
         assert config["max_cache_bytes"] == int(1.5 * (1 << 20))
-        assert "seed" not in config
+        assert set(config) == {"heuristic", "saturate_keys", "max_cache_bytes",
+                               "max_memory_bytes", "timeout_s"}
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "bad.opb", "+1 x1 frog 1 ;\n")
@@ -90,6 +91,12 @@ class TestCount:
         path = write(tmp_path, "small.opb", SMALL)
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "3", path])
+        assert exc.value.code == 2
+
+    def test_static_only_flag_is_gone(self, tmp_path, capsys):
+        path = write(tmp_path, "small.opb", SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--vcis-static-only", path])
         assert exc.value.code == 2
 
     def test_timeout_exits_10(self, tmp_path, capsys):

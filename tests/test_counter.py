@@ -96,6 +96,16 @@ _PINNED_STATS = {
     ],
 }
 
+#: with ``max_learned=2``: the pinned rows that differ from _PINNED_STATS,
+#: and the learned constraints evicted over all instances
+_PINNED_TWO_LEARNED = {
+    "vcis": ({6: (8, (12, 5, 26, 5, 0, 7, 2, 0, 0, 2, 151, 4, 4)),
+              10: (260, (43, 6, 55, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5)),
+              12: (164, (132, 9, 220, 9, 20, 69, 60, 0, 0, 60, 4978, 11, 10))},
+             67),
+    "baseline": ({}, 9),
+}
+
 
 class TestCountMatchesOracle:
     def test_random_formulas_all_configs(self):
@@ -121,15 +131,19 @@ class TestCountMatchesOracle:
 
     def test_tiny_cache_and_learned_budgets(self):
         # heavy eviction on both stores must never change the answer, and
-        # the cache's byte accounting must match its live entries
+        # the cache's byte accounting must match its live entries; the
+        # debug checks hold the learned store's occurrence lists to its
+        # live constraints after every reduction
         rng = random.Random(6603)
         evictions = 0
+        reduced = 0
         for _ in range(120):
             f = _helpers.tight_formula(rng, max_vars=10)
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
-            cfg = CounterConfig(max_cache_bytes=2048, max_learned=12)
+            cfg = CounterConfig(max_cache_bytes=2048, max_learned=1,
+                                debug_checks=True)
             res = count_models(f, cfg)
             assert res.count == want
             cache = res.cache
@@ -138,7 +152,9 @@ class TestCountMatchesOracle:
             assert cache.bytes_used <= cfg.max_cache_bytes
             assert sorted(cache._log) == sorted(cache._store)
             evictions += res.stats.cache_evictions
+            reduced += res.stats.learned > cfg.max_learned
         assert evictions > 0
+        assert reduced >= 10
 
     def test_debug_checks_stay_silent(self):
         rng = random.Random(6605)
@@ -202,7 +218,6 @@ class TestCountMatchesOracle:
             if f.unsat_at_load:
                 continue
             counts = {count_models(f, cfg).count for cfg in all_configs()}
-            counts.add(count_models(f, CounterConfig(vcis_static_only=True)).count)
             assert len(counts) == 1
 
 
@@ -279,12 +294,11 @@ class TestBranchingScores:
 
     def test_static_pick_prefers_negative_phase(self):
         f = build_formula(3, [([(-2, 1), (1, 2), (1, 3)], ">=", 0)])
-        for cfg in (CounterConfig(vcis_static_only=True), CounterConfig()):
-            mc = ModelCounter(f, cfg)
-            assert mc.engine.propagate() is None
-            comps, free = mc._split_scope(range(1, 4))
-            assert len(comps) == 1 and free == 0
-            assert mc._pick_literal(comps[0]) == -1
+        mc = ModelCounter(f, CounterConfig())
+        assert mc.engine.propagate() is None
+        comps, free = mc._split_scope(range(1, 4))
+        assert len(comps) == 1 and free == 0
+        assert mc._pick_literal(comps[0]) == -1
 
     def test_baseline_pick_is_positive_and_tie_breaks_low(self):
         f = build_formula(3, [([(-2, 1), (1, 2), (1, 3)], ">=", 0)])
@@ -489,6 +503,22 @@ class TestLogsAndStats:
             res = count_models(f, CounterConfig(heuristic=heuristic))
             got.append((res.count, tuple(res.stats.as_dict().values())))
         assert got == _PINNED_STATS[heuristic]
+
+    @pytest.mark.parametrize("heuristic", ["vcis", "baseline"])
+    def test_search_stats_pinned_with_two_learned(self, heuristic):
+        # a store this small is reduced on most conflicts; what it keeps
+        # and how it propagates afterwards both show in the search
+        diffs, want_evicted = _PINNED_TWO_LEARNED[heuristic]
+        want = [diffs.get(i, row) for i, row in enumerate(_PINNED_STATS[heuristic])]
+        got = []
+        evicted = 0
+        for f in _pinned_formulas():
+            mc = ModelCounter(f, CounterConfig(heuristic=heuristic, max_learned=2))
+            res = mc.run()
+            got.append((res.count, tuple(res.stats.as_dict().values())))
+            evicted += mc.engine.learned_total - mc.engine.learned_live
+        assert got == want
+        assert evicted == want_evicted
 
     def test_stats_are_coherent(self):
         rng = random.Random(6611)

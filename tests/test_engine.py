@@ -304,12 +304,20 @@ class TestLearnedStore:
         assert e.reason[2] == forcing
         junk1 = e.add_learned(((1, 5), (1, 6)), 1)
         junk2 = e.add_learned(((1, 6), (1, 7)), 1)
+        # conflicts touched the junk, so the newest is the coldest
+        e._bump_constraint(junk1)
+        e._bump_constraint(junk2)
         newest = e.add_learned(((1, 7), (1, 8)), 1)
         assert e.learned_live == 2
-        assert e.alive[forcing] and e.alive[newest]
-        assert not e.alive[junk1] and not e.alive[junk2]
-        assert e.constraints[junk1] is None
+        assert e.constraints[forcing] is not None
+        assert e.constraints[newest] is not None
+        assert e.constraints[junk1] is None and e.constraints[junk2] is None
+        assert not any(ci in (junk1, junk2)
+                       for occ in e.occ_learned for ci, _, _ in occ)
         assert e.learned_bytes == 2 * e._learned_cost(2)
+        # the evicted ones also left the queue of forcing scans
+        assert e.dirty == [newest]
+        e.check_integrity(expect_quiescent=False)
         # the survivor still propagates after the purge
         assert e.propagate() is None
         e.decide(-7)

@@ -120,6 +120,18 @@ class TestParsing:
         with pytest.raises(OpbParseError, match="line 2"):
             parse_opb("+1 x1 >= 1 ;\n+%d x1 +%d x1 >= 3 ;\n" % (big, big))
 
+    @pytest.mark.parametrize("text", ["+1 x1 >= 1 ;\n1 x\u00b2 >= 1 ;\n",
+                                      "+1 x1 >= 1 ;\n\u00b2 x1 >= 1 ;\n",
+                                      "+1 x1 >= 1 ;\n1 x\u0663 >= 1 ;\n"])
+    def test_non_ascii_digits_rejected_with_line(self, text):
+        # str.isdigit() accepts all three, and int() reads Arabic-Indic 3 as 3
+        with pytest.raises(OpbParseError, match="line 2: malformed"):
+            parse_opb(text)
+
+    def test_non_ascii_header_count_ignored(self):
+        f = parse_opb("* #variable= \u00b2\n+1 x1 >= 1 ;\n")
+        assert f.num_vars == 1
+
     def test_error_carries_line_number(self):
         try:
             parse_opb("+1 x1 >= 1 ;\n+1 x1 >= 1\n")
