@@ -64,15 +64,19 @@ def _mb_to_bytes(mb: float) -> int:
 
 
 def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
-    heur = heuristic or _env_override(args.heuristic, "PBTALLY_HEURISTIC", str) or "vcis"
+    # verify passes both; only count has the flags they would come from
+    if heuristic is None:
+        heuristic = _env_override(args.heuristic, "PBTALLY_HEURISTIC", str) or "vcis"
+    if saturate_keys is None:
+        saturate_keys = not args.no_key_saturation
     timeout = _env_override(args.timeout, "PBTALLY_TIMEOUT", float)
     cache_mb = _env_override(args.max_cache_mb, "PBTALLY_MAX_CACHE_MB", float)
     if cache_mb is None:
         cache_mb = 256.0
     memory_mb = getattr(args, "max_memory_mb", None)
     return CounterConfig(
-        heuristic=heur,
-        saturate_keys=not args.no_key_saturation if saturate_keys is None else saturate_keys,
+        heuristic=heuristic,
+        saturate_keys=saturate_keys,
         max_cache_bytes=_mb_to_bytes(cache_mb),
         max_memory_bytes=None if memory_mb is None else _mb_to_bytes(memory_mb),
         timeout_s=timeout,
@@ -233,12 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="recount under four configurations plus exhaustive enumeration")
     p_verify.add_argument("file", help="OPB input path, or - for stdin")
-    p_verify.add_argument("--heuristic", default=None, help=argparse.SUPPRESS)
     p_verify.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="wall-clock budget per configuration")
     p_verify.add_argument("--max-cache-mb", type=float, default=None, metavar="MB")
-    p_verify.add_argument("--no-key-saturation", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.add_argument("--corrupt-cache-after", type=int, default=None,
                           metavar="N", help="test hook: corrupt the Nth cache "
                           "store of the first run; verification must then fail")

@@ -48,9 +48,9 @@ class CounterConfig:
     preferred phase; ``"baseline"`` adds activity to the number of active
     constraints and branches positive first.
 
-    ``max_learned`` caps the live learned constraints. Past it the
-    coldest ones that are not a reason on the trail are evicted down to
-    3/4 of the cap.
+    ``max_learned``, an int of at least 0, caps the learned constraints
+    the engine holds. Past it the coldest ones that are not a reason on
+    the trail are evicted down to 3/4 of the cap.
 
     ``max_cache_bytes`` bounds the count cache, which evicts its oldest
     entries first; ``max_memory_bytes`` bounds the cache plus the learned
@@ -84,6 +84,10 @@ class CounterConfig:
         if max_memory_bytes is not None and max_memory_bytes < 0:
             raise ValueError("max_memory_bytes must be non-negative, got %r"
                              % (max_memory_bytes,))
+        # checked here: a float or None would fail only deep inside a count
+        if type(max_learned) is not int or max_learned < 0:
+            raise ValueError("max_learned must be an int of at least 0, got %r"
+                             % (max_learned,))
         self.heuristic = heuristic
         self.saturate_keys = saturate_keys
         self.max_cache_bytes = max_cache_bytes

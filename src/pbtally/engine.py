@@ -41,10 +41,9 @@ _ACTIVITY_CAP = 1e100
 class Engine:
     """Propagation and learning over one normalized formula.
 
-    Constraint ids index ``constraints``; the originals come first and
-    learned constraints are appended after ``first_learned``. An evicted
-    learned constraint keeps its id with ``constraints[ci]`` set to None,
-    and its occurrence entries are removed when it is evicted.
+    Constraint ids index ``constraints`` and every per-constraint list:
+    originals first, then learned ones from ``first_learned``. Reductions
+    renumber the learned ones, so each id is a live constraint's ``cid``.
     """
 
     def __init__(self, formula: PBFormula, max_learned: int = 10000):
@@ -92,7 +91,6 @@ class Engine:
 
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        self.learned_live = 0
         self.learned_total = 0
         self.learned_bytes = 0
         self.n_propagations = 0
@@ -438,7 +436,7 @@ class Engine:
     # ----- learned constraint store ---------------------------------------
 
     def add_learned(self, terms, degree: int) -> int:
-        """Append a learned constraint and queue it for a forcing scan."""
+        """Append a learned constraint, queue a forcing scan, return its id."""
         assert self.qhead == len(self.trail), "trail must be fully applied"
         cid = len(self.constraints)
         c = PBConstraint(cid, terms, degree)
@@ -458,12 +456,11 @@ class Engine:
         self.c_activity.append(self.cla_inc)
         self.in_dirty.append(False)
         self._mark_dirty(cid)
-        self.learned_live += 1
         self.learned_total += 1
         self.learned_bytes += self._learned_cost(len(terms))
-        if self.learned_live > self.max_learned:
+        if len(self.constraints) - self.first_learned > self.max_learned:
             self._reduce_learned(protect=cid)
-        return cid
+        return len(self.constraints) - 1  # a reduction may renumber it
 
     @staticmethod
     def _learned_cost(n_terms: int) -> int:
@@ -474,31 +471,32 @@ class Engine:
 
         Constraints currently serving as a reason on the trail stay, as
         does the just-added one; the rest go coldest first, ties to the
-        oldest. An evicted id keeps its slot with ``constraints[ci]`` set
-        to None. Its occurrence entries are removed here, keeping the
-        order of the others, and it leaves the queue of forcing scans.
+        oldest. The survivors keep their order and take the ids
+        ``first_learned, first_learned + 1, ...``; every per-constraint
+        list, the trail's reasons, the queue of forcing scans and the
+        occurrence lists follow them, so the search sees what it saw.
         """
-        constraints = self.constraints
-        keep = {self.reason[lit_var(lit)] for lit in self.trail}
-        keep.add(protect)
-        cands = [ci for ci in range(self.first_learned, len(constraints))
-                 if constraints[ci] is not None and ci not in keep]
-        cands.sort(key=lambda ci: self.c_activity[ci])
-        evicted = set(cands[:self.learned_live - 3 * self.max_learned // 4])
-        touched = set()
-        for ci in evicted:
-            terms = constraints[ci].terms
-            self.learned_bytes -= self._learned_cost(len(terms))
-            for _, lit in terms:
-                touched.add(lit_var(lit))
-            constraints[ci] = None
-            self.scan_terms[ci] = ()
-            self.in_dirty[ci] = False
-        self.learned_live -= len(evicted)
+        first = self.first_learned
+        keep = {self.reason[lit_var(lit)] for lit in self.trail} | {protect}
+        cands = [ci for ci in range(first, len(self.constraints)) if ci not in keep]
+        cands.sort(key=self.c_activity.__getitem__)
+        evicted = set(cands[:len(self.constraints) - first - 3 * self.max_learned // 4])
+        kept = [ci for ci in range(first, len(self.constraints)) if ci not in evicted]
+        new_id = {ci: i for i, ci in enumerate(kept, first)}
+        touched = {lit_var(lit) for c in self.constraints[first:] for _, lit in c.terms}
+        for per_cstr in (self.constraints, self.scan_terms, self.slack,
+                         self.gapv, self.c_activity, self.in_dirty):
+            per_cstr[first:] = [per_cstr[ci] for ci in kept]
+        for ci, c in enumerate(self.constraints[first:], first):
+            c.cid = ci
+        for v in map(lit_var, self.trail):
+            self.reason[v] = new_id.get(self.reason[v], self.reason[v])
+        self.dirty[:] = [new_id.get(ci, ci) for ci in self.dirty if ci not in evicted]
         occ = self.occ_learned
         for v in touched:
-            occ[v] = [e for e in occ[v] if e[0] not in evicted]
-        self.dirty[:] = [ci for ci in self.dirty if ci not in evicted]
+            occ[v] = [(new_id[ci], a, is_pos) for ci, a, is_pos in occ[v] if ci in new_id]
+        self.learned_bytes = sum(self._learned_cost(len(c.terms))
+                                 for c in self.constraints[first:])
 
     # ----- integrity (debug) ----------------------------------------------
 
@@ -527,9 +525,9 @@ class Engine:
         applied = {}
         for lit in self.trail[:self.qhead]:
             applied[lit_var(lit)] = lit > 0
+        m = len(self.constraints)
         for ci, c in enumerate(self.constraints):
-            if c is None:
-                continue
+            assert c.cid == ci, "constraint %d carries id %d" % (ci, c.cid)
             s = -c.degree
             g = c.degree
             for coeff, lit in c.terms:
@@ -541,18 +539,20 @@ class Engine:
             assert self.slack[ci] == s, "slack drift on constraint %d" % ci
             assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
 
-        # occ_learned holds exactly one entry per term of each live learned
-        # constraint, and nothing of an evicted one
-        live = [ci for ci in range(self.first_learned, len(self.constraints))
-                if self.constraints[ci] is not None]
+        # every queued id names a constraint, and in_dirty marks exactly those
+        assert sorted(self.dirty) == [ci for ci in range(m) if self.in_dirty[ci]], \
+            "in_dirty disagrees with the queue of forcing scans"
+
+        # occ_learned holds exactly one entry per term of each learned
+        # constraint, and learned_bytes is their summed cost
+        learned = self.constraints[self.first_learned:]
         entries = [(ci, coeff, v if is_pos else -v) for v in range(1, n + 1)
                    for ci, coeff, is_pos in self.occ_learned[v]]
-        assert sorted(entries) == sorted((ci, coeff, lit) for ci in live
-                                         for coeff, lit in self.constraints[ci].terms), \
-            "learned occurrence lists disagree with the live constraints"
-        assert self.learned_live == len(live), "learned_live drift"
-        for ci in self.dirty:
-            assert self.constraints[ci] is not None, "evicted constraint %d queued" % ci
+        assert sorted(entries) == sorted((c.cid, coeff, lit) for c in learned
+                                         for coeff, lit in c.terms), \
+            "learned occurrence lists disagree with the learned constraints"
+        assert self.learned_bytes == sum(self._learned_cost(len(c.terms))
+                                         for c in learned), "learned_bytes drift"
 
         # replay: each propagated literal had coefficient > slack when set
         replay = {}
@@ -560,8 +560,8 @@ class Engine:
             v = lit_var(lit)
             r = self.reason[v]
             if r >= 0:
+                assert r < m, "reason %d names no constraint" % r
                 reason = self.constraints[r]
-                assert reason is not None, "deleted reason %d" % r
                 s = -reason.degree
                 a_lit = None
                 for coeff, rl in reason.terms:

@@ -93,6 +93,15 @@ class TestCount:
             main([command, "--seed", "3", path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--heuristic", "bogus"], ["--heuristic", "vcis"],
+                                       ["--no-key-saturation"]])
+    def test_verify_config_flags_are_gone(self, tmp_path, capsys, flags):
+        # verify always recounts under every configuration
+        path = write(tmp_path, "small.opb", SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags, path])
+        assert exc.value.code == 2
+
     def test_static_only_flag_is_gone(self, tmp_path, capsys):
         path = write(tmp_path, "small.opb", SMALL)
         with pytest.raises(SystemExit) as exc:

@@ -433,15 +433,19 @@ class TestBudgets:
         {"timeout_s": float("nan")}, {"timeout_s": 0}, {"timeout_s": -1.0},
         {"max_cache_bytes": -1}, {"max_memory_bytes": -1},
         {"timeout_s": float("inf")},
+        {"max_learned": -1}, {"max_learned": 2.5}, {"max_learned": None},
+        {"max_learned": "10"}, {"max_learned": True},
     ])
     def test_out_of_range_budgets_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CounterConfig(**kwargs)
 
     def test_smallest_budgets_accepted(self):
-        cfg = CounterConfig(timeout_s=1e-6, max_cache_bytes=0, max_memory_bytes=0)
+        cfg = CounterConfig(timeout_s=1e-6, max_cache_bytes=0, max_memory_bytes=0,
+                            max_learned=0)
         assert cfg.timeout_s == 1e-6
         assert cfg.max_cache_bytes == 0 and cfg.max_memory_bytes == 0
+        assert cfg.max_learned == 0
 
     def test_generous_budgets_do_not_interfere(self):
         f = build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)])
@@ -516,7 +520,14 @@ class TestLogsAndStats:
             mc = ModelCounter(f, CounterConfig(heuristic=heuristic, max_learned=2))
             res = mc.run()
             got.append((res.count, tuple(res.stats.as_dict().values())))
-            evicted += mc.engine.learned_total - mc.engine.learned_live
+            engine = mc.engine
+            # the store ends within its cap, with nothing kept of an evicted one
+            held = len(engine.constraints) - engine.first_learned
+            assert held <= 2
+            for per_cstr in (engine.scan_terms, engine.slack, engine.gapv,
+                             engine.c_activity, engine.in_dirty):
+                assert len(per_cstr) == engine.first_learned + held
+            evicted += engine.learned_total - held
         assert got == want
         assert evicted == want_evicted
 

@@ -6,7 +6,7 @@ import pytest
 
 import _helpers
 from pbtally import PBFormula, brute_count, build_formula
-from pbtally.engine import COEFF_GUARD, UNASSIGNED, Engine
+from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine
 
 
 def implied_by(f, terms, degree):
@@ -293,37 +293,83 @@ class TestLearnedStore:
         assert e.gapv[cid] == 0
         e.check_integrity()
 
-    def test_eviction_spares_reasons_and_newest(self):
+    @staticmethod
+    def _renumbered_engine():
+        """An engine whose store was just reduced from 4 learned to 2.
+
+        Learned in order: junk0, forcing (the reason for x2), junk1 and
+        newest. Conflicts touched the junk, so the newest is the coldest
+        and only its protection keeps it.
+        """
         f = build_formula(8, [([(1, 1), (1, 2), (1, 3)], ">=", 1)])
         e = Engine(f, max_learned=3)
+        first = e.first_learned
         assert e.propagate() is None
         e.decide(-1)
         assert e.propagate() is None
+        junk0 = e.add_learned(((1, 5), (1, 6)), 1)
         forcing = e.add_learned(((1, 1), (1, 2)), 1)
         assert e.propagate() is None
-        assert e.reason[2] == forcing
-        junk1 = e.add_learned(((1, 5), (1, 6)), 1)
-        junk2 = e.add_learned(((1, 6), (1, 7)), 1)
-        # conflicts touched the junk, so the newest is the coldest
+        assert e.reason[2] == forcing == first + 1
+        junk1 = e.add_learned(((1, 6), (1, 7)), 1)
+        e._bump_constraint(junk0)
         e._bump_constraint(junk1)
-        e._bump_constraint(junk2)
         newest = e.add_learned(((1, 7), (1, 8)), 1)
-        assert e.learned_live == 2
-        assert e.constraints[forcing] is not None
-        assert e.constraints[newest] is not None
-        assert e.constraints[junk1] is None and e.constraints[junk2] is None
-        assert not any(ci in (junk1, junk2)
-                       for occ in e.occ_learned for ci, _, _ in occ)
+        return e, newest
+
+    def test_eviction_spares_reasons_and_newest(self):
+        e, newest = self._renumbered_engine()
+        first = e.first_learned
+        # the survivors keep their order and take the lowest learned ids
+        assert newest == first + 1
+        assert [(c.cid, c.body()) for c in e.constraints[first:]] == [
+            (first, (((1, 1), (1, 2)), 1)), (first + 1, (((1, 7), (1, 8)), 1))]
+        for per_cstr in (e.scan_terms, e.slack, e.gapv, e.c_activity, e.in_dirty):
+            assert len(per_cstr) == first + 2
+        assert e.reason[2] == first
+        assert e.occ_learned[1] == e.occ_learned[2] == [(first, 1, True)]
+        assert e.occ_learned[7] == e.occ_learned[8] == [(first + 1, 1, True)]
+        assert e.occ_learned[5] == e.occ_learned[6] == []
         assert e.learned_bytes == 2 * e._learned_cost(2)
-        # the evicted ones also left the queue of forcing scans
+        # junk1 was still queued for a forcing scan; only the newest is now
         assert e.dirty == [newest]
+        assert e.in_dirty[first:] == [False, True]
         e.check_integrity(expect_quiescent=False)
-        # the survivor still propagates after the purge
+        # the survivor still propagates after the renumbering
         assert e.propagate() is None
         e.decide(-7)
         assert e.propagate() is None
         assert e.lit_value(8) is True
+        assert e.reason[8] == newest
         e.check_integrity()
+
+    def test_activity_rescale_after_renumbering(self):
+        e, newest = self._renumbered_engine()
+        first = e.first_learned
+        e._bump_constraint(first)
+        e._bump_var(4)
+        for _ in range(3):
+            e._bump_var(3)
+        # one more increment stays under the cap, the second one passes it
+        e.var_inc = e.cla_inc = 0.6 * _ACTIVITY_CAP
+        act = list(e.activity)
+        act[8] = act[8] + e.var_inc + e.var_inc
+        c_act = list(e.c_activity)
+        c_act[newest] = c_act[newest] + e.cla_inc + e.cla_inc
+        for _ in range(2):
+            e._bump_var(8)
+            e._bump_constraint(newest)
+        scale = 1.0 / _ACTIVITY_CAP
+        assert e.activity == [a * scale for a in act]
+        assert e.c_activity == [a * scale for a in c_act]
+        assert e.var_inc == e.cla_inc == 0.6 * _ACTIVITY_CAP * scale
+        order = sorted(range(len(act)), key=act.__getitem__)
+        assert sorted(range(len(act)), key=e.activity.__getitem__) == order
+        order = sorted(range(len(c_act)), key=c_act.__getitem__)
+        assert sorted(range(len(c_act)), key=e.c_activity.__getitem__) == order
+        assert 0.0 < e.activity[4] < e.activity[3] < e.activity[8]
+        assert 0.0 < e.c_activity[first] < e.c_activity[newest]
+        e.check_integrity(expect_quiescent=False)
 
     def test_integrity_checker_detects_corruption(self):
         f = build_formula(3, [([(2, 1), (1, 2), (1, 3)], ">=", 2)])
