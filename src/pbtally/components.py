@@ -201,20 +201,15 @@ def encode_component(comp: Component, constraints, saturate: bool = True) -> byt
         if c.clausal:
             continue
         if saturate:
-            # saturate_gap(gap, smallest in-component coefficient) in one
-            # pass: the first in-component coefficient <= gap keeps the gap
-            floor = 0
-            for a, v in c.terms:
+            # saturate_gap(gap, smallest in-component coefficient): terms
+            # run largest coefficient first, so walk them from the back
+            for a, v in reversed(c.terms):
                 if v < 0:
                     v = -v
                 if v in in_comp:
-                    if a <= gap:
-                        floor = 0
-                        break
-                    if not floor or a < floor:
-                        floor = a
-            if floor:
-                gap = floor
+                    if gap < a:
+                        gap = a
+                    break
         gap -= 1
         if gap < 0x80:
             append(gap)
@@ -247,7 +242,7 @@ def decode_component(data: bytes, constraints) -> Component:
         cstr_ids.append(prev)
     gaps = []
     for cid in cstr_ids:
-        if constraints[cid].is_clausal():
+        if constraints[cid].clausal:
             gaps.append(1)
         else:
             stored, pos = _read_uvarint(data, pos)

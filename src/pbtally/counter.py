@@ -54,12 +54,14 @@ class CounterConfig:
 
     ``max_cache_bytes`` bounds the count cache, which evicts its oldest
     entries first; ``max_memory_bytes`` bounds the cache plus the learned
-    constraints. ``timeout_s`` must be positive and finite.
+    constraints. Both are ints of at least 0 (None lifts the second), and
+    ``timeout_s`` is a positive, finite int or float; no ``bool`` passes.
 
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, and
     ``("learned", (terms, degree, jump))`` after the backjump to ``jump``
-    and before the learned constraint joins the engine.
+    and before the learned constraint joins the engine; ``terms`` come in
+    no set order.
     """
 
     __slots__ = ("heuristic", "saturate_keys", "max_cache_bytes",
@@ -75,19 +77,18 @@ class CounterConfig:
         if heuristic not in ("vcis", "baseline"):
             raise ValueError("heuristic must be 'vcis' or 'baseline'")
         # written so that NaN fails too: every comparison with it is false
-        if timeout_s is not None and not 0 < timeout_s < math.inf:
+        if timeout_s is not None and (type(timeout_s) not in (int, float)
+                                      or not 0 < timeout_s < math.inf):
             raise ValueError("timeout_s must be positive and finite, got %r"
                              % (timeout_s,))
-        if max_cache_bytes < 0:
-            raise ValueError("max_cache_bytes must be non-negative, got %r"
-                             % (max_cache_bytes,))
-        if max_memory_bytes is not None and max_memory_bytes < 0:
-            raise ValueError("max_memory_bytes must be non-negative, got %r"
-                             % (max_memory_bytes,))
         # checked here: a float or None would fail only deep inside a count
-        if type(max_learned) is not int or max_learned < 0:
-            raise ValueError("max_learned must be an int of at least 0, got %r"
-                             % (max_learned,))
+        budgets = [("max_cache_bytes", max_cache_bytes), ("max_learned", max_learned)]
+        if max_memory_bytes is not None:
+            budgets.append(("max_memory_bytes", max_memory_bytes))
+        for name, value in budgets:
+            if type(value) is not int or value < 0:
+                raise ValueError("%s must be an int of at least 0, got %r"
+                                 % (name, value))
         self.heuristic = heuristic
         self.saturate_keys = saturate_keys
         self.max_cache_bytes = max_cache_bytes
@@ -129,7 +130,7 @@ class CountResult:
 
 
 def dedup_constraints(formula: PBFormula) -> PBFormula:
-    """Drop normalized constraints whose body already appeared."""
+    """Drop normalized constraints whose body already appeared; if none did, return ``formula``."""
     seen = set()
     bodies = []
     for c in formula.constraints:
@@ -138,6 +139,8 @@ def dedup_constraints(formula: PBFormula) -> PBFormula:
             continue
         seen.add(body)
         bodies.append(body)
+    if len(bodies) == len(formula.constraints):
+        return formula
     return PBFormula(formula.num_vars, bodies, formula.unsat_at_load)
 
 

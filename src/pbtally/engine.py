@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .formula import PBConstraint, PBFormula, lit_var
+from .formula import PBConstraint, PBFormula, lit_var, term_order
 
 UNASSIGNED = -1
 
@@ -44,6 +44,8 @@ class Engine:
     Constraint ids index ``constraints`` and every per-constraint list:
     originals first, then learned ones from ``first_learned``. Reductions
     renumber the learned ones, so each id is a live constraint's ``cid``.
+    Terms run largest coefficient first (see :class:`PBConstraint`), so a
+    forcing scan stops at the first coefficient within the slack.
     """
 
     def __init__(self, formula: PBFormula, max_learned: int = 10000):
@@ -65,15 +67,12 @@ class Engine:
 
         self.occ_static = [[] for _ in range(n + 1)]
         self.occ_learned = [[] for _ in range(n + 1)]
-        self.scan_terms = []
         self.slack = []
         self.gapv = []
         self.c_activity = []
         for c in self.constraints:
             for coeff, lit in c.terms:
                 self.occ_static[lit_var(lit)].append((c.cid, coeff, lit > 0))
-            self.scan_terms.append(tuple(sorted(
-                c.terms, key=lambda t: (-t[0], lit_var(t[1])))))
             self.slack.append(c.coef_sum() - c.degree)
             self.gapv.append(c.degree)
             self.c_activity.append(0.0)
@@ -226,7 +225,7 @@ class Engine:
         val = self.val
         scoped = self.scope_current if ci >= self.first_learned else 0
         stamp = self.scope_stamp
-        for coeff, lit in self.scan_terms[ci]:
+        for coeff, lit in self.constraints[ci].terms:
             if coeff <= s:
                 break
             v = lit_var(lit)
@@ -296,7 +295,7 @@ class Engine:
         whole search is over with zero models. The returned constraint is
         implied by the original formula, is falsified by the current
         assignment, and forces at least one literal once the trail is cut
-        back to the returned level.
+        back to the returned level. Its terms come in no set order.
         """
         self._bump_constraint(confl_ci)
         c = self.constraints[confl_ci]
@@ -346,8 +345,7 @@ class Engine:
                     running_max = m
                 slack_after = running_sum - degree
                 if slack_after >= 0 and running_max > slack_after:
-                    terms = tuple(sorted(((a, lit) for lit, a in coeffs.items()),
-                                         key=lambda t: lit_var(t[1])))
+                    terms = tuple((a, lit) for lit, a in coeffs.items())
                     for lit in coeffs:
                         touched.add(lit_var(lit))
                     self._bump_and_decay(touched)
@@ -430,7 +428,6 @@ class Engine:
             dec = self.trail[self.trail_lim[d - 1]]
             touched.add(lit_var(dec))
             terms.append((1, -dec))
-        terms.sort(key=lambda t: lit_var(t[1]))
         return tuple(terms), 1, len(self.trail_lim) - 1
 
     # ----- learned constraint store ---------------------------------------
@@ -441,11 +438,9 @@ class Engine:
         cid = len(self.constraints)
         c = PBConstraint(cid, terms, degree)
         self.constraints.append(c)
-        self.scan_terms.append(tuple(sorted(
-            terms, key=lambda t: (-t[0], lit_var(t[1])))))
         s = 0
         g = degree
-        for coeff, lit in terms:
+        for coeff, lit in c.terms:
             if not self._is_false(lit):
                 s += coeff
             if self.lit_value(lit) is True:
@@ -484,8 +479,8 @@ class Engine:
         kept = [ci for ci in range(first, len(self.constraints)) if ci not in evicted]
         new_id = {ci: i for i, ci in enumerate(kept, first)}
         touched = {lit_var(lit) for c in self.constraints[first:] for _, lit in c.terms}
-        for per_cstr in (self.constraints, self.scan_terms, self.slack,
-                         self.gapv, self.c_activity, self.in_dirty):
+        for per_cstr in (self.constraints, self.slack, self.gapv,
+                         self.c_activity, self.in_dirty):
             per_cstr[first:] = [per_cstr[ci] for ci in kept]
         for ci, c in enumerate(self.constraints[first:], first):
             c.cid = ci
@@ -528,6 +523,8 @@ class Engine:
         m = len(self.constraints)
         for ci, c in enumerate(self.constraints):
             assert c.cid == ci, "constraint %d carries id %d" % (ci, c.cid)
+            assert all(term_order(t) < term_order(u) for t, u in zip(c.terms, c.terms[1:])), \
+                "constraint %d holds its terms out of order" % ci
             s = -c.degree
             g = c.degree
             for coeff, lit in c.terms:
@@ -582,7 +579,7 @@ class Engine:
                     continue
                 s = self.slack[ci]
                 assert s >= 0, "unnoticed conflict on constraint %d" % ci
-                for coeff, lit in self.scan_terms[ci]:
+                for coeff, lit in self.constraints[ci].terms:
                     if coeff <= s:
                         break
                     assert self.val[lit_var(lit)] != UNASSIGNED, \

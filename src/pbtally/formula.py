@@ -4,7 +4,8 @@ Literals are signed integers: ``+v`` is variable ``v`` itself, ``-v`` its
 negation. Variables are numbered ``1..num_vars``. Every stored constraint
 has positive saturated coefficients over distinct variables and a degree
 of at least 1; weaker material is either dropped as trivially true or
-recorded as an unsatisfiable-input marker on the formula.
+recorded as an unsatisfiable-input marker on the formula. Its terms are
+held largest coefficient first, ties by ascending variable id.
 
 Coefficients, degrees, and per-constraint coefficient sums must fit in a
 signed 64-bit integer; anything larger is rejected when the formula is
@@ -55,32 +56,32 @@ def lit_is_false(lit: int, assignment: Assignment) -> bool:
     return assignment.get(lit_var(lit)) == (lit < 0)
 
 
+def term_order(term: tuple) -> tuple:
+    """Sort key of a ``(coeff, lit)`` term: larger coefficient, then smaller variable."""
+    coeff, lit = term
+    return (-coeff, lit if lit > 0 else -lit)
+
+
 class PBConstraint:
     """One normalized constraint: sum(coeff * literal) >= degree.
 
-    ``terms`` is a tuple of ``(coeff, lit)`` pairs sorted by variable id,
-    with every coefficient positive and no variable repeated. ``clausal``
-    caches :meth:`is_clausal`; it is computed once here, because the key
-    encoder asks it for every active constraint at every search node.
+    ``terms`` is a tuple of ``(coeff, lit)`` pairs with every coefficient
+    positive and no variable repeated, ordered here and nowhere else:
+    largest coefficient first, ties by ascending variable id. ``clausal``
+    (every coefficient and the degree are 1) is computed once here, because
+    the key encoder asks it for every active constraint at every search node.
     """
 
     __slots__ = ("cid", "terms", "degree", "clausal")
 
     def __init__(self, cid: int, terms: Sequence[tuple], degree: int):
         self.cid = cid
-        self.terms = tuple(terms)
+        self.terms = tuple(sorted(terms, key=term_order))
         self.degree = degree
         self.clausal = degree == 1 and all(c == 1 for c, _ in self.terms)
 
     def coef_sum(self) -> int:
         return sum(c for c, _ in self.terms)
-
-    def is_clausal(self) -> bool:
-        """An ordinary disjunctive clause: every coefficient and the degree are 1."""
-        return self.clausal
-
-    def variables(self) -> list:
-        return [lit_var(l) for _, l in self.terms]
 
     def body(self) -> tuple:
         """Identity of the constraint minus its id, usable as a dict key."""
@@ -132,7 +133,7 @@ def _check_i64(value: int, what: str) -> int:
 
 
 def _normalize_geq(raw_terms: Iterable[RawTerm], degree: int):
-    """Normalize ``sum(raw) >= degree`` into one canonical body.
+    """Normalize ``sum(raw) >= degree`` into one body, its terms in no set order.
 
     Returns ``("ok", terms, degree)``, ``("trivial",)`` for a constraint no
     assignment can violate, or ``("unsat",)`` for one no assignment can
@@ -155,8 +156,7 @@ def _normalize_geq(raw_terms: Iterable[RawTerm], degree: int):
         _check_i64(net[v], "merged coefficient")
         _check_i64(rhs, "adjusted degree")
     terms = []
-    for v in sorted(net):
-        c = net[v]
+    for v, c in net.items():
         if c == 0:
             continue
         if c > 0:
@@ -346,7 +346,8 @@ def emit_opb(formula: PBFormula) -> str:
     """Render a normalized formula back to OPB text.
 
     Inverse of :func:`parse_opb` on normalized formulas: negated literals
-    come out as ``~x<i>`` and every constraint is a ``>=`` line.
+    come out as ``~x<i>``, every constraint is a ``>=`` line, and each
+    line lists its terms largest coefficient first.
     """
     lines = ["* #variable= %d #constraint= %d" % (formula.num_vars, len(formula.constraints))]
     for c in formula.constraints:

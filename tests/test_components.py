@@ -203,7 +203,7 @@ class TestComponentKeys:
                 want = []
                 for cid, gap in zip(comp.cstr_ids, comp.gaps):
                     c = f.constraints[cid]
-                    if c.is_clausal():
+                    if c.clausal:
                         want.append(1)
                     else:
                         m = min(a for a, l in c.terms if lit_var(l) in in_comp)
@@ -229,6 +229,13 @@ class TestComponentKeys:
                                 comp, f.constraints, saturate))
                 seen += 1
         assert seen > 100
+        # the smallest coefficient is x3's, and x3 is assigned outside the
+        # component: saturation must raise gap 3 to x2's 4, not keep it
+        constraints = [PBConstraint(0, [(5, 1), (4, 2), (2, 3)], 5)]
+        comp = Component((1, 2), (0,), (3,))
+        for saturate in (True, False):
+            assert (encode_component(comp, constraints, saturate)
+                    == _helpers.reference_encode_component(comp, constraints, saturate))
 
     @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
     def test_matches_reference_at_varint_boundaries(self, n):

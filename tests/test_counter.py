@@ -435,6 +435,9 @@ class TestBudgets:
         {"timeout_s": float("inf")},
         {"max_learned": -1}, {"max_learned": 2.5}, {"max_learned": None},
         {"max_learned": "10"}, {"max_learned": True},
+        {"max_cache_bytes": None}, {"max_memory_bytes": "10"}, {"timeout_s": "1"},
+        {"max_cache_bytes": 2.5}, {"max_memory_bytes": 2.5}, {"timeout_s": True},
+        {"max_cache_bytes": True},
     ])
     def test_out_of_range_budgets_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -524,7 +527,7 @@ class TestLogsAndStats:
             # the store ends within its cap, with nothing kept of an evicted one
             held = len(engine.constraints) - engine.first_learned
             assert held <= 2
-            for per_cstr in (engine.scan_terms, engine.slack, engine.gapv,
+            for per_cstr in (engine.slack, engine.gapv,
                              engine.c_activity, engine.in_dirty):
                 assert len(per_cstr) == engine.first_learned + held
             evicted += engine.learned_total - held

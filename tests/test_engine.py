@@ -5,7 +5,8 @@ import random
 import pytest
 
 import _helpers
-from pbtally import PBFormula, brute_count, build_formula
+from pbtally import PBFormula, brute_count, build_formula, parse_opb
+from pbtally.counter import dedup_constraints
 from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine
 
 
@@ -124,6 +125,28 @@ class TestPropagation:
                 v = rng.choice(free)
                 e.decide(v if rng.random() < 0.5 else -v)
         assert conflicts > 20
+
+    def test_terms_largest_coefficient_first_ties_by_variable(self):
+        # x6 saturates to the degree; the second line is a duplicate
+        f = parse_opb("* #variable= 9\n"
+                      "+1 x4 +3 x2 +1 x1 +2 x5 +1 x3 +9 x6 >= 4 ;\n"
+                      "+1 x3 +1 x1 +2 x5 +1 x4 +3 x2 +9 x6 >= 4 ;\n"
+                      "+1 ~x3 +1 x1 +1 ~x2 >= 3 ;\n")
+        wide = ((4, 6), (3, 2), (2, 5), (1, 1), (1, 3), (1, 4))
+        ties = ((1, 1), (1, -2), (1, -3))
+        assert [c.terms for c in f.constraints] == [wide, wide, ties]
+        d = dedup_constraints(f)
+        assert [c.body() for c in d.constraints] == [(wide, 4), (ties, 3)]
+        assert dedup_constraints(d) is d
+        e = Engine(d)
+        assert e.propagate() is None
+        # equal coefficients are forced in variable-id order
+        assert e.trail_view() == [(1, 0, 1), (-2, 0, 1), (-3, 0, 1)]
+        ci = e.add_learned(((1, 9), (1, -8), (2, 7)), 4)
+        assert e.constraints[ci].terms == ((2, 7), (1, -8), (1, 9))
+        assert e.propagate() is None
+        assert e.trail[3:] == [7, -8, 9]
+        e.check_integrity()
 
 
 class TestScope:
@@ -324,7 +347,7 @@ class TestLearnedStore:
         assert newest == first + 1
         assert [(c.cid, c.body()) for c in e.constraints[first:]] == [
             (first, (((1, 1), (1, 2)), 1)), (first + 1, (((1, 7), (1, 8)), 1))]
-        for per_cstr in (e.scan_terms, e.slack, e.gapv, e.c_activity, e.in_dirty):
+        for per_cstr in (e.slack, e.gapv, e.c_activity, e.in_dirty):
             assert len(per_cstr) == first + 2
         assert e.reason[2] == first
         assert e.occ_learned[1] == e.occ_learned[2] == [(first, 1, True)]

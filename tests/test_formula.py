@@ -18,7 +18,7 @@ def bodies_of(formula):
 class TestNormalization:
     def test_negative_coefficient_flips_literal(self):
         f = parse_opb("-2 x1 +3 x2 >= 1 ;\n")
-        assert bodies_of(f) == [(((2, -1), (3, 2)), 3)]
+        assert bodies_of(f) == [(((3, 2), (2, -1)), 3)]
 
     def test_saturation_caps_coefficients_at_degree(self):
         f = parse_opb("+5 x1 +2 x2 >= 3 ;\n")
@@ -32,7 +32,7 @@ class TestNormalization:
 
     def test_upper_bound_becomes_negated_literals(self):
         f = parse_opb("+2 x1 +3 x2 +4 x3 <= 5 ;\n")
-        assert bodies_of(f) == [(((2, -1), (3, -2), (4, -3)), 4)]
+        assert bodies_of(f) == [(((4, -3), (3, -2), (2, -1)), 4)]
 
     def test_complementary_literals_cancel(self):
         f = parse_opb("+1 x1 +1 ~x1 >= 1 ;\n")
