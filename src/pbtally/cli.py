@@ -33,6 +33,8 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 10
 EXIT_MEMOUT = 20
 
+HEURISTICS = ("vcis", "baseline")
+
 
 def _report(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
@@ -48,6 +50,12 @@ def _env_override(value, name: str, cast):
         return cast(raw)
     except ValueError:
         raise ValueError("%s: cannot parse %r" % (name, raw)) from None
+
+
+def _heuristic(raw: str) -> str:
+    if raw not in HEURISTICS:
+        raise ValueError(raw)
+    return raw
 
 
 def _read_formula(path: str):
@@ -66,7 +74,7 @@ def _mb_to_bytes(mb: float) -> int:
 def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
     # verify passes both; only count has the flags they would come from
     if heuristic is None:
-        heuristic = _env_override(args.heuristic, "PBTALLY_HEURISTIC", str) or "vcis"
+        heuristic = _env_override(args.heuristic, "PBTALLY_HEURISTIC", _heuristic) or "vcis"
     if saturate_keys is None:
         saturate_keys = not args.no_key_saturation
     timeout = _env_override(args.timeout, "PBTALLY_TIMEOUT", float)
@@ -144,7 +152,7 @@ def _cmd_verify(args) -> int:
 
     counts = {}
     first = True
-    for heuristic in ("vcis", "baseline"):
+    for heuristic in HEURISTICS:
         for saturate in (True, False):
             config = _build_config(args, saturate_keys=saturate, heuristic=heuristic)
             counter = ModelCounter(formula, config)
@@ -209,7 +217,7 @@ def _cmd_generate(args) -> int:
 
 def _add_count_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", help="OPB input path, or - for stdin")
-    parser.add_argument("--heuristic", choices=("vcis", "baseline"), default=None,
+    parser.add_argument("--heuristic", choices=HEURISTICS, default=None,
                         help="branching heuristic (default vcis)")
     parser.add_argument("--no-key-saturation", action="store_true",
                         help="store raw residual degrees in cache keys")

@@ -2,10 +2,11 @@
 
 Under a partial assignment, satisfied constraints drop away and the rest
 of the formula often falls apart into groups that share no variables.
-Each group can be counted on its own and the results multiplied. Groups
-are encoded to canonical byte keys so that an identical residual
-subproblem, reached anywhere else in the search tree, is answered from
-the cache instead of being recounted.
+Each group can be counted on its own and the results multiplied. A group
+is named by its variable and constraint ids alone. Its canonical byte
+key, built from those ids and the engine's arrays, lets an identical
+residual subproblem, reached anywhere else in the search tree, be
+answered from the cache instead of being recounted.
 
 Cache entries are logged in insertion order. Over its byte budget the
 cache evicts the oldest entries first. The search can purge every entry
@@ -19,17 +20,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
+from .engine import UNASSIGNED
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
 
 
 class Component:
-    """One residual subproblem.
+    """One residual subproblem, named by its ids alone.
 
     ``var_ids`` are the unassigned variables, ascending. ``cstr_ids`` are
     the ids of the active (not yet satisfied) constraints over them,
-    ascending, and ``gaps[i]`` is the remaining degree of constraint
-    ``cstr_ids[i]``. Every unassigned variable of every listed constraint
-    appears in ``var_ids``.
+    ascending. Every unassigned variable of every listed constraint
+    appears in ``var_ids``. The remaining degrees are the engine's
+    ``gapv`` entries, so the component does not copy them.
 
     ``cover`` is the id of one listed constraint whose unassigned
     variables are exactly ``var_ids``, or -1 when none is known. The
@@ -40,27 +42,23 @@ class Component:
     ignore it.
     """
 
-    __slots__ = ("var_ids", "cstr_ids", "gaps", "cover")
+    __slots__ = ("var_ids", "cstr_ids", "cover")
 
-    def __init__(self, var_ids: Iterable[int], cstr_ids: Iterable[int], gaps: Iterable[int],
-                 cover: int = -1):
+    def __init__(self, var_ids: Iterable[int], cstr_ids: Iterable[int], *, cover: int = -1):
         self.var_ids = tuple(var_ids)
         self.cstr_ids = tuple(cstr_ids)
-        self.gaps = tuple(gaps)
         self.cover = cover
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Component)
                 and self.var_ids == other.var_ids
-                and self.cstr_ids == other.cstr_ids
-                and self.gaps == other.gaps)
+                and self.cstr_ids == other.cstr_ids)
 
     def __hash__(self):
-        return hash((self.var_ids, self.cstr_ids, self.gaps))
+        return hash((self.var_ids, self.cstr_ids))
 
     def __repr__(self) -> str:
-        return "Component(vars=%r, cstrs=%r, gaps=%r)" % (
-            self.var_ids, self.cstr_ids, self.gaps)
+        return "Component(vars=%r, cstrs=%r)" % (self.var_ids, self.cstr_ids)
 
 
 def residual_components(formula: PBFormula, assignment: Assignment):
@@ -71,13 +69,10 @@ def residual_components(formula: PBFormula, assignment: Assignment):
     lists unassigned variables that occur in no active constraint.
     Components come out ordered by their smallest variable.
     """
-    gaps = {}
     occ = {}
     for c in formula.constraints:
-        g = constraint_gap(c, assignment)
-        if g <= 0:
+        if constraint_gap(c, assignment) <= 0:
             continue
-        gaps[c.cid] = g
         for _, lit in c.terms:
             v = lit_var(lit)
             if v not in assignment:
@@ -113,8 +108,7 @@ def residual_components(formula: PBFormula, assignment: Assignment):
                     queue.append(w)
         comp_vars.sort()
         comp_cstrs.sort()
-        components.append(Component(comp_vars, comp_cstrs,
-                                    [gaps[cid] for cid in comp_cstrs]))
+        components.append(Component(comp_vars, comp_cstrs))
     return components, free_vars
 
 
@@ -152,8 +146,14 @@ def _read_uvarint(data: bytes, pos: int):
         shift += 7
 
 
-def encode_component(comp: Component, constraints, saturate: bool = True) -> bytes:
+def encode_component(comp: Component, constraints, gapv, val,
+                     saturate: bool = True) -> bytes:
     """Canonical byte key of a component.
+
+    ``gapv`` and ``val`` are the engine's arrays. Precondition: the trail
+    is the one ``comp`` was split under. Then ``gapv`` holds the gaps the
+    split saw, and a term of a listed constraint is in the component
+    exactly when its variable is unassigned.
 
     Layout: variable count, first variable, then successive deltas; the
     same for constraint ids; then one remaining-degree value per
@@ -168,45 +168,32 @@ def encode_component(comp: Component, constraints, saturate: bool = True) -> byt
     """
     out = bytearray()
     append = out.append
-    var_ids = comp.var_ids
-    n = len(var_ids)
-    if n < 0x80:
-        append(n)
-    else:
-        _write_uvarint(out, n)
-    prev = 0
-    for v in var_ids:
-        d = v - prev
-        if d < 0x80:
-            append(d)
+    for ids in (comp.var_ids, comp.cstr_ids):
+        n = len(ids)
+        if n < 0x80:
+            append(n)
         else:
-            _write_uvarint(out, d)
-        prev = v
-    n = len(comp.cstr_ids)
-    if n < 0x80:
-        append(n)
-    else:
-        _write_uvarint(out, n)
-    prev = 0
+            _write_uvarint(out, n)
+        prev = 0
+        for i in ids:
+            d = i - prev
+            if d < 0x80:
+                append(d)
+            else:
+                _write_uvarint(out, d)
+            prev = i
     for cid in comp.cstr_ids:
-        d = cid - prev
-        if d < 0x80:
-            append(d)
-        else:
-            _write_uvarint(out, d)
-        prev = cid
-    in_comp = set(var_ids)
-    for cid, gap in zip(comp.cstr_ids, comp.gaps):
         c = constraints[cid]
         if c.clausal:
             continue
+        gap = gapv[cid]
         if saturate:
-            # saturate_gap(gap, smallest in-component coefficient): terms
-            # run largest coefficient first, so walk them from the back
+            # saturate_gap(gap, smallest open coefficient): terms run
+            # largest coefficient first, so walk them from the back
             for a, v in reversed(c.terms):
                 if v < 0:
                     v = -v
-                if v in in_comp:
+                if val[v] == UNASSIGNED:
                     if gap < a:
                         gap = a
                     break
@@ -218,28 +205,25 @@ def encode_component(comp: Component, constraints, saturate: bool = True) -> byt
     return bytes(out)
 
 
-def decode_component(data: bytes, constraints) -> Component:
-    """Inverse of :func:`encode_component`.
+def decode_component(data: bytes, constraints):
+    """Inverse of :func:`encode_component`: ``(component, gaps)``.
 
-    The returned gaps are the values stored in the key, which for a
-    saturating encoder are the canonicalized degrees rather than the raw
-    ones; clausal constraints decode to a gap of 1.
+    ``gaps[i]`` is the degree of ``cstr_ids[i]`` stored in the key, which
+    for a saturating encoder is the canonicalized degree rather than the
+    raw one; clausal constraints decode to a gap of 1.
     """
     pos = 0
-    n_vars, pos = _read_uvarint(data, pos)
-    var_ids = []
-    prev = 0
-    for _ in range(n_vars):
-        delta, pos = _read_uvarint(data, pos)
-        prev += delta
-        var_ids.append(prev)
-    n_cstrs, pos = _read_uvarint(data, pos)
-    cstr_ids = []
-    prev = 0
-    for _ in range(n_cstrs):
-        delta, pos = _read_uvarint(data, pos)
-        prev += delta
-        cstr_ids.append(prev)
+    runs = []
+    for _ in range(2):
+        n, pos = _read_uvarint(data, pos)
+        ids = []
+        prev = 0
+        for _ in range(n):
+            delta, pos = _read_uvarint(data, pos)
+            prev += delta
+            ids.append(prev)
+        runs.append(ids)
+    var_ids, cstr_ids = runs
     gaps = []
     for cid in cstr_ids:
         if constraints[cid].clausal:
@@ -249,7 +233,7 @@ def decode_component(data: bytes, constraints) -> Component:
             gaps.append(stored + 1)
     if pos != len(data):
         raise ValueError("trailing bytes in component key")
-    return Component(var_ids, cstr_ids, gaps)
+    return Component(var_ids, cstr_ids), tuple(gaps)
 
 
 class CountCache:

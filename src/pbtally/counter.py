@@ -186,11 +186,12 @@ class _Frame:
     frame at index 0 decides nothing and only collects the product over
     the top-level components. ``log_pos`` is the cache's log position
     when the frame's current decision was made: a conflict that cuts the
-    decision off purges every entry stored since.
+    decision off purges every entry stored since. ``pending``, the
+    components not yet counted, is None until the branch is split.
     """
 
     __slots__ = ("comp", "key", "lit", "log_pos", "phase",
-                 "branch_sum", "prod", "pending", "needs_body")
+                 "branch_sum", "prod", "pending")
 
     def __init__(self, comp, key, lit, log_pos: int):
         self.comp = comp
@@ -201,7 +202,6 @@ class _Frame:
         self.branch_sum = 0
         self.prod = 1
         self.pending = None
-        self.needs_body = True
 
 
 class ModelCounter:
@@ -255,9 +255,9 @@ class ModelCounter:
         val = engine.val
         gapv = engine.gapv
         if parent is not None and parent.cover >= 0 and gapv[parent.cover] > 0:
-            cids = [ci for ci in parent.cstr_ids if gapv[ci] > 0]
             comp = Component([v for v in parent.var_ids if val[v] == UNASSIGNED],
-                             cids, [gapv[ci] for ci in cids], parent.cover)
+                             [ci for ci in parent.cstr_ids if gapv[ci] > 0],
+                             cover=parent.cover)
             if self.config.debug_checks:
                 assert self._split_scope(scope_vars) == ([comp], 0)
             return [comp], 0
@@ -298,8 +298,7 @@ class ModelCounter:
                 continue
             comp_vars.sort()
             comp_cids.sort()
-            comps.append(Component(comp_vars, comp_cids,
-                                   [gapv[ci] for ci in comp_cids]))
+            comps.append(Component(comp_vars, comp_cids))
         return comps, free
 
     def _find_cover(self, comp: Component) -> int:
@@ -405,7 +404,6 @@ class ModelCounter:
         frame = stack[jump]
         frame.prod = 1
         frame.pending = None
-        frame.needs_body = True
         if self.config.on_event is not None:
             self.config.on_event("learned", (terms, degree, jump))
         engine.add_learned(terms, degree)
@@ -432,10 +430,11 @@ class ModelCounter:
             count = 0
         stack = [_Frame(None, None, 0, 0)]
         stats.peak_depth = 1
+        split_gaps = {}  # debug_checks: stack depth -> original gaps at that frame's split
 
         while count is None:
             frame = stack[-1]
-            if frame.needs_body:
+            if frame.pending is None:
                 if frame.comp is None:
                     engine.clear_scope()
                 else:
@@ -449,12 +448,13 @@ class ModelCounter:
                 if cfg.debug_checks:
                     assert engine.current_level() == len(stack) - 1
                     engine.check_integrity()
-                frame.needs_body = False
                 if frame.comp is None:
                     scope = range(1, engine.num_vars + 1)
                 else:
                     scope = frame.comp.var_ids
                 comps, free = self._split_scope(scope, frame.comp)
+                if cfg.debug_checks:
+                    split_gaps[len(stack)] = engine.gapv[:engine.first_learned]
                 frame.prod = 1 << free
                 frame.pending = comps
                 self._open_pending += len(comps)
@@ -464,13 +464,16 @@ class ModelCounter:
             elif frame.pending:
                 comp = frame.pending.pop()
                 self._open_pending -= 1
-                key = encode_component(comp, engine.constraints, cfg.saturate_keys)
+                if cfg.debug_checks:
+                    # encode_component's precondition: the trail is the one comp was split under
+                    assert self._split_scope(comp.var_ids) == ([comp], 0)
+                    assert engine.gapv[:engine.first_learned] == split_gaps[len(stack)]
+                key = encode_component(comp, engine.constraints, engine.gapv,
+                                       engine.val, cfg.saturate_keys)
                 cached = cache.lookup(key)
                 if cached is not None:
                     frame.prod *= cached
                     continue
-                if cfg.debug_checks:
-                    assert all(engine.val[v] == UNASSIGNED for v in comp.var_ids)
                 # a cache miss is about to be branched on, so its split
                 # may skip the search; the trail is still the one it was
                 # split under
@@ -494,7 +497,6 @@ class ModelCounter:
                     frame.log_pos = cache.log_position()
                     frame.prod = 1
                     frame.pending = None
-                    frame.needs_body = True
                     engine.decide(frame.lit)
                     self._note_decision(frame.lit)
                 else:

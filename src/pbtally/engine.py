@@ -362,19 +362,20 @@ class Engine:
         """Cancel the reason of the deepest propagated literal into coeffs.
 
         Mutates ``coeffs`` in place and returns the new degree, or None
-        when no falsified literal was propagated (or the arithmetic would
-        outgrow the guard), in which case the caller falls back to a
-        clause over the current decisions.
+        when the arithmetic would outgrow ``COEFF_GUARD``, in which case
+        the caller falls back to a clause over the current decisions.
+
+        Some literal of ``coeffs`` was propagated. Otherwise none is at
+        level 0, where every literal has a reason, and each deeper level
+        holds just its decision, with a saturated coefficient at most the
+        degree. The running sum in :meth:`analyze` then first reaches the
+        degree (it does, or there are no models) at a level whose
+        coefficient exceeds the slack after the cut, and it returned there.
         """
-        p_lit = None
-        p_pos = -1
-        for lit in coeffs:
-            v = lit_var(lit)
-            if self.reason[v] >= 0 and self.pos[v] > p_pos:
-                p_pos = self.pos[v]
-                p_lit = lit
-        if p_lit is None:
-            return None
+        propagated = [lit for lit in coeffs if self.reason[lit_var(lit)] >= 0]
+        assert propagated, "no falsified literal was propagated"
+        p_lit = max(propagated, key=lambda lit: self.pos[lit_var(lit)])
+        p_pos = self.pos[lit_var(p_lit)]
 
         v_p = lit_var(p_lit)
         r_ci = self.reason[v_p]

@@ -347,9 +347,10 @@ def emit_opb(formula: PBFormula) -> str:
 
     Inverse of :func:`parse_opb` on normalized formulas: negated literals
     come out as ``~x<i>``, every constraint is a ``>=`` line, and each
-    line lists its terms largest coefficient first.
+    line lists its terms largest coefficient first. A formula that was
+    unsatisfiable at load gets one more line with no terms, ``>= 1 ;``.
     """
-    lines = ["* #variable= %d #constraint= %d" % (formula.num_vars, len(formula.constraints))]
+    lines = []
     for c in formula.constraints:
         parts = []
         for coeff, lit in c.terms:
@@ -357,4 +358,7 @@ def emit_opb(formula: PBFormula) -> str:
             parts.append("+%d %s" % (coeff, name))
         parts.append(">= %d ;" % c.degree)
         lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    if formula.unsat_at_load:
+        lines.append(">= 1 ;")
+    header = "* #variable= %d #constraint= %d" % (formula.num_vars, len(lines))
+    return "\n".join([header] + lines) + "\n"

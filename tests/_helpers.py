@@ -1,12 +1,14 @@
 """Shared builders for the test suite: seeded random formulas, the
-mini-formula view of one residual component, the reference key
-encoder, and a strict parser for the command line's JSON reports."""
+engine's gap and value arrays under an assignment, the mini-formula view
+of one residual component, the reference key encoder, and a strict
+parser for the command line's JSON reports."""
 
 import json
 import random
 
 from pbtally import CounterConfig, ModelCounter, PBFormula, build_formula
-from pbtally.formula import lit_var
+from pbtally.engine import UNASSIGNED
+from pbtally.formula import constraint_gap, lit_var
 
 
 def random_formula(rng: random.Random, max_vars: int = 10, density: float = 1.0,
@@ -103,16 +105,30 @@ def disjoint_union(formulas) -> PBFormula:
     return build_formula(offset, cons)
 
 
-def component_subformula(formula: PBFormula, comp) -> PBFormula:
+def engine_arrays(formula: PBFormula, assignment):
+    """``(gapv, val)`` as the engine holds them under ``assignment``.
+
+    ``gapv[cid]`` is the :func:`constraint_gap` of each constraint, and
+    ``val[v]`` is 1, 0 or ``UNASSIGNED``; this is what
+    ``encode_component`` reads.
+    """
+    gapv = [constraint_gap(c, assignment) for c in formula.constraints]
+    val = [UNASSIGNED] * (formula.num_vars + 1)
+    for v, truth in assignment.items():
+        val[v] = 1 if truth else 0
+    return gapv, val
+
+
+def component_subformula(formula: PBFormula, comp, gaps) -> PBFormula:
     """The residual component as a standalone formula.
 
     Variables are renumbered 1..k in ascending order of the component's
-    ids and each constraint keeps only its in-component literals with the
-    component's recorded gap as degree.
+    ids and each constraint keeps only its in-component literals, with
+    ``gaps[i]`` as the degree of ``comp.cstr_ids[i]``.
     """
     var_map = {v: i + 1 for i, v in enumerate(comp.var_ids)}
     bodies = []
-    for cid, gap in zip(comp.cstr_ids, comp.gaps):
+    for cid, gap in zip(comp.cstr_ids, gaps):
         c = formula.constraints[cid]
         terms = []
         for coeff, lit in c.terms:
@@ -134,12 +150,14 @@ def _write_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def reference_encode_component(comp, constraints, saturate: bool = True) -> bytes:
+def reference_encode_component(comp, constraints, gaps, saturate: bool = True) -> bytes:
     """The plain form of ``encode_component``, kept to check its bytes.
 
-    Every field goes through one varint call, clausality is recomputed
-    from the terms, and the saturation floor is the ``min`` over the
-    in-component coefficients.
+    ``gaps[i]`` is the remaining degree of ``comp.cstr_ids[i]``. Every
+    field goes through one varint call, clausality is recomputed from the
+    terms, and the saturation floor is the ``min`` over the coefficients
+    of the component's variables, found from ``comp.var_ids`` rather than
+    from the engine's values.
     """
     out = bytearray()
     _write_uvarint(out, len(comp.var_ids))
@@ -153,7 +171,7 @@ def reference_encode_component(comp, constraints, saturate: bool = True) -> byte
         _write_uvarint(out, cid - prev)
         prev = cid
     in_comp = set(comp.var_ids)
-    for cid, gap in zip(comp.cstr_ids, comp.gaps):
+    for cid, gap in zip(comp.cstr_ids, gaps):
         c = constraints[cid]
         if c.degree == 1 and all(a == 1 for a, _ in c.terms):
             continue

@@ -73,15 +73,17 @@ def test_c3_equal_cache_keys_mean_equal_counts():
         for _ in range(120):
             asn = _helpers.random_partial_assignment(rng, f.num_vars)
             comps, _ = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
             for comp in comps:
-                n = brute_count(_helpers.component_subformula(f, comp)).count
-                raw = encode_component(comp, f.constraints, saturate=False)
+                gaps = [gapv[cid] for cid in comp.cstr_ids]
+                n = brute_count(_helpers.component_subformula(f, comp, gaps)).count
+                raw = encode_component(comp, f.constraints, gapv, val, saturate=False)
                 if raw in raw_seen:
                     assert raw_seen[raw] == n
                     raw_hits += 1
                 else:
                     raw_seen[raw] = n
-                sat = encode_component(comp, f.constraints, saturate=True)
+                sat = encode_component(comp, f.constraints, gapv, val, saturate=True)
                 if sat in sat_seen:
                     assert sat_seen[sat] == n
                     sat_hits += 1

@@ -259,6 +259,18 @@ class TestEnvironment:
         assert payload["status"] == "error"
         assert "PBTALLY_TIMEOUT" in payload["error"]
 
+    @pytest.mark.parametrize("value", ["", "random"])
+    def test_empty_or_unknown_env_heuristic_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    value):
+        path = write(tmp_path, "small.opb", SMALL)
+        monkeypatch.setenv("PBTALLY_HEURISTIC", value)
+        code, out, err = run_cli(["count", path], capsys)
+        assert code == 2
+        assert out == ""
+        payload = load_report(err)
+        assert payload["status"] == "error"
+        assert "PBTALLY_HEURISTIC" in payload["error"]
+
     def test_infinite_env_budget_exits_2(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "small.opb", SMALL)
         monkeypatch.setenv("PBTALLY_MAX_CACHE_MB", "inf")
@@ -272,9 +284,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pbtally.__file__)))
 
 
-def run_module(args, **kwargs):
-    """Run ``python -m pbtally ARGS`` in a child that imports this same package."""
-    env = dict(os.environ)
+def run_module(args, extra_env=None, **kwargs):
+    """Run ``python -m pbtally ARGS`` in a child that imports this same
+    package, with ``extra_env`` added to this process's environment."""
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "pbtally", *args], env=env,
@@ -296,6 +309,23 @@ class TestInstalledEntryPoint:
         assert cnt.returncode == 0
         want = count_models(parse_opb(gen.stdout)).count
         assert cnt.stdout == "s mc %d\n" % want
+
+    def test_reports_are_identical_across_processes(self, tmp_path):
+        # string hashing is salted per process; nothing the count reports
+        # may depend on it
+        path = str(tmp_path / "auction.opb")
+        with open(path, "w") as handle:
+            handle.write(gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=1))
+        runs = []
+        for hash_seed in ("0", "1"):
+            run = run_module(["count", "--stats", path],
+                             extra_env={"PYTHONHASHSEED": hash_seed}, text=True)
+            assert run.returncode == 0
+            report = load_report(run.stderr)
+            assert report["stats"]["conflicts"] > 0
+            del report["elapsed_s"]
+            runs.append((run.stdout, report))
+        assert runs[0] == runs[1]
 
     def test_verify_exit_codes(self, tmp_path):
         path = str(tmp_path / "inst.opb")

@@ -7,9 +7,27 @@ import pytest
 from pbtally import (Component, CountCache, brute_count, brute_residual_count,
                      build_formula, decode_component, encode_component,
                      residual_components, saturate_gap)
+from pbtally.engine import UNASSIGNED
 from pbtally.formula import PBConstraint, constraint_gap, lit_var
 
 import _helpers
+
+
+def _hand_arrays(constraints, comp, gaps):
+    """``(gapv, val)`` for a hand-built component: ``gaps`` at its
+    constraint ids, its variables open and every other variable of the
+    constraints assigned, as under the trail it was split under."""
+    gapv = [0] * len(constraints)
+    for cid, gap in zip(comp.cstr_ids, gaps):
+        gapv[cid] = gap
+    val = [0] * (max(lit_var(l) for c in constraints for _, l in c.terms) + 1)
+    for v in comp.var_ids:
+        val[v] = UNASSIGNED
+    return gapv, val
+
+
+def _gaps(gapv, comp):
+    return tuple(gapv[cid] for cid in comp.cstr_ids)
 
 
 class TestResidualComponents:
@@ -20,8 +38,7 @@ class TestResidualComponents:
         ])
         comps, free = residual_components(f, {})
         assert free == []
-        assert comps == [Component((1, 2), (0,), (1,)),
-                         Component((3, 4), (1,), (1,))]
+        assert comps == [Component((1, 2), (0,)), Component((3, 4), (1,))]
 
     def test_shared_variable_connects(self):
         f = build_formula(3, [
@@ -39,8 +56,7 @@ class TestResidualComponents:
             ([(1, 2), (1, 3)], ">=", 1),
         ])
         comps, free = residual_components(f, {2: False})
-        assert comps == [Component((1,), (0,), (1,)),
-                         Component((3,), (1,), (1,))]
+        assert comps == [Component((1,), (0,)), Component((3,), (1,))]
         assert free == []
 
     def test_satisfied_constraints_drop_out(self):
@@ -55,21 +71,22 @@ class TestResidualComponents:
     def test_unconstrained_variables_are_free(self):
         f = build_formula(5, [([(1, 2), (1, 3)], ">=", 1)])
         comps, free = residual_components(f, {})
-        assert comps == [Component((2, 3), (0,), (1,))]
+        assert comps == [Component((2, 3), (0,))]
         assert free == [1, 4, 5]
 
     def test_gap_counts_only_true_literals(self):
         f = build_formula(3, [([(3, 1), (2, 2), (1, 3)], ">=", 4)])
-        comps, _ = residual_components(f, {1: True})
-        assert comps == [Component((2, 3), (0,), (1,))]
-        comps, _ = residual_components(f, {1: False})
-        assert comps == [Component((2, 3), (0,), (4,))]
+        for truth, gap in ((True, 1), (False, 4)):
+            comps, _ = residual_components(f, {1: truth})
+            assert comps == [Component((2, 3), (0,))]
+            assert _helpers.engine_arrays(f, {1: truth})[0] == [gap]
 
     def test_negative_literal_gap(self):
         # ~x1 + x2 >= 1 with x1 true: the negated literal contributes nothing
         f = build_formula(2, [([(1, -1), (1, 2)], ">=", 1)])
         comps, _ = residual_components(f, {1: True})
-        assert comps == [Component((2,), (0,), (1,))]
+        assert comps == [Component((2,), (0,))]
+        assert _helpers.engine_arrays(f, {1: True})[0] == [1]
         comps, free = residual_components(f, {1: False})
         assert comps == []
         assert free == [2]
@@ -108,7 +125,6 @@ class TestResidualComponents:
                 else:
                     comp = comps[placed[c.cid]]
                     assert open_vars <= set(comp.var_ids)
-                    assert comp.gaps[comp.cstr_ids.index(c.cid)] == g
             checked += 1
         assert checked > 150
 
@@ -130,9 +146,11 @@ class TestResidualComponents:
                 assert brute_residual_count(f, asn) == 0
                 continue
             comps, free = residual_components(f, asn)
+            gapv, _ = _helpers.engine_arrays(f, asn)
             product = 1 << len(free)
             for comp in comps:
-                product *= brute_count(_helpers.component_subformula(f, comp)).count
+                sub = _helpers.component_subformula(f, comp, _gaps(gapv, comp))
+                product *= brute_count(sub).count
             assert product == brute_residual_count(f, asn)
             checked += 1
         assert checked > 150
@@ -157,27 +175,33 @@ class TestComponentKeys:
             ([(1, 1), (1, 7)], ">=", 1),
             ([(1, 5), (1, 6)], ">=", 1),
         ])
-        comp = Component((2, 5, 6), (0, 3), (1, 1))
-        key = encode_component(comp, f.constraints)
+        comp = Component((2, 5, 6), (0, 3))
+        gapv, val = _helpers.engine_arrays(f, {1: True, 7: True})
+        key = encode_component(comp, f.constraints, gapv, val)
         # counts and first ids, then deltas; both constraints are clauses,
         # so no remaining-degree bytes follow
         assert key == bytes([3, 2, 3, 1, 2, 0, 3])
 
     def test_non_clausal_degree_appended(self):
         f = build_formula(2, [([(2, 1), (3, 2)], ">=", 4)])
-        comp = Component((1, 2), (0,), (4,))
-        key = encode_component(comp, f.constraints, saturate=False)
+        comp = Component((1, 2), (0,))
+        gapv, val = _helpers.engine_arrays(f, {})
+        key = encode_component(comp, f.constraints, gapv, val, saturate=False)
         assert key == bytes([2, 1, 1, 1, 0, 3])
 
     def test_cover_is_not_part_of_the_subproblem(self):
         f = build_formula(2, [([(2, 1), (3, 2)], ">=", 4)])
-        plain = Component((1, 2), (0,), (4,))
-        covered = Component((1, 2), (0,), (4,), cover=0)
+        plain = Component((1, 2), (0,))
+        covered = Component((1, 2), (0,), cover=0)
         assert plain.cover == -1 and covered.cover == 0
         assert covered == plain and hash(covered) == hash(plain)
-        key = encode_component(covered, f.constraints)
-        assert key == encode_component(plain, f.constraints)
-        assert decode_component(key, f.constraints).cover == -1
+        gapv, val = _helpers.engine_arrays(f, {})
+        key = encode_component(covered, f.constraints, gapv, val)
+        assert key == encode_component(plain, f.constraints, gapv, val)
+        assert decode_component(key, f.constraints)[0].cover == -1
+        # the cover is keyword-only: a third positional argument is an error
+        with pytest.raises(TypeError):
+            Component((1, 2), (0,), 0)
 
     def test_round_trip_without_saturation(self):
         rng = random.Random(4403)
@@ -186,9 +210,10 @@ class TestComponentKeys:
             f = _helpers.random_formula(rng, max_vars=10)
             asn = _helpers.random_partial_assignment(rng, f.num_vars)
             comps, _ = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
             for comp in comps:
-                key = encode_component(comp, f.constraints, saturate=False)
-                assert decode_component(key, f.constraints) == comp
+                key = encode_component(comp, f.constraints, gapv, val, saturate=False)
+                assert decode_component(key, f.constraints) == (comp, _gaps(gapv, comp))
                 seen += 1
         assert seen > 100
 
@@ -198,21 +223,22 @@ class TestComponentKeys:
             f = _helpers.random_formula(rng, max_vars=10)
             asn = _helpers.random_partial_assignment(rng, f.num_vars)
             comps, _ = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
             for comp in comps:
                 in_comp = set(comp.var_ids)
                 want = []
-                for cid, gap in zip(comp.cstr_ids, comp.gaps):
+                for cid, gap in zip(comp.cstr_ids, _gaps(gapv, comp)):
                     c = f.constraints[cid]
                     if c.clausal:
                         want.append(1)
                     else:
                         m = min(a for a, l in c.terms if lit_var(l) in in_comp)
                         want.append(saturate_gap(gap, m))
-                key = encode_component(comp, f.constraints, saturate=True)
-                got = decode_component(key, f.constraints)
+                key = encode_component(comp, f.constraints, gapv, val, saturate=True)
+                got, got_gaps = decode_component(key, f.constraints)
                 assert got.var_ids == comp.var_ids
                 assert got.cstr_ids == comp.cstr_ids
-                assert got.gaps == tuple(want)
+                assert got_gaps == tuple(want)
 
     @pytest.mark.parametrize("seed", [4403, 4404])
     def test_matches_reference_encoder(self, seed):
@@ -222,20 +248,22 @@ class TestComponentKeys:
             f = _helpers.random_formula(rng, max_vars=10)
             asn = _helpers.random_partial_assignment(rng, f.num_vars)
             comps, _ = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
             for comp in comps:
                 for saturate in (True, False):
-                    assert (encode_component(comp, f.constraints, saturate)
+                    assert (encode_component(comp, f.constraints, gapv, val, saturate)
                             == _helpers.reference_encode_component(
-                                comp, f.constraints, saturate))
+                                comp, f.constraints, _gaps(gapv, comp), saturate))
                 seen += 1
         assert seen > 100
         # the smallest coefficient is x3's, and x3 is assigned outside the
         # component: saturation must raise gap 3 to x2's 4, not keep it
         constraints = [PBConstraint(0, [(5, 1), (4, 2), (2, 3)], 5)]
-        comp = Component((1, 2), (0,), (3,))
+        comp = Component((1, 2), (0,))
+        gapv, val = _hand_arrays(constraints, comp, (3,))
         for saturate in (True, False):
-            assert (encode_component(comp, constraints, saturate)
-                    == _helpers.reference_encode_component(comp, constraints, saturate))
+            assert (encode_component(comp, constraints, gapv, val, saturate)
+                    == _helpers.reference_encode_component(comp, constraints, (3,), saturate))
 
     @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
     def test_matches_reference_at_varint_boundaries(self, n):
@@ -244,39 +272,41 @@ class TestComponentKeys:
             # variable count n; every coefficient exceeds gap 1
             ([PBConstraint(0, [(3 if v % 2 else 2, -v if v % 3 else v)
                                for v in range(1, n + 1)], 5)],
-             Component(range(1, n + 1), (0,), (1,))),
+             Component(range(1, n + 1), (0,)), (1,)),
             # first variable and variable delta n; x(3n) is outside
             ([PBConstraint(0, [(5, n), (4, -2 * n), (9, 2 * n + 1), (1, 3 * n)], 6)],
-             Component((n, 2 * n, 2 * n + 1), (0,), (3,))),
+             Component((n, 2 * n, 2 * n + 1), (0,)), (3,)),
             # constraint count n, clausal and non-clausal in turn
             ([clause if i % 2 else PBConstraint(i, [(2, 1), (3, 2)], 3)
               for i in range(n)],
-             Component((1, 2), range(n), [1 if i % 2 else 2 for i in range(n)])),
+             Component((1, 2), range(n)), tuple(1 if i % 2 else 2 for i in range(n))),
             # first constraint id and constraint delta n
             ([clause] * (2 * n) + [PBConstraint(2 * n, [(4, 1), (7, 2)], 9)],
-             Component((1, 2), (n, 2 * n), (1, 3))),
+             Component((1, 2), (n, 2 * n)), (1, 3)),
             # remaining degree n + 1 kept, and n + 1 raised from 1
             ([PBConstraint(0, [(n + 1, 1), (n + 7, 2)], n + 9),
               PBConstraint(1, [(n + 2, 1), (n + 1, -2)], n + 2)],
-             Component((1, 2), (0, 1), (n + 1, 1))),
+             Component((1, 2), (0, 1)), (n + 1, 1)),
         ]
-        for constraints, comp in cases:
+        for constraints, comp, gaps in cases:
+            gapv, val = _hand_arrays(constraints, comp, gaps)
             for saturate in (True, False):
-                want = _helpers.reference_encode_component(comp, constraints, saturate)
-                assert encode_component(comp, constraints, saturate) == want
-            key = encode_component(comp, constraints, saturate=False)
-            assert decode_component(key, constraints) == comp
+                want = _helpers.reference_encode_component(comp, constraints, gaps, saturate)
+                assert encode_component(comp, constraints, gapv, val, saturate) == want
+            key = encode_component(comp, constraints, gapv, val, saturate=False)
+            assert decode_component(key, constraints) == (comp, gaps)
 
     def test_multibyte_varint_ids(self):
         f = build_formula(300, [([(2, 1), (3, 200)], ">=", 4)])
-        comp = Component((1, 200), (0,), (4,))
-        key = encode_component(comp, f.constraints, saturate=False)
-        assert decode_component(key, f.constraints) == comp
+        comp = Component((1, 200), (0,))
+        gapv, val = _helpers.engine_arrays(f, {})
+        key = encode_component(comp, f.constraints, gapv, val, saturate=False)
+        assert decode_component(key, f.constraints) == (comp, (4,))
 
     def test_trailing_bytes_rejected(self):
         f = build_formula(2, [([(1, 1), (1, 2)], ">=", 1)])
-        comp = Component((1, 2), (0,), (1,))
-        key = encode_component(comp, f.constraints)
+        comp = Component((1, 2), (0,))
+        key = encode_component(comp, f.constraints, *_helpers.engine_arrays(f, {}))
         with pytest.raises(ValueError):
             decode_component(key + b"\x00", f.constraints)
 
@@ -288,12 +318,14 @@ class TestComponentKeys:
         a2 = {3: False, 4: True}
         (c1,), _ = residual_components(f, a1)
         (c2,), _ = residual_components(f, a2)
-        assert c1.gaps == (2,) and c2.gaps == (1,)
-        raw1 = encode_component(c1, f.constraints, saturate=False)
-        raw2 = encode_component(c2, f.constraints, saturate=False)
+        gapv1, val1 = _helpers.engine_arrays(f, a1)
+        gapv2, val2 = _helpers.engine_arrays(f, a2)
+        assert gapv1 == [2] and gapv2 == [1]
+        raw1 = encode_component(c1, f.constraints, gapv1, val1, saturate=False)
+        raw2 = encode_component(c2, f.constraints, gapv2, val2, saturate=False)
         assert raw1 != raw2
-        sat1 = encode_component(c1, f.constraints, saturate=True)
-        sat2 = encode_component(c2, f.constraints, saturate=True)
+        sat1 = encode_component(c1, f.constraints, gapv1, val1, saturate=True)
+        sat2 = encode_component(c2, f.constraints, gapv2, val2, saturate=True)
         assert sat1 == sat2
         assert brute_residual_count(f, a1) == brute_residual_count(f, a2) == 3
 
@@ -303,11 +335,13 @@ class TestComponentKeys:
             f = _helpers.random_formula(rng, max_vars=9)
             asn = _helpers.random_partial_assignment(rng, f.num_vars)
             comps, _ = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
             for comp in comps:
-                key = encode_component(comp, f.constraints, saturate=True)
-                canon = decode_component(key, f.constraints)
-                raw = brute_count(_helpers.component_subformula(f, comp)).count
-                sat = brute_count(_helpers.component_subformula(f, canon)).count
+                key = encode_component(comp, f.constraints, gapv, val, saturate=True)
+                canon, canon_gaps = decode_component(key, f.constraints)
+                raw_sub = _helpers.component_subformula(f, comp, _gaps(gapv, comp))
+                raw = brute_count(raw_sub).count
+                sat = brute_count(_helpers.component_subformula(f, canon, canon_gaps)).count
                 assert raw == sat
 
     def test_equal_saturated_keys_equal_counts(self):
@@ -321,9 +355,11 @@ class TestComponentKeys:
             for _ in range(40):
                 asn = _helpers.random_partial_assignment(rng, f.num_vars)
                 comps, _ = residual_components(f, asn)
+                gapv, val = _helpers.engine_arrays(f, asn)
                 for comp in comps:
-                    key = encode_component(comp, f.constraints, saturate=True)
-                    n = brute_count(_helpers.component_subformula(f, comp)).count
+                    key = encode_component(comp, f.constraints, gapv, val, saturate=True)
+                    sub = _helpers.component_subformula(f, comp, _gaps(gapv, comp))
+                    n = brute_count(sub).count
                     if key in seen:
                         assert seen[key] == n
                         comparisons += 1

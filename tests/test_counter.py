@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import _helpers
+import pbtally.counter
 from pbtally import (Component, CounterConfig, MemoryBudgetExceeded,
                      ModelCounter, PBFormula, SearchStats, SolveTimeout,
                      brute_count, build_formula, compute_vcis_scores,
@@ -14,7 +15,7 @@ from pbtally import (Component, CounterConfig, MemoryBudgetExceeded,
 from pbtally.components import CountCache
 from pbtally.counter import dedup_constraints
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
-from pbtally.formula import lit_var, parse_opb
+from pbtally.formula import constraint_gap, lit_var, parse_opb
 
 
 def all_configs():
@@ -187,6 +188,44 @@ class TestCountMatchesOracle:
             assert mc.run().count == brute_count(f).count
         assert fast > 100
 
+    @pytest.mark.parametrize("max_learned", [1, 10000])
+    def test_engine_keys_match_reference_on_search_states(self, monkeypatch, max_learned):
+        # every key the search encodes from the engine's arrays equals the
+        # reference encoder's, which takes its gaps from the assignment and
+        # finds the component's terms through its variable ids
+        encode = pbtally.counter.encode_component
+        mc = None
+        keys = 0
+
+        def checked_encode(comp, constraints, gapv, val, saturate=True):
+            nonlocal keys
+            key = encode(comp, constraints, gapv, val, saturate)
+            asn = mc.engine.assignment_dict()
+            gaps = [constraint_gap(constraints[ci], asn) for ci in comp.cstr_ids]
+            assert key == _helpers.reference_encode_component(
+                comp, constraints, gaps, saturate)
+            keys += 1
+            return key
+
+        monkeypatch.setattr(pbtally.counter, "encode_component", checked_encode)
+        rng = random.Random(6614)
+        builders = (_helpers.tight_formula, _helpers.random_formula,
+                    _helpers.covered_formula)
+        conflicts = reductions = 0
+        for i in range(600):
+            f = builders[i % 3](rng)
+            if f.unsat_at_load:
+                continue
+            mc = ModelCounter(f, CounterConfig(saturate_keys=i % 2 == 0,
+                                               max_learned=max_learned,
+                                               debug_checks=True))
+            res = mc.run()
+            assert res.count == brute_count(f).count
+            conflicts += res.stats.conflicts
+            reductions += res.stats.learned > max_learned
+        assert keys > 2000 and conflicts > 300
+        assert reductions > 30 or max_learned > 1
+
     def test_unconstrained_variables_double_the_count(self):
         f = build_formula(10, [([(1, 1), (1, 2)], ">=", 1)])
         assert count_models(f).count == 3 * (1 << 8)
@@ -330,6 +369,7 @@ class TestSplitScopeMirror:
                     mc.formula, e.assignment_dict())
                 assert comps == ref_comps
                 assert free == len(ref_free)
+                self._assert_gaps_exact(mc, comps)
                 compared += 1
                 unassigned = [v for v in range(1, f.num_vars + 1)
                               if e.lit_value(v) is None]
@@ -340,6 +380,14 @@ class TestSplitScopeMirror:
                 if e.propagate() is not None:
                     break
         assert compared > 120
+
+    @staticmethod
+    def _assert_gaps_exact(mc, comps):
+        # the key encoder reads each component's gaps from the engine
+        asn = mc.engine.assignment_dict()
+        for comp in comps:
+            for ci in comp.cstr_ids:
+                assert mc.engine.gapv[ci] == constraint_gap(mc.formula.constraints[ci], asn)
 
     @staticmethod
     def _assert_cover_exact(engine, comp):
@@ -383,6 +431,7 @@ class TestSplitScopeMirror:
                 scope = set(comp.var_ids)
                 assert comps == [c for c in ref_comps if scope.issuperset(c.var_ids)]
                 assert free == len(scope.intersection(ref_free))
+                self._assert_gaps_exact(mc, comps)
                 if takes_fast_path:
                     assert [c.cover for c in comps] == [comp.cover]
                     fast += 1
@@ -395,7 +444,7 @@ class TestSplitScopeMirror:
         # one covers both: the fast path answers one component, the search two
         f = build_formula(4, [([(1, 1), (1, 2)], ">=", 1),
                               ([(1, 3), (1, 4)], ">=", 1)])
-        parent = Component((1, 2, 3, 4), (0, 1), (1, 1), cover=0)
+        parent = Component((1, 2, 3, 4), (0, 1), cover=0)
         mc = ModelCounter(f, CounterConfig())
         assert mc.engine.propagate() is None
         assert len(mc._split_scope(parent.var_ids, parent)[0]) == 1

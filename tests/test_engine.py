@@ -246,6 +246,34 @@ class TestAnalyze:
         assert jump == 0
         assert implied_by(f, terms, degree)
 
+    def test_conflict_over_decisions_alone_needs_no_resolution(self, monkeypatch):
+        # three decisions taken before propagating: the conflict's false
+        # literals are all decisions, so no literal has a reason to
+        # resolve on; the deepest level alone does not reach the degree,
+        # and the cut below the next one asserts
+        f = build_formula(5, [([(2, 1), (1, 2), (1, 3), (1, 4), (1, 5)], ">=", 4)])
+        e = Engine(f)
+        assert e.propagate() is None
+        for lit in (-1, -2, -3):
+            e.decide(lit)
+        confl = e.propagate()
+        assert confl == 0
+
+        def unreachable(*args):
+            raise AssertionError("analysis went past the asserting cut")
+
+        monkeypatch.setattr(e, "_resolve_step", unreachable)
+        monkeypatch.setattr(e, "_fallback_clause", unreachable)
+        terms, degree, jump = e.analyze(confl)
+        assert sorted(terms) == [(1, 2), (1, 3), (2, 1)]
+        assert degree == 2
+        assert jump == 1
+        assert implied_by(f, terms, degree)
+        e.backjump_to(jump)
+        e.add_learned(terms, degree)
+        assert e.propagate() is None
+        assert e.lit_value(2) is True and e.lit_value(3) is True
+
     def test_learned_constraints_are_implied_and_asserting(self):
         rng = random.Random(5503)
         conflicts = 0

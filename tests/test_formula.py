@@ -146,9 +146,13 @@ class TestEmit:
         rng = random.Random(42)
         for _ in range(60):
             f = random_formula(rng)
-            g = parse_opb(emit_opb(f))
+            text = emit_opb(f)
+            g = parse_opb(text)
             assert g.num_vars == f.num_vars
             assert bodies_of(g) == bodies_of(f)
+            assert g.unsat_at_load == f.unsat_at_load
+            header, *lines = text.splitlines()
+            assert header.endswith("#constraint= %d" % len(lines))
 
     def test_emitted_header_counts(self):
         f = build_formula(3, [([(1, 1), (1, -3)], ">=", 1)])
