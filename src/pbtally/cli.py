@@ -15,6 +15,7 @@ Budgets must be finite.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -36,8 +37,51 @@ EXIT_MEMOUT = 20
 HEURISTICS = ("vcis", "baseline")
 
 
+#: an int of at most this many bits converts directly; 2,048 bits is 617
+#: digits, under the smallest digit limit the interpreter allows (640)
+_LEAF_BITS = 2048
+
+
+def _decimal_digits(n: int) -> str:
+    """``str(n)``, for an int of any size.
+
+    ``str`` refuses an int with more digits than
+    ``sys.get_int_max_str_digits()`` (4,300 by default), and lifting that
+    limit would let ``int()`` take quadratic time on long input tokens.
+    Here the int is split in binary and joined in ``decimal`` arithmetic,
+    which has no such limit and multiplies in subquadratic time: 900,000
+    digits take a fraction of a second.
+    """
+    powers = {}
+
+    def join(m: int, bits: int) -> decimal.Decimal:
+        # |m| < 2 ** bits, and m == high * 2 ** low_bits + low with 0 <= low
+        if bits <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        low_bits = bits >> 1
+        high = m >> low_bits
+        scale = powers.get(low_bits)
+        if scale is None:
+            scale = powers[low_bits] = decimal.Decimal(2) ** low_bits
+        return join(high, bits - low_bits) * scale + join(m - (high << low_bits), low_bits)
+
+    with decimal.localcontext() as ctx:
+        # exact: no product or sum is ever rounded
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        return str(join(n, n.bit_length()))
+
+
 def _report(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    """Print ``json.dumps(payload, sort_keys=True)`` on stderr.
+
+    Top-level ints are written by :func:`_decimal_digits`, since ``json``
+    writes an int through ``str`` and so fails on a count too long for it.
+    """
+    fields = ("%s: %s" % (json.dumps(key), _decimal_digits(value) if type(value) is int
+                          else json.dumps(value, sort_keys=True))
+              for key, value in sorted(payload.items()))
+    print("{%s}" % ", ".join(fields), file=sys.stderr)
 
 
 def _env_override(value, name: str, cast):
@@ -120,7 +164,7 @@ def _cmd_count(args) -> int:
                  "error": str(exc), "config": _config_echo(config)})
         return EXIT_MEMOUT
     elapsed = time.monotonic() - started
-    print("s mc %d" % result.count)
+    print("s mc " + _decimal_digits(result.count))
     payload = {
         "status": "counted",
         "command": "count",

@@ -454,7 +454,7 @@ class ModelCounter:
                     scope = frame.comp.var_ids
                 comps, free = self._split_scope(scope, frame.comp)
                 if cfg.debug_checks:
-                    split_gaps[len(stack)] = engine.gapv[:engine.first_learned]
+                    split_gaps[len(stack)] = engine.gapv[:]
                 frame.prod = 1 << free
                 frame.pending = comps
                 self._open_pending += len(comps)
@@ -467,7 +467,7 @@ class ModelCounter:
                 if cfg.debug_checks:
                     # encode_component's precondition: the trail is the one comp was split under
                     assert self._split_scope(comp.var_ids) == ([comp], 0)
-                    assert engine.gapv[:engine.first_learned] == split_gaps[len(stack)]
+                    assert engine.gapv == split_gaps[len(stack)]
                 key = encode_component(comp, engine.constraints, engine.gapv,
                                        engine.val, cfg.saturate_keys)
                 cached = cache.lookup(key)

@@ -1,13 +1,16 @@
 """Assignment trail, slack-driven propagation, and conflict learning.
 
 All search state lives on one trail of literals split into decision
-levels. Each constraint carries two running numbers:
-
-* gap: degree minus the coefficient mass of its true literals. At or
-  below 0 the constraint is satisfied outright.
-* slack: coefficient mass of its not-yet-false literals minus the
-  degree. Below 0 no extension can satisfy it (a conflict), and any
-  unassigned literal whose coefficient exceeds the slack must be true.
+levels. Each constraint carries a running slack: the coefficient mass
+of its not-yet-false literals minus the degree. Below 0 no extension
+can satisfy it (a conflict), and any unassigned literal whose
+coefficient exceeds the slack must be true. Original constraints also
+carry a gap, the degree minus the coefficient mass of their true
+literals; at or below 0 the constraint is satisfied outright. Learned
+constraints keep no gap: each of their terms is filed under its own
+literal and visited only when that literal becomes false, and a
+satisfied constraint never forces anything, because its slack is at
+least the mass of its unassigned literals.
 
 Propagation is two-phase: enqueueing a literal only records it, the
 arithmetic happens when the trail pointer reaches it, so a backjump can
@@ -38,6 +41,11 @@ _ACTIVITY_DECAY = 0.98
 _ACTIVITY_CAP = 1e100
 
 
+def lit_index(lit: int) -> int:
+    """Slot of a literal in :attr:`Engine.occ_learned`."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
 class Engine:
     """Propagation and learning over one normalized formula.
 
@@ -46,6 +54,13 @@ class Engine:
     renumber the learned ones, so each id is a live constraint's ``cid``.
     Terms run largest coefficient first (see :class:`PBConstraint`), so a
     forcing scan stops at the first coefficient within the slack.
+
+    ``slack`` covers every constraint, ``gapv`` the originals only.
+    ``occ_static[v]`` lists ``(cid, coeff, positive)`` for each original
+    term over variable ``v``. ``occ_learned[lit_index(lit)]`` lists
+    ``(cid, coeff, largest coefficient)`` for each learned term whose
+    literal is ``lit``; a slot no learned term has used yet is the shared
+    empty tuple.
     """
 
     def __init__(self, formula: PBFormula, max_learned: int = 10000):
@@ -66,7 +81,7 @@ class Engine:
         self.qhead = 0
 
         self.occ_static = [[] for _ in range(n + 1)]
-        self.occ_learned = [[] for _ in range(n + 1)]
+        self.occ_learned = [()] * (2 * n + 2)
         self.slack = []
         self.gapv = []
         self.c_activity = []
@@ -181,26 +196,37 @@ class Engine:
     def _apply(self, lit: int) -> Optional[int]:
         """Fold one trail literal into every affected slack and gap.
 
-        Always completes the full update so a later undo is exact; the
-        first conflict seen is reported after the scan.
+        Learned constraints are visited only through the terms ``lit``
+        falsifies, and queued for a forcing scan only when the new slack
+        lies below their largest coefficient, the only case in which
+        one can force. Always completes the full update so a later undo
+        is exact; the first conflict seen is reported after the scan.
         """
         v = lit_var(lit)
         truth = lit > 0
         confl = None
         gapv = self.gapv
         slack = self.slack
-        for occ in (self.occ_static[v], self.occ_learned[v]):
-            for ci, coeff, is_pos in occ:
-                if is_pos == truth:
-                    gapv[ci] -= coeff
-                else:
-                    s = slack[ci] - coeff
-                    slack[ci] = s
-                    if s < 0:
-                        if confl is None:
-                            confl = ci
-                    elif gapv[ci] > 0:
-                        self._mark_dirty(ci)
+        for ci, coeff, is_pos in self.occ_static[v]:
+            if is_pos == truth:
+                gapv[ci] -= coeff
+            else:
+                s = slack[ci] - coeff
+                slack[ci] = s
+                if s < 0:
+                    if confl is None:
+                        confl = ci
+                elif gapv[ci] > 0:
+                    self._mark_dirty(ci)
+        # the slot of -lit: 2 * v + 1 for a true lit, 2 * v for a false one
+        for ci, coeff, largest in self.occ_learned[2 * v + truth]:
+            s = slack[ci] - coeff
+            slack[ci] = s
+            if s < 0:
+                if confl is None:
+                    confl = ci
+            elif s < largest:
+                self._mark_dirty(ci)
         return confl
 
     def _undo_apply(self, lit: int) -> None:
@@ -208,22 +234,26 @@ class Engine:
         truth = lit > 0
         gapv = self.gapv
         slack = self.slack
-        for occ in (self.occ_static[v], self.occ_learned[v]):
-            for ci, coeff, is_pos in occ:
-                if is_pos == truth:
-                    gapv[ci] += coeff
-                else:
-                    slack[ci] += coeff
+        for ci, coeff, is_pos in self.occ_static[v]:
+            if is_pos == truth:
+                gapv[ci] += coeff
+            else:
+                slack[ci] += coeff
+        for ci, coeff, _ in self.occ_learned[2 * v + truth]:
+            slack[ci] += coeff
 
     def _scan_forcing(self, ci: int) -> Optional[int]:
         """Force every literal whose coefficient exceeds the slack."""
         s = self.slack[ci]
         if s < 0:
             return ci
-        if self.gapv[ci] <= 0:
-            return None
+        if ci < self.first_learned:
+            if self.gapv[ci] <= 0:
+                return None
+            scoped = 0
+        else:
+            scoped = self.scope_current
         val = self.val
-        scoped = self.scope_current if ci >= self.first_learned else 0
         stamp = self.scope_stamp
         for coeff, lit in self.constraints[ci].terms:
             if coeff <= s:
@@ -439,16 +469,18 @@ class Engine:
         cid = len(self.constraints)
         c = PBConstraint(cid, terms, degree)
         self.constraints.append(c)
+        occ = self.occ_learned
+        largest = c.terms[0][0]
         s = 0
-        g = degree
         for coeff, lit in c.terms:
             if not self._is_false(lit):
                 s += coeff
-            if self.lit_value(lit) is True:
-                g -= coeff
-            self.occ_learned[lit_var(lit)].append((cid, coeff, lit > 0))
+            i = lit_index(lit)
+            if occ[i]:
+                occ[i].append((cid, coeff, largest))
+            else:
+                occ[i] = [(cid, coeff, largest)]
         self.slack.append(s - degree)
-        self.gapv.append(g)
         self.c_activity.append(self.cla_inc)
         self.in_dirty.append(False)
         self._mark_dirty(cid)
@@ -479,9 +511,8 @@ class Engine:
         evicted = set(cands[:len(self.constraints) - first - 3 * self.max_learned // 4])
         kept = [ci for ci in range(first, len(self.constraints)) if ci not in evicted]
         new_id = {ci: i for i, ci in enumerate(kept, first)}
-        touched = {lit_var(lit) for c in self.constraints[first:] for _, lit in c.terms}
-        for per_cstr in (self.constraints, self.slack, self.gapv,
-                         self.c_activity, self.in_dirty):
+        touched = {lit_index(lit) for c in self.constraints[first:] for _, lit in c.terms}
+        for per_cstr in (self.constraints, self.slack, self.c_activity, self.in_dirty):
             per_cstr[first:] = [per_cstr[ci] for ci in kept]
         for ci, c in enumerate(self.constraints[first:], first):
             c.cid = ci
@@ -489,8 +520,8 @@ class Engine:
             self.reason[v] = new_id.get(self.reason[v], self.reason[v])
         self.dirty[:] = [new_id.get(ci, ci) for ci in self.dirty if ci not in evicted]
         occ = self.occ_learned
-        for v in touched:
-            occ[v] = [(new_id[ci], a, is_pos) for ci, a, is_pos in occ[v] if ci in new_id]
+        for i in touched:
+            occ[i] = [(new_id[ci], a, largest) for ci, a, largest in occ[i] if ci in new_id]
         self.learned_bytes = sum(self._learned_cost(len(c.terms))
                                  for c in self.constraints[first:])
 
@@ -499,6 +530,9 @@ class Engine:
     def check_integrity(self, expect_quiescent: bool = True) -> None:
         """Recompute all incremental state from scratch and compare.
 
+        That is every constraint's slack, learned ones included, the gaps
+        of the original constraints (learned ones keep none), and the
+        learned occurrence lists, entry by entry and literal by literal.
         Slow; meant for tests. With ``expect_quiescent`` the trail must be
         fully applied and original constraints must be at their forcing
         fixpoint. Also replays the trail to confirm every propagated
@@ -517,7 +551,8 @@ class Engine:
             if v not in assigned:
                 assert self.val[v] == UNASSIGNED, "stale value on x%d" % v
 
-        # slack and gap reflect exactly the applied prefix of the trail
+        # slack, and the gaps of original constraints, reflect exactly the
+        # applied prefix of the trail
         applied = {}
         for lit in self.trail[:self.qhead]:
             applied[lit_var(lit)] = lit > 0
@@ -535,18 +570,23 @@ class Engine:
                 if truth is not None and truth == (lit > 0):
                     g -= coeff
             assert self.slack[ci] == s, "slack drift on constraint %d" % ci
-            assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
+            if ci < self.first_learned:
+                assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
+        assert len(self.slack) == m and len(self.gapv) == self.first_learned, \
+            "per-constraint lists out of step with the constraints"
 
         # every queued id names a constraint, and in_dirty marks exactly those
         assert sorted(self.dirty) == [ci for ci in range(m) if self.in_dirty[ci]], \
             "in_dirty disagrees with the queue of forcing scans"
 
         # occ_learned holds exactly one entry per term of each learned
-        # constraint, and learned_bytes is their summed cost
+        # constraint, filed under the term's literal and carrying the
+        # constraint's largest coefficient; learned_bytes is their summed cost
         learned = self.constraints[self.first_learned:]
-        entries = [(ci, coeff, v if is_pos else -v) for v in range(1, n + 1)
-                   for ci, coeff, is_pos in self.occ_learned[v]]
-        assert sorted(entries) == sorted((c.cid, coeff, lit) for c in learned
+        assert len(self.occ_learned) == 2 * n + 2
+        entries = [(ci, coeff, lit, largest) for lit in range(-n, n + 1) if lit
+                   for ci, coeff, largest in self.occ_learned[lit_index(lit)]]
+        assert sorted(entries) == sorted((c.cid, coeff, lit, c.terms[0][0]) for c in learned
                                          for coeff, lit in c.terms), \
             "learned occurrence lists disagree with the learned constraints"
         assert self.learned_bytes == sum(self._learned_cost(len(c.terms))

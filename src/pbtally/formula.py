@@ -18,6 +18,11 @@ from typing import Iterable, Sequence
 
 I64_MAX = (1 << 63) - 1
 
+#: a numeric OPB token with more digits is out of the 64-bit range; it is
+#: rejected before ``int()``, which refuses more than a few thousand digits
+#: and would not name the line
+_MAX_TOKEN_DIGITS = 20
+
 GE = ">="
 EQ = "="
 LE = "<="
@@ -238,6 +243,9 @@ def _parse_opb_int(token: str, line_no: int, what: str) -> int:
     # ASCII only: str.isdigit() also accepts digits like '²' and '٣'
     if not (text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit()))):
         raise OpbParseError(line_no, "malformed %s token %r" % (what, token))
+    if len(text) > _MAX_TOKEN_DIGITS and len(text.lstrip("-")) > _MAX_TOKEN_DIGITS:
+        raise OpbParseError(line_no, "%s of %d digits exceeds the 64-bit range"
+                            % (what, len(text.lstrip("-"))))
     value = int(text)
     if value > I64_MAX or value < -I64_MAX - 1:
         raise OpbParseError(line_no, "%s %r exceeds the 64-bit range" % (what, token))
@@ -252,6 +260,9 @@ def _parse_opb_literal(token: str, line_no: int) -> int:
         text = text[1:]
     if not (text.startswith("x") and text[1:].isdigit() and text.isascii()):
         raise OpbParseError(line_no, "malformed literal token %r" % (token,))
+    if len(text) - 1 > _MAX_TOKEN_DIGITS:
+        raise OpbParseError(line_no, "variable index of %d digits exceeds the 64-bit range"
+                            % (len(text) - 1))
     index = int(text[1:])
     if index < 1:
         raise OpbParseError(line_no, "variable index must be >= 1 in %r" % (token,))
@@ -289,6 +300,9 @@ def parse_opb(source) -> PBFormula:
                 after = line.split("#variable=", 1)[1].strip()
                 head = after.split()
                 if head and head[0].isdigit() and head[0].isascii():
+                    if len(head[0]) > _MAX_TOKEN_DIGITS:
+                        raise OpbParseError(line_no, "variable count of %d digits exceeds "
+                                            "the 64-bit range" % len(head[0]))
                     header_vars = int(head[0])
             continue
         if line.startswith("min:") or line.startswith("max:"):

@@ -219,6 +219,9 @@ def _reject_constant(name: str):
     raise ValueError("report is not strict JSON: %s" % name)
 
 
-def load_report(text: str):
-    """Parse a JSON report strictly: ``NaN`` and ``Infinity`` are errors."""
-    return json.loads(text, parse_constant=_reject_constant)
+def load_report(text: str, parse_int=None):
+    """Parse a JSON report strictly: ``NaN`` and ``Infinity`` are errors.
+
+    ``parse_int`` is passed on to :func:`json.loads`.
+    """
+    return json.loads(text, parse_constant=_reject_constant, parse_int=parse_int)

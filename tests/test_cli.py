@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -11,7 +12,7 @@ import pbtally
 from _helpers import load_report
 from pbtally import (brute_count, count_models, gen_auction, gen_knapsack, parse_opb,
                      parse_opb_file)
-from pbtally.cli import main
+from pbtally.cli import _decimal_digits, main
 
 SMALL = "* #variable= 3 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+2 x2 +1 x3 <= 2 ;\n"
 
@@ -42,6 +43,12 @@ class TestCount:
         assert payload["config"]["heuristic"] == "vcis"
         assert payload["config"]["saturate_keys"] is True
         assert "stats" not in payload
+
+    @pytest.mark.parametrize("bits", [0, 2047, 2048, 2049, 4097, 20003, 100001])
+    def test_decimal_digits_of_long_counts(self, bits):
+        # Decimal converts an int without str(), so it checks the split-and-join
+        for n in ((1 << bits) - 1, 1 << bits, 7 ** (bits // 3 + 1), 3 << bits | 0x5bd1e995):
+            assert _decimal_digits(n) == str(Decimal(n))
 
     def test_reads_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(SMALL))
@@ -309,6 +316,23 @@ class TestInstalledEntryPoint:
         assert cnt.returncode == 0
         want = count_models(parse_opb(gen.stdout)).count
         assert cnt.stdout == "s mc %d\n" % want
+
+    def test_count_beyond_the_int_string_limit_prints_in_full(self, tmp_path):
+        # 3 * 2**14998 has 4,516 digits, more than the 4,300 that str() and
+        # int() accept by default; the child gets that default whatever this
+        # process runs under, and the digits are read back through Decimal,
+        # which has no such limit
+        path = write(tmp_path, "wide.opb", "* #variable= 15000\n1 x1 +1 x2 >= 1 ;\n")
+        run = run_module(["count", path], extra_env={"PYTHONINTMAXSTRDIGITS": "4300"},
+                         text=True)
+        assert run.returncode == 0, run.stderr
+        want = Decimal(3 << 14998)
+        assert run.stdout.startswith("s mc ") and run.stdout.endswith("\n")
+        digits = run.stdout[len("s mc "):-1]
+        assert len(digits) == 4516 and Decimal(digits) == want
+        report = load_report(run.stderr, parse_int=Decimal)
+        assert report["status"] == "counted"
+        assert report["count"] == want
 
     def test_reports_are_identical_across_processes(self, tmp_path):
         # string hashing is salted per process; nothing the count reports

@@ -188,6 +188,26 @@ class TestCountMatchesOracle:
             assert mc.run().count == brute_count(f).count
         assert fast > 100
 
+    def test_debug_checks_change_nothing_across_hundreds_of_conflicts(self):
+        # check_integrity recomputes every learned slack at every node; here
+        # it runs where hundreds of learned constraints propagate, with a
+        # store reduced on most conflicts and with one never reduced
+        conflicts = 0
+        for seed in range(6):
+            f = parse_opb(gen_auction(bids=22, items=14, revenue_fraction=0.15, seed=seed))
+            counts = set()
+            for heuristic in ("vcis", "baseline"):
+                for max_learned in (2, CounterConfig().max_learned):
+                    plain, checked = (count_models(f, CounterConfig(
+                        heuristic=heuristic, max_learned=max_learned, debug_checks=debug))
+                        for debug in (False, True))
+                    assert checked.count == plain.count
+                    assert checked.stats.as_dict() == plain.stats.as_dict()
+                    counts.add(plain.count)
+                    conflicts += plain.stats.conflicts
+            assert len(counts) == 1
+        assert conflicts >= 250
+
     @pytest.mark.parametrize("max_learned", [1, 10000])
     def test_engine_keys_match_reference_on_search_states(self, monkeypatch, max_learned):
         # every key the search encodes from the engine's arrays equals the
@@ -576,9 +596,12 @@ class TestLogsAndStats:
             # the store ends within its cap, with nothing kept of an evicted one
             held = len(engine.constraints) - engine.first_learned
             assert held <= 2
-            for per_cstr in (engine.slack, engine.gapv,
-                             engine.c_activity, engine.in_dirty):
+            for per_cstr in (engine.slack, engine.c_activity, engine.in_dirty):
                 assert len(per_cstr) == engine.first_learned + held
+            # gaps are kept for original constraints only
+            assert len(engine.gapv) == engine.first_learned
+            assert sum(map(len, engine.occ_learned)) == sum(
+                len(c.terms) for c in engine.constraints[engine.first_learned:])
             evicted += engine.learned_total - held
         assert got == want
         assert evicted == want_evicted

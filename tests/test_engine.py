@@ -7,7 +7,7 @@ import pytest
 import _helpers
 from pbtally import PBFormula, brute_count, build_formula, parse_opb
 from pbtally.counter import dedup_constraints
-from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine
+from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine, lit_index
 
 
 def implied_by(f, terms, degree):
@@ -334,14 +334,54 @@ class TestLearnedStore:
         e.decide(-1)
         assert e.propagate() is None
         cid = e.add_learned(((2, 1), (3, 2), (1, 3)), 3)
-        # x1 false: slack 4 - 3, nothing true yet
+        # x1 false: slack 4 - 3; a learned constraint keeps no gap
         assert e.slack[cid] == 1
-        assert e.gapv[cid] == 3
+        assert len(e.gapv) == e.first_learned == cid
+        # each term is filed under its own literal with the largest coefficient
+        assert e.occ_learned[lit_index(2)] == [(cid, 3, 3)]
+        assert e.occ_learned[lit_index(1)] == [(cid, 2, 3)]
+        assert e.occ_learned[lit_index(3)] == [(cid, 1, 3)]
+        assert all(e.occ_learned[lit_index(-v)] == () for v in range(1, 5))
+        assert e.occ_learned[lit_index(4)] == ()
         assert e.propagate() is None
-        # 3 exceeded the slack, so x2 was forced and closed the gap
+        # 3 exceeded the slack, so x2 was forced; turning true left the slack
         assert e.lit_value(2) is True
+        assert e.reason[2] == cid
         assert e.slack[cid] == 1
-        assert e.gapv[cid] == 0
+        e.check_integrity()
+
+    def test_learned_slack_moves_only_when_a_literal_turns_false(self):
+        f = build_formula(5, [([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)], ">=", 1)])
+        e = Engine(f)
+        assert e.propagate() is None
+        cid = e.add_learned(((1, 3), (3, 1), (1, 4), (2, 2)), 3)
+        assert e.propagate() is None
+        assert e.trail == [] and e.slack[cid] == 4
+        scanned = []
+        scan = e._scan_forcing
+        e._scan_forcing = lambda ci: scanned.append(ci) or scan(ci)
+        # x1 turning true leaves the slack alone and queues no scan
+        e.decide(1)
+        assert e.propagate() is None
+        assert e.slack[cid] == 4 and scanned == []
+        e.check_integrity()
+        # satisfied by x1: -x2 takes the slack below the largest
+        # coefficient, so the constraint is scanned, but it forces nothing
+        e.decide(-2)
+        assert e.propagate() is None
+        assert e.slack[cid] == 2 and scanned == [cid]
+        assert e.trail == [1, -2]
+        e.check_integrity()
+        # unsatisfied, the same drop forces x1, and only x1, by this constraint
+        e.backjump_to(0)
+        scanned.clear()
+        e.decide(-2)
+        assert e.propagate() is None
+        assert scanned[0] == cid
+        assert e.trail == [-2, 1]
+        assert e.reason[1] == cid and e.level[1] == 1
+        assert e.lit_value(3) is None and e.lit_value(4) is None
+        assert e.slack[cid] == 2
         e.check_integrity()
 
     @staticmethod
@@ -375,12 +415,15 @@ class TestLearnedStore:
         assert newest == first + 1
         assert [(c.cid, c.body()) for c in e.constraints[first:]] == [
             (first, (((1, 1), (1, 2)), 1)), (first + 1, (((1, 7), (1, 8)), 1))]
-        for per_cstr in (e.slack, e.gapv, e.c_activity, e.in_dirty):
+        for per_cstr in (e.slack, e.c_activity, e.in_dirty):
             assert len(per_cstr) == first + 2
+        assert len(e.gapv) == first
         assert e.reason[2] == first
-        assert e.occ_learned[1] == e.occ_learned[2] == [(first, 1, True)]
-        assert e.occ_learned[7] == e.occ_learned[8] == [(first + 1, 1, True)]
-        assert e.occ_learned[5] == e.occ_learned[6] == []
+        occ = e.occ_learned
+        assert occ[lit_index(1)] == occ[lit_index(2)] == [(first, 1, 1)]
+        assert occ[lit_index(7)] == occ[lit_index(8)] == [(first + 1, 1, 1)]
+        assert occ[lit_index(5)] == occ[lit_index(6)] == []
+        assert all(occ[lit_index(-v)] == () for v in range(1, 9))
         assert e.learned_bytes == 2 * e._learned_cost(2)
         # junk1 was still queued for a forcing scan; only the newest is now
         assert e.dirty == [newest]
@@ -428,5 +471,21 @@ class TestLearnedStore:
         assert e.propagate() is None
         e.check_integrity()
         e.slack[0] += 1
+        with pytest.raises(AssertionError):
+            e.check_integrity()
+        e.slack[0] -= 1
+        e.decide(-2)
+        assert e.propagate() is None
+        cid = e.add_learned(((1, 2), (2, 3)), 2)
+        assert e.propagate() is None
+        e.check_integrity()
+        e.slack[cid] -= 1
+        with pytest.raises(AssertionError):
+            e.check_integrity()
+        e.slack[cid] += 1
+        e.check_integrity()
+        # the entry of x3 moved to the list of -x3
+        entry = e.occ_learned[lit_index(3)].pop()
+        e.occ_learned[lit_index(-3)] = [entry]
         with pytest.raises(AssertionError):
             e.check_integrity()

@@ -120,6 +120,23 @@ class TestParsing:
         with pytest.raises(OpbParseError, match="line 2"):
             parse_opb("+1 x1 >= 1 ;\n+%d x1 +%d x1 >= 3 ;\n" % (big, big))
 
+    @pytest.mark.parametrize("line, what", [
+        ("+%s x1 >= 1 ;" % ("9" * 5000), "coefficient"),
+        ("-%s x1 >= 1 ;" % ("9" * 5000), "coefficient"),
+        ("+1 ~x%s >= 1 ;" % ("1" * 5000), "variable index"),
+        ("+1 x1 >= %s ;" % ("9" * 5000), "degree"),
+        ("* #variable= %s" % ("1" * 5000), "variable count")])
+    def test_overlong_number_rejected_with_line(self, line, what):
+        # rejected before int(), which would refuse the token without a line
+        with pytest.raises(OpbParseError,
+                           match="line 2: %s of 5000 digits exceeds the 64-bit range" % what):
+            parse_opb("+1 x1 >= 1 ;\n%s\n+1 x2 >= 1 ;\n" % line)
+
+    def test_twenty_digit_tokens_still_parse(self):
+        f = parse_opb("+00000000000000000003 x00000000000000000002 >= 00000000000000000001 ;\n")
+        assert f.num_vars == 2
+        assert [c.body() for c in f.constraints] == [(((1, 2),), 1)]
+
     @pytest.mark.parametrize("text", ["+1 x1 >= 1 ;\n1 x\u00b2 >= 1 ;\n",
                                       "+1 x1 >= 1 ;\n\u00b2 x1 >= 1 ;\n",
                                       "+1 x1 >= 1 ;\n1 x\u0663 >= 1 ;\n"])
