@@ -254,8 +254,12 @@ def _cmd_generate(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _report({"status": "error", "command": "generate", "error": str(exc)})
+            return EXIT_USAGE
     return EXIT_OK
 
 

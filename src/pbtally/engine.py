@@ -121,10 +121,6 @@ class Engine:
             return None
         return (v == 1) == (lit > 0)
 
-    def _is_false(self, lit: int) -> bool:
-        v = self.val[lit_var(lit)]
-        return v != UNASSIGNED and (v == 1) == (lit < 0)
-
     def assignment_dict(self) -> dict:
         return {lit_var(lit): lit > 0 for lit in self.trail}
 
@@ -326,126 +322,143 @@ class Engine:
         implied by the original formula, is falsified by the current
         assignment, and forces at least one literal once the trail is cut
         back to the returned level. Its terms come in no set order.
+
+        One conflict costs one backward walk of the trail. Each step
+        resolves on the deepest propagated literal of the constraint, found
+        by a pointer into the trail. Every literal a step adds was false
+        before the literal it resolves on was propagated, so it lies below
+        the pointer, and the pointer never moves back up. Above the pointer
+        the constraint holds only decisions, one per level at most.
+
+        The coefficient sum of each level, and a bound from above on its
+        largest coefficient, live in lists indexed by level, and a step
+        changes them only where it changes a coefficient. The bound never
+        drops, not even when a step removes the largest coefficient, so a
+        cut it admits is confirmed against the exact coefficients before it
+        is taken: one pass over the constraint per conflict in practice.
+
+        A step always finds a propagated literal. Otherwise none is at
+        level 0, where every literal has a reason, and each deeper level
+        holds just its decision, with a saturated coefficient at most the
+        degree. The running sum over the levels then first reaches the
+        degree (it does, or there are no models) at a level whose
+        coefficient exceeds the slack after the cut, and the scan of the
+        levels returned there.
         """
         self._bump_constraint(confl_ci)
+        val, level = self.val, self.level
         c = self.constraints[confl_ci]
         # weaken every non-falsified literal away so the conflict is a
-        # pure statement about assigned-false literals
-        coeffs = {}
-        degree = c.degree
-        for coeff, lit in c.terms:
-            if self._is_false(lit):
-                coeffs[lit] = coeff
-            else:
-                degree -= coeff
+        # pure statement about assigned-false literals, then saturate:
+        # mass above the degree never matters
+        false = [(a, lit) for a, lit in c.terms if val[abs(lit)] == (lit < 0)]
+        degree = c.degree - c.coef_sum() + sum(a for a, _ in false)
         assert degree >= 1, "constraint was not actually conflicting"
+        coeffs = {}
+        lsum = [0] * (len(self.trail_lim) + 1)
+        lmax = lsum[:]
+        for a, lit in false:
+            a = coeffs[lit] = min(a, degree)
+            d = level[abs(lit)]
+            lsum[d] += a
+            lmax[d] = max(lmax[d], a)
         touched = set()
+        trail, reason = self.trail, self.reason
+        i = len(trail) - 1
 
         while True:
-            # saturate: mass above the degree never matters
-            for lit, a in coeffs.items():
-                if a > degree:
-                    coeffs[lit] = degree
-
-            by_level = {}
-            for lit, a in coeffs.items():
-                d = self.level[lit_var(lit)]
-                s, m = by_level.get(d, (0, 0))
-                by_level[d] = (s + a, a if a > m else m)
-
-            above_root = sum(s for d, (s, _) in by_level.items() if d >= 1)
-            if above_root - degree < 0:
-                # still contradictory with every decision undone
-                for lit in coeffs:
-                    touched.add(lit_var(lit))
-                self._bump_and_decay(touched)
-                return None
-
             # walk candidate backjump levels from the deepest falsified
             # level down; the first candidate whose slack admits a forcing
             # coefficient is the deepest asserting cut, the one that
-            # retracts the least work
-            deep_levels = sorted((d for d in by_level if d >= 1), reverse=True)
-            running_sum = 0
-            running_max = 0
-            for d in deep_levels:
-                s, m = by_level[d]
-                running_sum += s
-                if m > running_max:
-                    running_max = m
-                slack_after = running_sum - degree
-                if slack_after >= 0 and running_max > slack_after:
-                    terms = tuple((a, lit) for lit, a in coeffs.items())
-                    for lit in coeffs:
-                        touched.add(lit_var(lit))
+            # retracts the least work. No coefficient exceeds the degree,
+            # so none can force once the slack reaches it.
+            run_sum = run_max = 0
+            for d in range(len(lsum) - 1, 0, -1):
+                if not lsum[d]:
+                    continue
+                run_sum += lsum[d]
+                if lmax[d] > run_max:
+                    run_max = lmax[d]
+                slack_after = run_sum - degree
+                if 0 <= slack_after < run_max:
+                    run_max = max(a for lit, a in coeffs.items() if level[abs(lit)] >= d)
+                    if run_max > slack_after:
+                        touched.update(map(abs, coeffs))
+                        self._bump_and_decay(touched)
+                        return tuple(zip(coeffs.values(), coeffs)), degree, d - 1
+                if slack_after >= degree:
+                    break
+            else:
+                if run_sum < degree:
+                    # still contradictory with every decision undone
+                    touched.update(map(abs, coeffs))
                     self._bump_and_decay(touched)
-                    return terms, degree, d - 1
+                    return None
 
-            new_degree = self._resolve_step(coeffs, degree, touched)
-            if new_degree is None:
+            while -trail[i] not in coeffs or reason[abs(trail[i])] < 0:
+                i -= 1
+            degree = self._resolve_step(coeffs, degree, i, lsum, lmax, touched)
+            if degree is None:
                 terms, fdeg, jump = self._fallback_clause(touched)
                 self._bump_and_decay(touched)
                 return terms, fdeg, jump
-            degree = new_degree
 
-    def _resolve_step(self, coeffs: dict, degree: int, touched: set):
-        """Cancel the reason of the deepest propagated literal into coeffs.
+    def _resolve_step(self, coeffs: dict, degree: int, p_pos: int, lsum, lmax, touched: set):
+        """Cancel the reason of the trail literal at ``p_pos`` into coeffs.
 
-        Mutates ``coeffs`` in place and returns the new degree, or None
-        when the arithmetic would outgrow ``COEFF_GUARD``, in which case
-        the caller falls back to a clause over the current decisions.
+        ``coeffs`` holds that literal's negation. Mutates ``coeffs``, the
+        per-level sums ``lsum`` and the bounds ``lmax`` in place and returns
+        the new degree, or None when the arithmetic would outgrow
+        ``COEFF_GUARD``, in which case the caller falls back to a clause
+        over the current decisions.
 
-        Some literal of ``coeffs`` was propagated. Otherwise none is at
-        level 0, where every literal has a reason, and each deeper level
-        holds just its decision, with a saturated coefficient at most the
-        degree. The running sum in :meth:`analyze` then first reaches the
-        degree (it does, or there are no models) at a level whose
-        coefficient exceeds the slack after the cut, and it returned there.
+        The new degree is ``degree + mult * (rdeg - 1)`` with ``rdeg >= 1``,
+        so the degree never falls, every coefficient saturated at an
+        earlier step stays at or below it, and only the merged coefficients
+        need saturating.
         """
-        propagated = [lit for lit in coeffs if self.reason[lit_var(lit)] >= 0]
-        assert propagated, "no falsified literal was propagated"
-        p_lit = max(propagated, key=lambda lit: self.pos[lit_var(lit)])
-        p_pos = self.pos[lit_var(p_lit)]
-
-        v_p = lit_var(p_lit)
+        forced_lit = self.trail[p_pos]
+        v_p = abs(forced_lit)
         r_ci = self.reason[v_p]
         self._bump_constraint(r_ci)
         touched.add(v_p)
         reason = self.constraints[r_ci]
-        forced_lit = -p_lit
+        val, pos, level = self.val, self.pos, self.level
 
         # weaken the reason down to its forced literal plus the literals
         # already false when it propagated, then ceiling-divide by the
         # forced coefficient; the quotient was still propagating then
         rdeg = reason.degree
-        rcoeffs = {}
+        kept = []
         a_forced = None
         for coeff, lit in reason.terms:
-            if lit == forced_lit:
+            v = lit if lit > 0 else -lit
+            if val[v] == (lit < 0) and pos[v] < p_pos:
+                kept.append((coeff, lit, level[v]))
+            elif v == v_p:
                 a_forced = coeff
-                continue
-            if self._is_false(lit) and self.pos[lit_var(lit)] < p_pos:
-                rcoeffs[lit] = coeff
             else:
                 rdeg -= coeff
-        assert a_forced is not None, "reason does not contain its forced literal"
-        assert rdeg >= 1
-        if a_forced > 1:
-            rdeg = -(-rdeg // a_forced)
-            for lit in rcoeffs:
-                rcoeffs[lit] = -(-rcoeffs[lit] // a_forced)
+        assert rdeg >= 1 and a_forced is not None
+        rdeg = -(-rdeg // a_forced)
 
-        mult = coeffs.pop(p_lit)
-        new_degree = degree + mult * rdeg - mult
-        if new_degree > COEFF_GUARD:
+        mult = coeffs.pop(-forced_lit)
+        lsum[level[v_p]] -= mult
+        degree += mult * (rdeg - 1)
+        if degree > COEFF_GUARD:
             return None
-        for lit, a in rcoeffs.items():
-            merged = coeffs.get(lit, 0) + mult * a
+        for a, lit, d in kept:
+            old = coeffs.get(lit, 0)
+            merged = old + mult * -(-a // a_forced)
             if merged > COEFF_GUARD:
                 return None
+            if merged > degree:
+                merged = degree
             coeffs[lit] = merged
-        assert new_degree >= 1
-        return new_degree
+            lsum[d] += merged - old
+            if merged > lmax[d]:
+                lmax[d] = merged
+        return degree
 
     def _fallback_clause(self, touched: set):
         """Clause forbidding the current decision sequence.
@@ -470,12 +483,13 @@ class Engine:
         c = PBConstraint(cid, terms, degree)
         self.constraints.append(c)
         occ = self.occ_learned
+        val = self.val
         largest = c.terms[0][0]
         s = 0
         for coeff, lit in c.terms:
-            if not self._is_false(lit):
+            if val[lit if lit > 0 else -lit] != (lit < 0):
                 s += coeff
-            i = lit_index(lit)
+            i = 2 * lit if lit > 0 else 1 - 2 * lit
             if occ[i]:
                 occ[i].append((cid, coeff, largest))
             else:
@@ -535,17 +549,27 @@ class Engine:
         learned occurrence lists, entry by entry and literal by literal.
         Slow; meant for tests. With ``expect_quiescent`` the trail must be
         fully applied and original constraints must be at their forcing
-        fixpoint. Also replays the trail to confirm every propagated
-        literal was genuinely forced by its recorded reason at the moment
-        it was enqueued.
+        fixpoint. Also checks the trail's shape, which conflict analysis
+        walks: ``trail_lim`` rises strictly, each variable's level is the
+        number of ``trail_lim`` entries at or below its position, and
+        exactly the literals at those entries have no reason. Then it
+        replays the trail to confirm every propagated literal was genuinely
+        forced by its recorded reason at the moment it was enqueued.
         """
         n = self.num_vars
+        lim = self.trail_lim
+        bounds = [-1, *lim, len(self.trail)]
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), \
+            "trail_lim is not strictly increasing inside the trail"
         assigned = {}
         for i, lit in enumerate(self.trail):
             v = lit_var(lit)
             assert self.val[v] == (1 if lit > 0 else 0), "trail/val mismatch at %d" % i
             assert self.pos[v] == i, "trail position drift on x%d" % v
             assert v not in assigned, "duplicate trail variable x%d" % v
+            assert self.level[v] == sum(s <= i for s in lim), "level drift on x%d" % v
+            assert (self.reason[v] == -1) == (i in lim), \
+                "x%d: a reason is missing or a decision has one" % v
             assigned[v] = lit > 0
         for v in range(1, n + 1):
             if v not in assigned:

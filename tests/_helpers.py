@@ -1,13 +1,14 @@
 """Shared builders for the test suite: seeded random formulas, the
 engine's gap and value arrays under an assignment, the mini-formula view
-of one residual component, the reference key encoder, and a strict
-parser for the command line's JSON reports."""
+of one residual component, the reference key encoder, the reference
+conflict analyzer, and a strict parser for the command line's JSON
+reports."""
 
 import json
 import random
 
 from pbtally import CounterConfig, ModelCounter, PBFormula, build_formula
-from pbtally.engine import UNASSIGNED
+from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED
 from pbtally.formula import constraint_gap, lit_var
 
 
@@ -180,6 +181,121 @@ def reference_encode_component(comp, constraints, gaps, saturate: bool = True) -
             gap = min_open if gap < min_open else gap
         _write_uvarint(out, gap - 1)
     return bytes(out)
+
+
+def reference_analyze(engine, confl_ci: int):
+    """The plain form of ``Engine.analyze``, kept to check its output.
+
+    Returns ``(outcome, touched, bumped)``: ``outcome`` is what
+    ``engine.analyze(confl_ci)`` returns, ``touched`` the set of variables
+    whose activity it bumps, and ``bumped`` the constraint ids it bumps, in
+    order and with repeats. Reads the engine and changes nothing in it.
+
+    Every step rebuilds the per-level sums and maxima in a dict, re-saturates
+    every coefficient, sorts the levels, and finds the literal to resolve
+    on as the propagated one latest on the trail.
+    """
+    level, pos, reason = engine.level, engine.pos, engine.reason
+
+    def is_false(lit):
+        return engine.lit_value(lit) is False
+
+    bumped = [confl_ci]
+    touched = set()
+    c = engine.constraints[confl_ci]
+    coeffs = {}
+    degree = c.degree
+    for coeff, lit in c.terms:
+        if is_false(lit):
+            coeffs[lit] = coeff
+        else:
+            degree -= coeff
+    assert degree >= 1, "constraint was not actually conflicting"
+
+    while True:
+        for lit, a in coeffs.items():
+            if a > degree:
+                coeffs[lit] = degree
+        by_level = {}
+        for lit, a in coeffs.items():
+            d = level[lit_var(lit)]
+            s, m = by_level.get(d, (0, 0))
+            by_level[d] = (s + a, max(a, m))
+        if sum(s for d, (s, _) in by_level.items() if d >= 1) < degree:
+            touched.update(lit_var(lit) for lit in coeffs)
+            return None, touched, bumped
+        running_sum = running_max = 0
+        for d in sorted((d for d in by_level if d >= 1), reverse=True):
+            s, m = by_level[d]
+            running_sum += s
+            running_max = max(running_max, m)
+            slack_after = running_sum - degree
+            if slack_after >= 0 and running_max > slack_after:
+                touched.update(lit_var(lit) for lit in coeffs)
+                terms = tuple((a, lit) for lit, a in coeffs.items())
+                return (terms, degree, d - 1), touched, bumped
+
+        # resolve on the latest propagated literal
+        propagated = [lit for lit in coeffs if reason[lit_var(lit)] >= 0]
+        assert propagated, "no falsified literal was propagated"
+        p_lit = max(propagated, key=lambda lit: pos[lit_var(lit)])
+        p_pos = pos[lit_var(p_lit)]
+        r_ci = reason[lit_var(p_lit)]
+        bumped.append(r_ci)
+        touched.add(lit_var(p_lit))
+        r = engine.constraints[r_ci]
+        rdeg = r.degree
+        rcoeffs = {}
+        a_forced = None
+        for coeff, lit in r.terms:
+            if lit == -p_lit:
+                a_forced = coeff
+            elif is_false(lit) and pos[lit_var(lit)] < p_pos:
+                rcoeffs[lit] = coeff
+            else:
+                rdeg -= coeff
+        assert a_forced is not None and rdeg >= 1
+        rdeg = -(-rdeg // a_forced)
+        mult = coeffs.pop(p_lit)
+        degree = degree + mult * rdeg - mult
+        overflow = degree > COEFF_GUARD
+        for lit, a in rcoeffs.items():
+            coeffs[lit] = coeffs.get(lit, 0) + mult * -(-a // a_forced)
+            overflow = overflow or coeffs[lit] > COEFF_GUARD
+        if overflow:
+            # a clause over the decisions, forcing the last one flipped
+            terms = []
+            for start in engine.trail_lim:
+                dec = engine.trail[start]
+                touched.add(lit_var(dec))
+                terms.append((1, -dec))
+            return (tuple(terms), 1, len(engine.trail_lim) - 1), touched, bumped
+
+
+def expected_activities(engine, touched, bumped):
+    """``(activity, c_activity)`` after an analysis that bumps ``touched``
+    and ``bumped``, computed from the engine before it runs.
+
+    Follows the engine's bump arithmetic, rescaling included.
+    """
+    scale = 1.0 / _ACTIVITY_CAP
+    act = list(engine.activity)
+    c_act = list(engine.c_activity)
+    cla_inc = engine.cla_inc
+    for ci in bumped:
+        if ci < engine.first_learned:
+            continue
+        c_act[ci] += cla_inc
+        if c_act[ci] > _ACTIVITY_CAP:
+            c_act[engine.first_learned:] = [a * scale for a in c_act[engine.first_learned:]]
+            cla_inc *= scale
+    var_inc = engine.var_inc
+    for v in touched:
+        act[v] += var_inc
+        if act[v] > _ACTIVITY_CAP:
+            act[1:] = [a * scale for a in act[1:]]
+            var_inc *= scale
+    return act, c_act
 
 
 def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0.4):

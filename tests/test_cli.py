@@ -237,6 +237,15 @@ class TestGenerate:
         assert code == 2
         assert load_report(err)["status"] == "error"
 
+    def test_unwritable_output_exits_2_with_report(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.opb")
+        code, out, err = run_cli(["generate", "knapsack", "-o", path], capsys)
+        assert code == 2
+        assert out == ""
+        report = load_report(err)
+        assert report["status"] == "error" and report["command"] == "generate"
+        assert "x.opb" in report["error"]
+
 
 class TestEnvironment:
     def test_env_sets_defaults(self, tmp_path, capsys, monkeypatch):

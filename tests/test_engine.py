@@ -5,7 +5,8 @@ import random
 import pytest
 
 import _helpers
-from pbtally import PBFormula, brute_count, build_formula, parse_opb
+from pbtally import (CounterConfig, ModelCounter, PBFormula, brute_count, build_formula,
+                     gen_auction, parse_opb)
 from pbtally.counter import dedup_constraints
 from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine, lit_index
 
@@ -62,7 +63,7 @@ class TestPropagation:
         e = Engine(f)
         confl = e.propagate()
         assert confl == 0
-        assert e.analyze(confl) is None
+        assert analyze_like_reference(e, confl) == (None, 0)
 
     def test_backjump_restores_engine_state(self):
         rng = random.Random(5501)
@@ -202,6 +203,24 @@ class TestScope:
         assert e.lit_value(2) is True
 
 
+def analyze_like_reference(engine, confl, analyze=Engine.analyze):
+    """``analyze(engine, confl)``, checked against ``_helpers.reference_analyze``.
+
+    The terms as a set, the degree, the jump and every activity must agree.
+    Returns the engine's outcome and the number of resolution steps taken.
+    """
+    ref, touched, bumped = _helpers.reference_analyze(engine, confl)
+    act, c_act = _helpers.expected_activities(engine, touched, bumped)
+    out = analyze(engine, confl)
+    if ref is None:
+        assert out is None
+    else:
+        assert (sorted(out[0]), out[1], out[2]) == (sorted(ref[0]), ref[1], ref[2])
+    assert engine.activity == act
+    assert engine.c_activity == c_act
+    return out, len(bumped) - 1
+
+
 class TestAnalyze:
     def test_resolution_worked_example(self):
         # x2 propagates x3 both ways; resolving the two reasons cancels
@@ -240,7 +259,8 @@ class TestAnalyze:
         assert confl == 0
         # cancellation would push a coefficient past the guard, so the
         # result is a clause over the decisions taken
-        terms, degree, jump = e.analyze(confl)
+        (terms, degree, jump), steps = analyze_like_reference(e, confl)
+        assert steps == 1
         assert terms == ((1, 1),)
         assert degree == 1
         assert jump == 0
@@ -264,7 +284,8 @@ class TestAnalyze:
 
         monkeypatch.setattr(e, "_resolve_step", unreachable)
         monkeypatch.setattr(e, "_fallback_clause", unreachable)
-        terms, degree, jump = e.analyze(confl)
+        (terms, degree, jump), steps = analyze_like_reference(e, confl)
+        assert steps == 0
         assert sorted(terms) == [(1, 2), (1, 3), (2, 1)]
         assert degree == 2
         assert jump == 1
@@ -324,6 +345,80 @@ class TestAnalyze:
                 pytest.fail("conflict loop did not terminate")
         assert conflicts > 60
         assert unsat_seen > 0
+
+
+class TestAnalyzeMatchesReference:
+    @pytest.mark.parametrize("make, formulas", [(_helpers.tight_formula, 250),
+                                                 (_helpers.clause_heavy_formula, 1000)])
+    def test_random_walks(self, make, formulas):
+        rng = random.Random(5531)
+        conflicts = steps = 0
+        for _ in range(formulas):
+            f = make(rng)
+            if f.unsat_at_load:
+                continue
+            e = Engine(f)
+            for _round in range(60):
+                confl = e.propagate()
+                if confl is None:
+                    free = [v for v in range(1, f.num_vars + 1) if e.lit_value(v) is None]
+                    if not free:
+                        # a model: take back some decisions and walk on
+                        if not e.current_level():
+                            break
+                        e.backjump_to(rng.randrange(e.current_level()))
+                        continue
+                    v = rng.choice(free)
+                    e.decide(v if rng.random() < 0.5 else -v)
+                    continue
+                conflicts += 1
+                out, n_steps = analyze_like_reference(e, confl)
+                steps += n_steps
+                if out is None:
+                    break
+                e.backjump_to(out[2])
+                e.add_learned(out[0], out[1])
+        assert conflicts >= 200 and steps >= 100
+
+    def test_bound_left_by_a_resolved_maximum_is_confirmed(self):
+        # x1 decides level 1; x2 decides level 2 and forces x3 and x4; the
+        # learned x5 + ~x1 >= 1 forces x5 at level 2, and the learned
+        # 2 ~x5 + ~x2 + ~x3 + ~x4 >= 2, added while false, conflicts.
+        # Resolving on x5 leaves level 2 with coefficients 1, 1, 1 against
+        # degree 2, but its bound still reads the removed 2; taken as it
+        # stands, the cut below level 2 would assert nothing
+        f = build_formula(5, [([(1, 3), (1, -2)], ">=", 1), ([(1, 4), (1, -2)], ">=", 1)])
+        e = Engine(f)
+        for lit in (1, 2):
+            assert e.propagate() is None
+            e.decide(lit)
+        assert e.propagate() is None
+        e.add_learned(((1, 5), (1, -1)), 1)
+        assert e.propagate() is None
+        confl = e.add_learned(((2, -5), (1, -2), (1, -3), (1, -4)), 2)
+        assert e.propagate() == confl
+        assert e.trail == [1, 2, 4, 3, 5]
+        (terms, degree, jump), steps = analyze_like_reference(e, confl)
+        assert (sorted(terms), degree, jump, steps) == ([(1, -4), (2, -2), (2, -1)], 2, 1, 2)
+
+    def test_every_conflict_of_two_auction_counts(self, monkeypatch):
+        analyze = Engine.analyze
+        seen = []
+
+        def checked(engine, confl):
+            out, n_steps = analyze_like_reference(engine, confl, analyze)
+            seen.append(n_steps)
+            return out
+
+        monkeypatch.setattr(Engine, "analyze", checked)
+        conflicts = 0
+        for seed in (17, 22):
+            f = parse_opb(gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=seed))
+            counter = ModelCounter(f, CounterConfig())
+            counter.run()
+            conflicts += counter.stats.conflicts
+        assert len(seen) == conflicts >= 300
+        assert sum(seen) > 2 * conflicts
 
 
 class TestLearnedStore:
@@ -488,4 +583,24 @@ class TestLearnedStore:
         entry = e.occ_learned[lit_index(3)].pop()
         e.occ_learned[lit_index(-3)] = [entry]
         with pytest.raises(AssertionError):
+            e.check_integrity()
+
+        # the trail's shape: two decisions, then x3 and x4 forced at level 2
+        e = Engine(build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)]))
+        for lit in (-1, -2):
+            assert e.propagate() is None
+            e.decide(lit)
+        assert e.propagate() is None
+        assert e.trail_view() == [(-1, 1, -1), (-2, 2, -1), (3, 2, 0), (4, 2, 0)]
+        e.check_integrity()
+        for array, index, bad, match in ((e.trail_lim, 1, 0, "strictly increasing"),
+                                          (e.trail_lim, 1, 4, "strictly increasing"),
+                                          (e.level, 3, 1, "level drift"),
+                                          (e.reason, 2, 0, "a decision has one"),
+                                          (e.reason, 4, -1, "a reason is missing")):
+            good = array[index]
+            array[index] = bad
+            with pytest.raises(AssertionError, match=match):
+                e.check_integrity()
+            array[index] = good
             e.check_integrity()
