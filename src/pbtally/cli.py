@@ -194,27 +194,30 @@ def _cmd_verify(args) -> int:
                           % (ENUMERATION_LIMIT, formula.num_vars)})
         return EXIT_USAGE
 
+    # each heuristic x key mode at the default, which counts small
+    # components by enumeration, then the search alone
+    runs = [("%s_%s" % (heuristic, "saturated" if saturate else "raw"),
+             _build_config(args, saturate_keys=saturate, heuristic=heuristic))
+            for heuristic in HEURISTICS for saturate in (True, False)]
+    search_only = _build_config(args, saturate_keys=True, heuristic="vcis")
+    search_only.leaf_cells = 0
+    runs.append(("search_only", search_only))
     counts = {}
-    first = True
-    for heuristic in HEURISTICS:
-        for saturate in (True, False):
-            config = _build_config(args, saturate_keys=saturate, heuristic=heuristic)
-            counter = ModelCounter(formula, config)
-            if first and args.corrupt_cache_after is not None:
-                counter.cache.debug_corrupt_after = args.corrupt_cache_after
-            first = False
-            try:
-                result = counter.run()
-            except SolveTimeout as exc:
-                _report({"status": "timeout", "command": "verify",
-                         "file": args.file, "error": str(exc)})
-                return EXIT_TIMEOUT
-            except MemoryBudgetExceeded as exc:
-                _report({"status": "memout", "command": "verify",
-                         "file": args.file, "error": str(exc)})
-                return EXIT_MEMOUT
-            label = "%s_%s" % (heuristic, "saturated" if saturate else "raw")
-            counts[label] = result.count
+    for label, config in runs:
+        counter = ModelCounter(formula, config)
+        if not counts and args.corrupt_cache_after is not None:
+            counter.cache.debug_corrupt_after = args.corrupt_cache_after
+        try:
+            result = counter.run()
+        except SolveTimeout as exc:
+            _report({"status": "timeout", "command": "verify",
+                     "file": args.file, "error": str(exc)})
+            return EXIT_TIMEOUT
+        except MemoryBudgetExceeded as exc:
+            _report({"status": "memout", "command": "verify",
+                     "file": args.file, "error": str(exc)})
+            return EXIT_MEMOUT
+        counts[label] = result.count
     counts["exhaustive"] = brute_count(formula).count
 
     values = set(counts.values())
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        help="recount under four configurations plus exhaustive enumeration")
+        help="recount under five configurations plus exhaustive enumeration")
     p_verify.add_argument("file", help="OPB input path, or - for stdin")
     p_verify.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="wall-clock budget per configuration")

@@ -2,8 +2,9 @@
 
 The search keeps a stack of frames, one per subproblem being counted.
 A frame owns a branching literal; each branch is propagated, split into
-variable-disjoint residual components, and every component is either
-answered from the cache or pushed as a child frame. A finished frame
+variable-disjoint residual components, and every component is answered
+from the cache, counted by enumerating its assignments when it is small
+(``CounterConfig.leaf_cells``), or pushed as a child frame. A finished frame
 reports models(branch true) + models(branch false), multiplied into its
 parent, and unconstrained variables contribute a power of two directly.
 
@@ -23,7 +24,7 @@ import math
 import time
 from typing import Callable, Optional
 
-from .components import Component, CountCache, encode_component
+from .components import Component, CountCache, count_component, encode_component
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
 
@@ -57,6 +58,11 @@ class CounterConfig:
     constraints. Both are ints of at least 0 (None lifts the second), and
     ``timeout_s`` is a positive, finite int or float; no ``bool`` passes.
 
+    ``leaf_cells``, an int of at least 0, is the largest component the
+    counter counts by enumeration instead of search, in cells: its
+    constraints times 2 to the power of its variables. 0 turns
+    enumeration off, so every component is searched.
+
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, and
     ``("learned", (terms, degree, jump))`` after the backjump to ``jump``
@@ -66,12 +72,13 @@ class CounterConfig:
 
     __slots__ = ("heuristic", "saturate_keys", "max_cache_bytes",
                  "max_memory_bytes", "timeout_s", "max_learned",
-                 "on_event", "debug_checks")
+                 "leaf_cells", "on_event", "debug_checks")
 
     def __init__(self, heuristic: str = "vcis", saturate_keys: bool = True,
                  max_cache_bytes: int = 256 << 20,
                  max_memory_bytes: Optional[int] = None,
                  timeout_s: Optional[float] = None, max_learned: int = 10000,
+                 leaf_cells: int = 4096,
                  on_event: Optional[Callable[[str, tuple], None]] = None,
                  debug_checks: bool = False):
         if heuristic not in ("vcis", "baseline"):
@@ -82,10 +89,11 @@ class CounterConfig:
             raise ValueError("timeout_s must be positive and finite, got %r"
                              % (timeout_s,))
         # checked here: a float or None would fail only deep inside a count
-        budgets = [("max_cache_bytes", max_cache_bytes), ("max_learned", max_learned)]
+        sizes = [("max_cache_bytes", max_cache_bytes), ("max_learned", max_learned),
+                 ("leaf_cells", leaf_cells)]
         if max_memory_bytes is not None:
-            budgets.append(("max_memory_bytes", max_memory_bytes))
-        for name, value in budgets:
+            sizes.append(("max_memory_bytes", max_memory_bytes))
+        for name, value in sizes:
             if type(value) is not int or value < 0:
                 raise ValueError("%s must be an int of at least 0, got %r"
                                  % (name, value))
@@ -95,6 +103,7 @@ class CounterConfig:
         self.max_memory_bytes = max_memory_bytes
         self.timeout_s = timeout_s
         self.max_learned = max_learned
+        self.leaf_cells = leaf_cells
         self.on_event = on_event
         self.debug_checks = debug_checks
 
@@ -103,7 +112,8 @@ class SearchStats:
     __slots__ = ("decisions", "conflicts", "propagations", "learned",
                  "cache_hits", "cache_misses", "cache_stores",
                  "cache_evictions", "cache_purged", "cache_entries",
-                 "cache_bytes_peak", "peak_depth", "peak_open_components")
+                 "cache_bytes_peak", "peak_depth", "peak_open_components",
+                 "leaf_counts")
 
     def __init__(self):
         for name in self.__slots__:
@@ -474,6 +484,15 @@ class ModelCounter:
                 if cached is not None:
                     frame.prod *= cached
                     continue
+                # cstrs << vars <= leaf_cells, without building 1 << vars
+                if len(comp.cstr_ids) <= cfg.leaf_cells >> len(comp.var_ids):
+                    leaf = count_component(comp, engine.constraints,
+                                           engine.gapv, engine.val)
+                    if leaf is not None:
+                        stats.leaf_counts += 1
+                        self._budget_tick()
+                        frame.prod *= cache.store(key, leaf)
+                        continue
                 # a cache miss is about to be branched on, so its split
                 # may skip the search; the trail is still the one it was
                 # split under
@@ -500,10 +519,8 @@ class ModelCounter:
                     engine.decide(frame.lit)
                     self._note_decision(frame.lit)
                 else:
-                    total = frame.branch_sum
-                    cache.store(frame.key, total)
                     stack.pop()
-                    stack[-1].prod *= total
+                    stack[-1].prod *= cache.store(frame.key, frame.branch_sum)
 
         assert 0 <= count <= (1 << self.formula.num_vars)
         stats.propagations = engine.n_propagations

@@ -306,6 +306,8 @@ def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0
 def count_with_events(formula: PBFormula):
     """Count through ``on_event`` and return ``(counter, result, decisions, learned)``.
 
+    Enumeration is off, so every component is searched.
+
     ``decisions`` are the ``(level, lit)`` payloads in order. ``learned``
     entries are ``(terms, degree, jump, asserting)``. ``asserting`` is read
     from the engine as the event arrives, after the backjump and before the
@@ -326,7 +328,7 @@ def count_with_events(formula: PBFormula):
         forcing = any(lit_value(lit) is None and a > slack for a, lit in terms)
         learned.append((terms, degree, jump, slack >= 0 and forcing))
 
-    counter = ModelCounter(formula, CounterConfig(on_event=on_event))
+    counter = ModelCounter(formula, CounterConfig(leaf_cells=0, on_event=on_event))
     result = counter.run()
     return counter, result, decisions, learned
 

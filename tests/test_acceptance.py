@@ -35,7 +35,7 @@ def test_c1_counts_match_exhaustive_enumeration():
         f = _helpers.random_formula(rng, **C1_CORPUS)
         assert f.num_vars <= 15
         want = 0 if f.unsat_at_load else brute_count(f).count
-        assert count_models(f).count == want
+        assert count_models(f, CounterConfig(leaf_cells=0)).count == want
         checked += 1
     assert checked >= 1000
     assert time.monotonic() - started < 120.0
@@ -43,11 +43,14 @@ def test_c1_counts_match_exhaustive_enumeration():
 
 def test_c2_count_invariant_across_configurations():
     # replays the test_c1 corpus (same seed, same parameters) under every
-    # heuristic x key-mode pair; test_c1 already pinned the default pair
-    # to exhaustive enumeration on these exact formulas
+    # heuristic x key-mode pair with enumeration off, and under the
+    # default, which counts small components by enumeration; test_c1
+    # already pinned the first pair to exhaustive enumeration on these
+    # exact formulas
     rng = random.Random(101)
-    configs = [CounterConfig(heuristic=h, saturate_keys=s)
+    configs = [CounterConfig(heuristic=h, saturate_keys=s, leaf_cells=0)
                for h in ("vcis", "baseline") for s in (True, False)]
+    configs.append(CounterConfig())
     instances = 0
     for _ in range(1000):
         f = _helpers.random_formula(rng, **C1_CORPUS)

@@ -62,6 +62,8 @@ class TestCount:
         assert code == 0
         stats = load_report(err)["stats"]
         assert "decisions" in stats and "cache_hits" in stats
+        # one component of three variables and two constraints: enumerated
+        assert stats["leaf_counts"] == 1 and stats["decisions"] == 0
 
     def test_flags_reach_the_config(self, tmp_path, capsys):
         path = write(tmp_path, "small.opb", SMALL)
@@ -167,7 +169,7 @@ class TestVerify:
         payload = load_report(err)
         assert payload["status"] == "pass"
         counts = payload["counts"]
-        assert set(counts) == {"vcis_saturated", "vcis_raw",
+        assert set(counts) == {"search_only", "vcis_saturated", "vcis_raw",
                                "baseline_saturated", "baseline_raw",
                                "exhaustive"}
         assert len(set(counts.values())) == 1

@@ -7,6 +7,7 @@ import pytest
 from pbtally import (Component, CountCache, brute_count, brute_residual_count,
                      build_formula, decode_component, encode_component,
                      residual_components, saturate_gap)
+from pbtally.components import LEAF_MASS_LIMIT, count_component
 from pbtally.engine import UNASSIGNED
 from pbtally.formula import PBConstraint, constraint_gap, lit_var
 
@@ -154,6 +155,62 @@ class TestResidualComponents:
             assert product == brute_residual_count(f, asn)
             checked += 1
         assert checked > 150
+
+
+class TestCountComponent:
+    def test_matches_oracle_on_random_residual_components(self):
+        # each enumerated count equals exhaustive enumeration of the
+        # component's subformula, and with the free variables' powers of
+        # two they multiply to the residual count
+        rng = random.Random(4411)
+        seen = dict.fromkeys(("negative", "saturated", "clausal", "empty"), 0)
+        checked = 0
+        for _ in range(300):
+            f = _helpers.random_formula(rng, max_vars=10)
+            if f.unsat_at_load:
+                continue
+            asn = _helpers.random_partial_assignment(rng, f.num_vars)
+            if any(constraint_gap(c, asn) > 0 and all(lit_var(l) in asn for _, l in c.terms)
+                   for c in f.constraints):
+                # a fully assigned yet unsatisfied constraint is in no component
+                continue
+            comps, free = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
+            product = 1 << len(free)
+            for comp in comps:
+                n = count_component(comp, f.constraints, gapv, val)
+                sub = _helpers.component_subformula(f, comp, _gaps(gapv, comp))
+                assert n == brute_count(sub).count
+                product *= n
+                seen["empty"] += n == 0
+                for cid in comp.cstr_ids:
+                    c = f.constraints[cid]
+                    open_terms = [(a, l) for a, l in c.terms if lit_var(l) not in asn]
+                    seen["negative"] += any(l < 0 for _, l in open_terms)
+                    seen["saturated"] += gapv[cid] < min(a for a, _ in open_terms)
+                    seen["clausal"] += c.clausal
+            assert product == brute_residual_count(f, asn)
+            checked += 1
+        assert checked > 150
+        assert min(seen.values()) >= 20, seen
+
+    def test_negative_literal_counts_when_false(self):
+        # 2 x1 + 3 ~x2 >= 3 holds exactly when x2 is false
+        cons = [PBConstraint(0, [(2, 1), (3, -2)], 3)]
+        comp = Component((1, 2), (0,))
+        gapv, val = _hand_arrays(cons, comp, [3])
+        assert count_component(comp, cons, gapv, val) == 2
+
+    def test_open_mass_at_the_int64_margin_is_left_to_the_search(self):
+        half = LEAF_MASS_LIMIT >> 1
+        comp = Component((1, 2), (0,))
+        at_limit = [PBConstraint(0, [(half, 1), (half, -2)], half)]
+        gapv, val = _hand_arrays(at_limit, comp, [half])
+        assert count_component(comp, at_limit, gapv, val) is None
+        # one less is enumerated: x1 true, or x1 false and x2 false
+        below = [PBConstraint(0, [(half, 1), (half - 1, -2)], half - 1)]
+        gapv, val = _hand_arrays(below, comp, [half - 1])
+        assert count_component(comp, below, gapv, val) == 3
 
 
 class TestSaturateGap:
@@ -388,9 +445,9 @@ class TestCountCache:
 
     def test_first_store_wins(self):
         cache = CountCache()
-        cache.store(b"k", 5)
+        assert cache.store(b"k", 5) == 5
         before = cache.bytes_used
-        cache.store(b"k", 9)
+        assert cache.store(b"k", 9) == 5
         assert cache.lookup(b"k") == 5
         assert cache.stores == 1
         assert cache.log_position() == 1
@@ -488,9 +545,9 @@ class TestCountCache:
     def test_corrupt_hook_breaks_one_store(self):
         cache = CountCache()
         cache.debug_corrupt_after = 1
-        cache.store(b"a", 10)
-        cache.store(b"b", 20)
-        cache.store(b"c", 30)
+        # the search multiplies in what store returns, so the corruption shows
+        assert [cache.store(k, n) for k, n in ((b"a", 10), (b"b", 20), (b"c", 30))] \
+            == [10, 21, 30]
         assert cache.lookup(b"a") == 10
         assert cache.lookup(b"b") == 21
         assert cache.lookup(b"c") == 30

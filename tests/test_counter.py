@@ -19,8 +19,9 @@ from pbtally.formula import constraint_gap, lit_var, parse_opb
 
 
 def all_configs():
-    return [CounterConfig(heuristic=h, saturate_keys=s)
-            for h in ("vcis", "baseline") for s in (True, False)]
+    """Every heuristic x key-mode pair with enumeration off, then the default."""
+    return [CounterConfig(heuristic=h, saturate_keys=s, leaf_cells=0)
+            for h in ("vcis", "baseline") for s in (True, False)] + [CounterConfig()]
 
 
 def _pinned_formulas():
@@ -47,62 +48,64 @@ def _pinned_formulas():
 _STAT_FIELDS = ("decisions", "conflicts", "propagations", "learned",
                 "cache_hits", "cache_misses", "cache_stores",
                 "cache_evictions", "cache_purged", "cache_entries",
-                "cache_bytes_peak", "peak_depth", "peak_open_components")
+                "cache_bytes_peak", "peak_depth", "peak_open_components",
+                "leaf_counts")
 
-#: (count, SearchStats values in _STAT_FIELDS order) per pinned instance
+#: (count, SearchStats values in _STAT_FIELDS order) per pinned instance,
+#: with enumeration off
 _PINNED_STATS = {
     "vcis": [
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-        (21, (14, 2, 19, 2, 1, 8, 6, 0, 0, 6, 448, 4, 3)),
-        (1428, (14, 0, 15, 0, 0, 7, 7, 0, 0, 7, 529, 5, 5)),
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-        (0, (1, 2, 12, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1)),
-        (120, (12, 2, 12, 2, 1, 6, 4, 0, 0, 4, 300, 5, 4)),
-        (8, (11, 4, 24, 4, 0, 6, 2, 0, 0, 2, 151, 4, 4)),
-        (77, (18, 1, 24, 1, 1, 9, 8, 0, 0, 8, 622, 5, 4)),
-        (0, (9, 2, 13, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5)),
-        (192, (22, 4, 31, 4, 2, 12, 8, 0, 0, 8, 614, 5, 5)),
-        (260, (43, 6, 53, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5)),
-        (954, (48, 4, 36, 4, 7, 24, 20, 0, 0, 20, 1503, 7, 6)),
-        (164, (131, 9, 216, 9, 21, 69, 60, 0, 0, 60, 4978, 11, 10)),
-        (296, (150, 12, 269, 12, 14, 80, 68, 0, 0, 68, 5689, 13, 12)),
-        (104, (74, 6, 146, 6, 3, 39, 33, 0, 0, 33, 2762, 12, 11)),
-        (62, (57, 6, 134, 6, 0, 31, 25, 0, 0, 25, 2087, 9, 8)),
-        (66064, (5264, 32, 4471, 32, 2017, 2642, 2610, 0, 0, 2610, 206195, 20, 20)),
-        (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17)),
-        (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17)),
-        (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
+        (21, (14, 2, 19, 2, 1, 8, 6, 0, 0, 6, 448, 4, 3, 0)),
+        (1428, (14, 0, 15, 0, 0, 7, 7, 0, 0, 7, 529, 5, 5, 0)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
+        (0, (1, 2, 12, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0)),
+        (120, (12, 2, 12, 2, 1, 6, 4, 0, 0, 4, 300, 5, 4, 0)),
+        (8, (11, 4, 24, 4, 0, 6, 2, 0, 0, 2, 151, 4, 4, 0)),
+        (77, (18, 1, 24, 1, 1, 9, 8, 0, 0, 8, 622, 5, 4, 0)),
+        (0, (9, 2, 13, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0)),
+        (192, (22, 4, 31, 4, 2, 12, 8, 0, 0, 8, 614, 5, 5, 0)),
+        (260, (43, 6, 53, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5, 0)),
+        (954, (48, 4, 36, 4, 7, 24, 20, 0, 0, 20, 1503, 7, 6, 0)),
+        (164, (131, 9, 216, 9, 21, 69, 60, 0, 0, 60, 4978, 11, 10, 0)),
+        (296, (150, 12, 269, 12, 14, 80, 68, 0, 0, 68, 5689, 13, 12, 0)),
+        (104, (74, 6, 146, 6, 3, 39, 33, 0, 0, 33, 2762, 12, 11, 0)),
+        (62, (57, 6, 134, 6, 0, 31, 25, 0, 0, 25, 2087, 9, 8, 0)),
+        (66064, (5264, 32, 4471, 32, 2017, 2642, 2610, 0, 0, 2610, 206195, 20, 20, 0)),
+        (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17, 0)),
+        (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17, 0)),
+        (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17, 0)),
     ],
     "baseline": [
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-        (21, (13, 3, 21, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4)),
-        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4)),
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)),
-        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1)),
-        (120, (9, 2, 10, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4)),
-        (8, (5, 1, 15, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2)),
-        (77, (15, 1, 27, 1, 0, 8, 7, 0, 0, 7, 557, 5, 4)),
-        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5)),
-        (192, (23, 6, 38, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5)),
-        (260, (32, 3, 34, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5)),
-        (954, (36, 1, 28, 1, 2, 18, 17, 0, 0, 17, 1269, 6, 5)),
-        (164, (131, 1, 130, 1, 7, 66, 65, 0, 0, 65, 4989, 14, 13)),
-        (296, (180, 0, 107, 0, 29, 90, 90, 0, 0, 90, 6775, 15, 15)),
-        (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11)),
-        (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11)),
-        (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20)),
-        (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17)),
-        (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17)),
-        (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
+        (21, (13, 3, 21, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4, 0)),
+        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
+        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0)),
+        (120, (9, 2, 10, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4, 0)),
+        (8, (5, 1, 15, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0)),
+        (77, (15, 1, 27, 1, 0, 8, 7, 0, 0, 7, 557, 5, 4, 0)),
+        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5, 0)),
+        (192, (23, 6, 38, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5, 0)),
+        (260, (32, 3, 34, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5, 0)),
+        (954, (36, 1, 28, 1, 2, 18, 17, 0, 0, 17, 1269, 6, 5, 0)),
+        (164, (131, 1, 130, 1, 7, 66, 65, 0, 0, 65, 4989, 14, 13, 0)),
+        (296, (180, 0, 107, 0, 29, 90, 90, 0, 0, 90, 6775, 15, 15, 0)),
+        (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0)),
+        (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11, 0)),
+        (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20, 0)),
+        (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17, 0)),
+        (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17, 0)),
+        (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17, 0)),
     ],
 }
 
-#: with ``max_learned=2``: the pinned rows that differ from _PINNED_STATS,
-#: and the learned constraints evicted over all instances
+#: with ``max_learned=2`` and enumeration off: the pinned rows that differ
+#: from _PINNED_STATS, and the learned constraints evicted over all instances
 _PINNED_TWO_LEARNED = {
-    "vcis": ({6: (8, (12, 5, 26, 5, 0, 7, 2, 0, 0, 2, 151, 4, 4)),
-              10: (260, (43, 6, 55, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5)),
-              12: (164, (132, 9, 220, 9, 20, 69, 60, 0, 0, 60, 4978, 11, 10))},
+    "vcis": ({6: (8, (12, 5, 26, 5, 0, 7, 2, 0, 0, 2, 151, 4, 4, 0)),
+              10: (260, (43, 6, 55, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5, 0)),
+              12: (164, (132, 9, 220, 9, 20, 69, 60, 0, 0, 60, 4978, 11, 10, 0))},
              67),
     "baseline": ({}, 9),
 }
@@ -125,7 +128,7 @@ class TestCountMatchesOracle:
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
-            res = count_models(f, CounterConfig())
+            res = count_models(f, CounterConfig(leaf_cells=0))
             assert res.count == want
             conflicts += res.stats.conflicts
         assert conflicts > 100
@@ -144,7 +147,7 @@ class TestCountMatchesOracle:
                 continue
             want = brute_count(f).count
             cfg = CounterConfig(max_cache_bytes=2048, max_learned=1,
-                                debug_checks=True)
+                                leaf_cells=0, debug_checks=True)
             res = count_models(f, cfg)
             assert res.count == want
             cache = res.cache
@@ -163,7 +166,7 @@ class TestCountMatchesOracle:
             f = _helpers.random_formula(rng, max_vars=9)
             if f.unsat_at_load:
                 continue
-            cfg = CounterConfig(debug_checks=True)
+            cfg = CounterConfig(leaf_cells=0, debug_checks=True)
             assert count_models(f, cfg).count == brute_count(f).count
 
     def test_debug_checks_stay_silent_below_covers(self):
@@ -174,7 +177,7 @@ class TestCountMatchesOracle:
             f = _helpers.covered_formula(rng)
             if f.unsat_at_load:
                 continue
-            mc = ModelCounter(f, CounterConfig(debug_checks=True))
+            mc = ModelCounter(f, CounterConfig(leaf_cells=0, debug_checks=True))
             split = mc._split_scope
 
             def counting_split(scope_vars, parent=None):
@@ -199,7 +202,8 @@ class TestCountMatchesOracle:
             for heuristic in ("vcis", "baseline"):
                 for max_learned in (2, CounterConfig().max_learned):
                     plain, checked = (count_models(f, CounterConfig(
-                        heuristic=heuristic, max_learned=max_learned, debug_checks=debug))
+                        heuristic=heuristic, max_learned=max_learned, leaf_cells=0,
+                        debug_checks=debug))
                         for debug in (False, True))
                     assert checked.count == plain.count
                     assert checked.stats.as_dict() == plain.stats.as_dict()
@@ -238,13 +242,34 @@ class TestCountMatchesOracle:
                 continue
             mc = ModelCounter(f, CounterConfig(saturate_keys=i % 2 == 0,
                                                max_learned=max_learned,
-                                               debug_checks=True))
+                                               leaf_cells=0, debug_checks=True))
             res = mc.run()
             assert res.count == brute_count(f).count
             conflicts += res.stats.conflicts
             reductions += res.stats.learned > max_learned
         assert keys > 2000 and conflicts > 300
         assert reductions > 30 or max_learned > 1
+
+    def test_component_past_the_int64_margin_is_searched(self, monkeypatch):
+        # the root component's open mass is 3 * 2**59 + 1, so enumeration
+        # declines it and the search branches; two decisions down it
+        # falls under the margin and is enumerated
+        count = pbtally.counter.count_component
+        declined = 0
+
+        def watched(*args):
+            nonlocal declined
+            n = count(*args)
+            declined += n is None
+            return n
+
+        monkeypatch.setattr(pbtally.counter, "count_component", watched)
+        big = 1 << 59
+        f = build_formula(4, [([(big, 1), (big, 2), (big, 3), (1, 4)], ">=", big + 1),
+                              ([(1, -1), (1, 4)], ">=", 1)])
+        res = count_models(f)
+        assert res.count == brute_count(f).count
+        assert declined > 0 and res.stats.decisions > 0 and res.stats.leaf_counts > 0
 
     def test_unconstrained_variables_double_the_count(self):
         f = build_formula(10, [([(1, 1), (1, 2)], ">=", 1)])
@@ -495,8 +520,19 @@ class TestBudgets:
         f = parse_opb(gen_auction(bids=40, items=20, revenue_fraction=0.15, seed=5))
         started = time.monotonic()
         with pytest.raises(SolveTimeout):
-            count_models(f, CounterConfig(timeout_s=0.5))
+            count_models(f, CounterConfig(timeout_s=0.5, leaf_cells=0))
         assert time.monotonic() - started < 2.5
+
+    def test_memory_budget_holds_between_enumerations(self):
+        # every block is a root component counted by enumeration, so the
+        # count makes no decision; each enumeration ticks the budget
+        blocks = [build_formula(3, [([(1, 1), (1, 2), (1, 3)], ">=", 2)])] * 600
+        f = _helpers.disjoint_union(blocks)
+        res = count_models(f)
+        assert res.count == 4 ** 600
+        assert res.stats.decisions == 0 and res.stats.leaf_counts == 600
+        with pytest.raises(MemoryBudgetExceeded):
+            count_models(f, CounterConfig(max_memory_bytes=4096))
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout_s": float("nan")}, {"timeout_s": 0}, {"timeout_s": -1.0},
@@ -507,6 +543,8 @@ class TestBudgets:
         {"max_cache_bytes": None}, {"max_memory_bytes": "10"}, {"timeout_s": "1"},
         {"max_cache_bytes": 2.5}, {"max_memory_bytes": 2.5}, {"timeout_s": True},
         {"max_cache_bytes": True},
+        {"leaf_cells": -1}, {"leaf_cells": 2.5}, {"leaf_cells": True},
+        {"leaf_cells": None}, {"leaf_cells": "4096"},
     ])
     def test_out_of_range_budgets_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -514,10 +552,10 @@ class TestBudgets:
 
     def test_smallest_budgets_accepted(self):
         cfg = CounterConfig(timeout_s=1e-6, max_cache_bytes=0, max_memory_bytes=0,
-                            max_learned=0)
+                            max_learned=0, leaf_cells=0)
         assert cfg.timeout_s == 1e-6
         assert cfg.max_cache_bytes == 0 and cfg.max_memory_bytes == 0
-        assert cfg.max_learned == 0
+        assert cfg.max_learned == 0 and cfg.leaf_cells == 0
 
     def test_generous_budgets_do_not_interfere(self):
         f = build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)])
@@ -563,7 +601,7 @@ class TestLogsAndStats:
         peaks = []
         conflicts = 0
         for f in _pinned_formulas()[:17]:
-            stats = count_models(f).stats
+            stats = count_models(f, CounterConfig(leaf_cells=0)).stats
             peaks.append(stats.peak_open_components)
             conflicts += stats.conflicts
         assert conflicts > 50
@@ -576,7 +614,7 @@ class TestLogsAndStats:
         assert SearchStats.__slots__ == _STAT_FIELDS
         got = []
         for f in _pinned_formulas():
-            res = count_models(f, CounterConfig(heuristic=heuristic))
+            res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
             got.append((res.count, tuple(res.stats.as_dict().values())))
         assert got == _PINNED_STATS[heuristic]
 
@@ -589,7 +627,8 @@ class TestLogsAndStats:
         got = []
         evicted = 0
         for f in _pinned_formulas():
-            mc = ModelCounter(f, CounterConfig(heuristic=heuristic, max_learned=2))
+            mc = ModelCounter(f, CounterConfig(heuristic=heuristic, max_learned=2,
+                                               leaf_cells=0))
             res = mc.run()
             got.append((res.count, tuple(res.stats.as_dict().values())))
             engine = mc.engine

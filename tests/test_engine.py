@@ -414,7 +414,7 @@ class TestAnalyzeMatchesReference:
         conflicts = 0
         for seed in (17, 22):
             f = parse_opb(gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=seed))
-            counter = ModelCounter(f, CounterConfig())
+            counter = ModelCounter(f, CounterConfig(leaf_cells=0))
             counter.run()
             conflicts += counter.stats.conflicts
         assert len(seen) == conflicts >= 300

@@ -2,8 +2,11 @@
 
 import pytest
 
-from pbtally import (brute_count, count_models, gen_auction, gen_knapsack,
-                     gen_sensor, parse_opb)
+from pbtally import (CounterConfig, brute_count, count_models, gen_auction,
+                     gen_knapsack, gen_sensor, parse_opb)
+
+#: the search alone, and the default, which counts small components by enumeration
+CONFIGS = (CounterConfig(leaf_cells=0), CounterConfig())
 
 
 def body_lines(text):
@@ -81,7 +84,8 @@ class TestKnapsack:
     def test_count_matches_oracle(self):
         f = parse_opb(gen_knapsack(items=12, dims=2, max_coeff=9,
                                    capacity_fraction=0.5, seed=5))
-        assert count_models(f).count == brute_count(f).count
+        for cfg in CONFIGS:
+            assert count_models(f, cfg).count == brute_count(f).count
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -119,7 +123,8 @@ class TestAuction:
 
     def test_count_matches_oracle(self):
         f = parse_opb(gen_auction(bids=10, items=7, seed=4))
-        assert count_models(f).count == brute_count(f).count
+        for cfg in CONFIGS:
+            assert count_models(f, cfg).count == brute_count(f).count
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -178,7 +183,8 @@ class TestSensor:
     def test_count_matches_oracle(self):
         for kwargs in (dict(), dict(cost_aware=True)):
             f = parse_opb(gen_sensor(sensors=9, targets=10, seed=9, **kwargs))
-            assert count_models(f).count == brute_count(f).count
+            for cfg in CONFIGS:
+                assert count_models(f, cfg).count == brute_count(f).count
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
