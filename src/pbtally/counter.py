@@ -43,11 +43,12 @@ class MemoryBudgetExceeded(Exception):
 class CounterConfig:
     """Knobs for one counting run; defaults match the command line.
 
-    ``heuristic`` picks the branching variable: ``"vcis"`` weighs conflict
-    activity and the static :func:`compute_vcis_scores` score equally,
-    each scaled by its maximum over the component, and takes the score's
-    preferred phase; ``"baseline"`` adds activity to the number of active
-    constraints and branches positive first.
+    ``heuristic`` picks the branching variable. Under both, a variable
+    scores its number of active original constraints plus a bonus.
+    ``"vcis"`` adds its conflict activity and its static
+    :func:`compute_vcis_scores` score, each over its largest value in the
+    component, and takes the static score's preferred phase;
+    ``"baseline"`` adds the raw activity and branches positive first.
 
     ``max_learned``, an int of at least 0, caps the learned constraints
     the engine holds. Past it the coldest ones that are not a reason on
@@ -64,10 +65,12 @@ class CounterConfig:
     enumeration off, so every component is searched.
 
     ``on_event(kind, payload)``, when set, sees the search as it runs:
-    ``("decision", (level, lit))`` after each decision, and
-    ``("learned", (terms, degree, jump))`` after the backjump to ``jump``
-    and before the learned constraint joins the engine; ``terms`` come in
-    no set order.
+    ``("decision", (level, lit))`` after each decision, with ``lit`` in
+    the input's variable ids, and ``("learned", (terms, degree, jump))``
+    after the backjump to ``jump`` and before the learned constraint joins
+    the engine; ``terms`` come in no set order, over the ids of
+    :attr:`ModelCounter.formula`, which renumbers the input's referenced
+    variables 1..n in order.
     """
 
     __slots__ = ("heuristic", "saturate_keys", "max_cache_bytes",
@@ -154,6 +157,28 @@ def dedup_constraints(formula: PBFormula) -> PBFormula:
     return PBFormula(formula.num_vars, bodies, formula.unsat_at_load)
 
 
+def compact_variables(formula: PBFormula):
+    """The formula over its referenced variables, renumbered 1..n in order.
+
+    Returns ``(compact, input_ids)``, where ``input_ids[v]`` is the input
+    id of compact variable ``v``; slot 0 is unused. The order is kept, so
+    a tie broken by the smallest id breaks the same way in both. Each
+    input variable in no constraint doubles the count, and is left to the
+    caller. When at least half of the variables are referenced,
+    ``formula`` itself comes back: its per-variable lists are at most
+    twice as long as needed, the search counts its unreferenced variables
+    as free, and no rebuild slows the load.
+    """
+    used = {lit if lit > 0 else -lit for c in formula.constraints for _, lit in c.terms}
+    if 2 * len(used) >= formula.num_vars:
+        return formula, range(formula.num_vars + 1)
+    used = sorted(used)
+    new_id = {v: i for i, v in enumerate(used, 1)}
+    bodies = [(tuple((a, new_id[lit] if lit > 0 else -new_id[-lit]) for a, lit in c.terms),
+               c.degree) for c in formula.constraints]
+    return PBFormula(len(used), bodies, formula.unsat_at_load), [0] + used
+
+
 def compute_vcis_scores(formula: PBFormula):
     """Per-variable coefficient-impact scores and preferred phases.
 
@@ -219,11 +244,22 @@ class ModelCounter:
 
     def __init__(self, formula: PBFormula, config: Optional[CounterConfig] = None):
         self.config = config or CounterConfig()
-        self.formula = dedup_constraints(formula)
+        formula = dedup_constraints(formula)
+        #: the counted formula; its per-variable lists are sized by the
+        #: input's referenced variables (see compact_variables)
+        self.formula, self.input_ids = compact_variables(formula)
+        #: input variables left out of it, each a factor of 2 in the count
+        self.unreferenced = formula.num_vars - self.formula.num_vars
         self.engine = Engine(self.formula, max_learned=self.config.max_learned)
         self.cache = CountCache(max_bytes=self.config.max_cache_bytes)
         self.stats = SearchStats()
-        self.vcis_scores, self.vcis_phases = compute_vcis_scores(self.formula)
+        #: static score and phase per variable; only ``vcis`` scales its scores
+        self._scaled = self.config.heuristic == "vcis"
+        if self._scaled:
+            self._static, self._phase = compute_vcis_scores(self.formula)
+        else:
+            self._static = [0.0] * (self.formula.num_vars + 1)
+            self._phase = [True] * (self.formula.num_vars + 1)
         #: components waiting in the ``pending`` lists of all stack frames
         self._open_pending = 0
         self._var_stamp = [0] * (self.formula.num_vars + 1)
@@ -342,45 +378,55 @@ class ModelCounter:
         return -1
 
     def _pick_literal(self, comp: Component) -> int:
-        """Branching literal for a component, ties to the smallest id."""
-        engine = self.engine
-        if self.config.heuristic == "baseline":
-            # an active constraint of a component variable is a component
-            # constraint, so the active ones are counted without a lookup
-            best_v = comp.var_ids[0]
-            best = -1.0
-            for v in comp.var_ids:
-                occ_count = 0
-                for ci, _, _ in engine.occ_static[v]:
-                    if engine.gapv[ci] > 0:
-                        occ_count += 1
-                score = engine.activity[v] + occ_count
-                if score > best:
-                    best = score
-                    best_v = v
-            return best_v
+        """Branching literal for a component, ties to the smallest id.
 
-        scores = self.vcis_scores
+        A variable scores its count of active original constraints plus
+        its activity plus its static score, and branches on its phase.
+        Under ``vcis`` the activity and the :func:`compute_vcis_scores`
+        score are each divided by their largest value in the component;
+        under ``baseline`` the activity is raw, the static score 0 and
+        the phase positive.
+        """
+        engine = self.engine
         activity = engine.activity
-        act_max = 0.0
-        sta_max = 0.0
-        for v in comp.var_ids:
-            if activity[v] > act_max:
-                act_max = activity[v]
-            if scores[v] > sta_max:
-                sta_max = scores[v]
-        best_v = comp.var_ids[0]
+        static = self._static
+        var_ids = comp.var_ids
+        act_max = sta_max = 0.0
+        if self._scaled:
+            for v in var_ids:
+                if activity[v] > act_max:
+                    act_max = activity[v]
+                if static[v] > sta_max:
+                    sta_max = static[v]
+        act_max = act_max or 1.0
+        sta_max = sta_max or 1.0
+        # a constraint over every variable of the formula adds 1 to each
+        # count, so when all of the component's are, no count needs a walk
+        same = len(comp.cstr_ids)
+        n = self.formula.num_vars
+        constraints = engine.constraints
+        for ci in comp.cstr_ids:
+            if len(constraints[ci].terms) < n:
+                same = -1
+                break
+        occ = engine.occ_static
+        gapv = engine.gapv
+        best_v = var_ids[0]
         best = -1.0
-        for v in comp.var_ids:
-            score = 0.0
-            if act_max > 0.0:
-                score += 0.5 * (activity[v] / act_max)
-            if sta_max > 0.0:
-                score += 0.5 * (scores[v] / sta_max)
+        for v in var_ids:
+            live = same
+            if live < 0:
+                # an active constraint of a component variable is a
+                # component constraint, so they are counted without a lookup
+                live = 0
+                for ci, _, _ in occ[v]:
+                    if gapv[ci] > 0:
+                        live += 1
+            score = activity[v] / act_max + static[v] / sta_max + live
             if score > best:
                 best = score
                 best_v = v
-        return best_v if self.vcis_phases[best_v] else -best_v
+        return best_v if self._phase[best_v] else -best_v
 
     def _budget_tick(self) -> None:
         self._ops += 1
@@ -423,7 +469,9 @@ class ModelCounter:
         self.stats.decisions += 1
         self._budget_tick()
         if self.config.on_event is not None:
-            self.config.on_event("decision", (self.engine.current_level(), lit))
+            v = self.input_ids[lit if lit > 0 else -lit]
+            self.config.on_event("decision", (self.engine.current_level(),
+                                              v if lit > 0 else -v))
 
     # ----- main loop --------------------------------------------------------
 
@@ -523,6 +571,7 @@ class ModelCounter:
                     stack[-1].prod *= cache.store(frame.key, frame.branch_sum)
 
         assert 0 <= count <= (1 << self.formula.num_vars)
+        count <<= self.unreferenced
         stats.propagations = engine.n_propagations
         stats.learned = engine.learned_total
         stats.cache_hits = cache.hits

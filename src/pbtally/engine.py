@@ -284,6 +284,10 @@ class Engine:
         for ci in self.dirty:
             self.in_dirty[ci] = False
         self.dirty.clear()
+        # a reduction keeps every reason on the trail, even past the cap;
+        # those retracted here may go now
+        if len(self.constraints) - self.first_learned > self.max_learned:
+            self._reduce_learned(protect=-1)
 
     # ----- activities ----------------------------------------------------
 

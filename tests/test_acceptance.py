@@ -1,6 +1,7 @@
 """Acceptance gate: eight pass/fail criteria for the whole counter.
 
-Each test is one criterion; `pytest -v` therefore prints one line per
+Each test is one criterion, except that criterion 4 has two, the scores
+and the choice they make; `pytest -v` therefore prints a line or two per
 criterion. Expected values come from independent references: exhaustive
 enumeration, exact rational arithmetic, a bit-parallel recount, and
 frozen constants recorded from those references.
@@ -12,9 +13,9 @@ from fractions import Fraction
 
 import _helpers
 from _bitparallel import bitparallel_count
-from pbtally import (CounterConfig, PBFormula, brute_count, build_formula,
-                     count_models, encode_component, gen_knapsack, gen_sensor,
-                     parse_opb, residual_components)
+from pbtally import (CounterConfig, ModelCounter, PBFormula, brute_count,
+                     build_formula, count_models, encode_component, gen_knapsack,
+                     gen_sensor, parse_opb, residual_components)
 from pbtally.counter import compute_vcis_scores
 from pbtally.cli import main as cli_main
 
@@ -167,6 +168,33 @@ def test_c4_branching_scores_match_hand_computed_values():
                 assert abs(scores[v] - float(expect)) <= 1e-12 * float(expect)
             assert phases[v] == phase
     assert constraints_checked >= 20
+
+
+def test_c4_branch_choice_matches_hand_computed_scores():
+    # written constraints (normalized terms, degree):
+    #   c1 = 2 x2 + ~x3 + x4 >= 2    ratios x2 1,   x3 1/2, x4 1/2
+    #   c2 = x1 + ~x3 + x4 >= 2      ratios x1 1/2, x3 1/2, x4 1/2
+    #   c3 = x1 + ~x3 >= 1           ratios x1 1,   x3 1
+    # static score (mean ratio): x1 3/4, x2 1, x3 2/3, x4 1/2; x3 leans
+    # negative. Active constraints: x1 2, x2 1, x3 3, x4 2. With activity
+    # x1 2 and x3 1/2, each ingredient alone picks another variable:
+    # activity x1, static x2, count x3. The sums, activity over 2 and
+    # static over 1, are x1 1 + 3/4 + 2 = 3.75, x2 0 + 1 + 1 = 2,
+    # x3 1/4 + 2/3 + 3 = 3.92 and x4 0 + 1/2 + 2 = 2.5, so x3 wins, on its
+    # negative phase. Without the count x1 wins (7/4 against 11/12), and
+    # so it does with the count divided by its maximum (2.42 against 1.92).
+    f = build_formula(4, [([(2, 2), (1, -3), (1, 4)], ">=", 2),
+                          ([(1, 1), (1, -3), (1, 4)], ">=", 2),
+                          ([(1, 1), (1, -3)], ">=", 1)])
+    want = {"vcis": -3, "baseline": 1}  # baseline: x1 2 + 2 = 4, x3 1/2 + 3
+    for heuristic, lit in want.items():
+        mc = ModelCounter(f, CounterConfig(heuristic=heuristic))
+        assert mc.engine.propagate() is None
+        comps, free = mc._split_scope(range(1, 5))
+        assert free == 0 and [tuple(c.var_ids) for c in comps] == [(1, 2, 3, 4)]
+        mc.engine.activity[1] = 2.0
+        mc.engine.activity[3] = 0.5
+        assert mc._pick_literal(comps[0]) == lit
 
 
 def test_c5_sensor_instances_are_well_formed():

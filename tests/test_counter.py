@@ -29,8 +29,9 @@ def _pinned_formulas():
 
     Disjoint conflict-prone blocks make backjumps discard frames whose
     sibling components were still waiting; the auction and sensor
-    instances add conflicts at larger depth, and the knapsack instances
-    are one wide component that never splits.
+    instances add conflicts at larger depth (the 35-bid auction most of
+    them), and the knapsack instances are one wide component that never
+    splits.
     """
     rng = random.Random(1)
     formulas = [_helpers.disjoint_union(
@@ -41,6 +42,8 @@ def _pinned_formulas():
     formulas.append(parse_opb(gen_sensor(
         sensors=30, targets=40, cost_aware=True, budget_fraction=0.7,
         max_cover=5, redundancy_rate=0.4, seed=3)))
+    formulas.append(parse_opb(gen_auction(bids=35, items=20, revenue_fraction=0.15,
+                                          seed=17)))
     formulas += [parse_opb(gen_knapsack(items=18, dims=2, seed=s)) for s in range(3)]
     return formulas
 
@@ -56,22 +59,23 @@ _STAT_FIELDS = ("decisions", "conflicts", "propagations", "learned",
 _PINNED_STATS = {
     "vcis": [
         (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
-        (21, (14, 2, 19, 2, 1, 8, 6, 0, 0, 6, 448, 4, 3, 0)),
-        (1428, (14, 0, 15, 0, 0, 7, 7, 0, 0, 7, 529, 5, 5, 0)),
+        (21, (15, 2, 21, 2, 2, 8, 6, 0, 0, 6, 449, 5, 4, 0)),
+        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0)),
         (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
-        (0, (1, 2, 12, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0)),
-        (120, (12, 2, 12, 2, 1, 6, 4, 0, 0, 4, 300, 5, 4, 0)),
-        (8, (11, 4, 24, 4, 0, 6, 2, 0, 0, 2, 151, 4, 4, 0)),
-        (77, (18, 1, 24, 1, 1, 9, 8, 0, 0, 8, 622, 5, 4, 0)),
-        (0, (9, 2, 13, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0)),
-        (192, (22, 4, 31, 4, 2, 12, 8, 0, 0, 8, 614, 5, 5, 0)),
-        (260, (43, 6, 53, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5, 0)),
-        (954, (48, 4, 36, 4, 7, 24, 20, 0, 0, 20, 1503, 7, 6, 0)),
-        (164, (131, 9, 216, 9, 21, 69, 60, 0, 0, 60, 4978, 11, 10, 0)),
-        (296, (150, 12, 269, 12, 14, 80, 68, 0, 0, 68, 5689, 13, 12, 0)),
-        (104, (74, 6, 146, 6, 3, 39, 33, 0, 0, 33, 2762, 12, 11, 0)),
-        (62, (57, 6, 134, 6, 0, 31, 25, 0, 0, 25, 2087, 9, 8, 0)),
-        (66064, (5264, 32, 4471, 32, 2017, 2642, 2610, 0, 0, 2610, 206195, 20, 20, 0)),
+        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0)),
+        (120, (10, 2, 10, 2, 1, 5, 3, 0, 0, 3, 221, 5, 4, 0)),
+        (8, (6, 1, 19, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0)),
+        (77, (16, 0, 27, 0, 0, 8, 8, 0, 0, 8, 631, 5, 5, 0)),
+        (0, (9, 2, 11, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0)),
+        (192, (21, 4, 34, 4, 1, 11, 7, 0, 0, 7, 543, 5, 5, 0)),
+        (260, (26, 1, 31, 1, 1, 13, 12, 0, 0, 12, 907, 5, 4, 0)),
+        (954, (38, 2, 28, 2, 6, 19, 17, 0, 0, 17, 1266, 6, 5, 0)),
+        (164, (110, 1, 124, 1, 5, 55, 54, 0, 0, 54, 4188, 16, 15, 0)),
+        (296, (120, 0, 105, 0, 3, 60, 60, 0, 0, 60, 4611, 15, 14, 0)),
+        (104, (59, 2, 110, 2, 2, 30, 28, 0, 0, 28, 2279, 12, 11, 0)),
+        (62, (51, 4, 118, 4, 3, 26, 22, 0, 0, 22, 1815, 14, 13, 0)),
+        (66064, (6626, 0, 2844, 0, 2606, 3313, 3313, 0, 0, 3313, 252652, 20, 20, 0)),
+        (6147, (3128, 131, 4790, 131, 618, 1602, 1471, 0, 0, 1471, 117548, 30, 29, 0)),
         (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17, 0)),
         (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17, 0)),
         (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17, 0)),
@@ -94,6 +98,7 @@ _PINNED_STATS = {
         (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0)),
         (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11, 0)),
         (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20, 0)),
+        (6147, (3206, 205, 5357, 205, 771, 1654, 1449, 0, 0, 1449, 118376, 27, 26, 0)),
         (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17, 0)),
         (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17, 0)),
         (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17, 0)),
@@ -103,11 +108,11 @@ _PINNED_STATS = {
 #: with ``max_learned=2`` and enumeration off: the pinned rows that differ
 #: from _PINNED_STATS, and the learned constraints evicted over all instances
 _PINNED_TWO_LEARNED = {
-    "vcis": ({6: (8, (12, 5, 26, 5, 0, 7, 2, 0, 0, 2, 151, 4, 4, 0)),
-              10: (260, (43, 6, 55, 6, 1, 22, 16, 0, 0, 16, 1217, 6, 5, 0)),
-              12: (164, (132, 9, 220, 9, 20, 69, 60, 0, 0, 60, 4978, 11, 10, 0))},
-             67),
-    "baseline": ({}, 9),
+    "vcis": ({9: (192, (22, 5, 37, 5, 1, 12, 7, 0, 0, 7, 543, 5, 5, 0)),
+              17: (6147, (3139, 135, 4816, 135, 620, 1608, 1473, 0, 0, 1473, 117692, 30, 29, 0))},
+             138),
+    "baseline": ({17: (6147, (3207, 233, 5489, 233, 793, 1656, 1423, 0, 0, 1423, 116547, 25, 25, 0))},
+                 240),
 }
 
 
@@ -123,7 +128,7 @@ class TestCountMatchesOracle:
     def test_conflict_heavy_formulas(self):
         rng = random.Random(6602)
         conflicts = 0
-        for _ in range(150):
+        for _ in range(200):
             f = _helpers.tight_formula(rng, max_vars=10)
             if f.unsat_at_load:
                 continue
@@ -141,8 +146,8 @@ class TestCountMatchesOracle:
         rng = random.Random(6603)
         evictions = 0
         reduced = 0
-        for _ in range(120):
-            f = _helpers.tight_formula(rng, max_vars=10)
+        for _ in range(200):
+            f = _helpers.tight_formula(rng, max_vars=12)
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
@@ -197,7 +202,7 @@ class TestCountMatchesOracle:
         # store reduced on most conflicts and with one never reduced
         conflicts = 0
         for seed in range(6):
-            f = parse_opb(gen_auction(bids=22, items=14, revenue_fraction=0.15, seed=seed))
+            f = parse_opb(gen_auction(bids=26, items=14, revenue_fraction=0.15, seed=seed))
             counts = set()
             for heuristic in ("vcis", "baseline"):
                 for max_learned in (2, CounterConfig().max_learned):
@@ -236,7 +241,7 @@ class TestCountMatchesOracle:
         builders = (_helpers.tight_formula, _helpers.random_formula,
                     _helpers.covered_formula)
         conflicts = reductions = 0
-        for i in range(600):
+        for i in range(900):
             f = builders[i % 3](rng)
             if f.unsat_at_load:
                 continue
@@ -391,6 +396,50 @@ class TestBranchingScores:
         comps, _ = mc._split_scope(range(1, 4))
         assert mc._pick_literal(comps[0]) == 1
 
+    def test_every_pick_matches_the_documented_score(self, monkeypatch):
+        # the score recomputed from its definition, with each variable's
+        # active constraints found in the component's own list; where all
+        # of those are over every variable, the counter counts none
+        pick = ModelCounter._pick_literal
+        unwalked = 0
+
+        def checked(mc, comp):
+            nonlocal unwalked
+            e = mc.engine
+            if mc.config.heuristic == "vcis":
+                static, phase = compute_vcis_scores(mc.formula)
+                act_max = max(e.activity[v] for v in comp.var_ids) or 1.0
+                sta_max = max(static[v] for v in comp.var_ids) or 1.0
+            else:
+                static = [0.0] * (mc.formula.num_vars + 1)
+                phase = [True] * (mc.formula.num_vars + 1)
+                act_max = sta_max = 1.0
+            held = [{lit_var(lit) for _, lit in e.constraints[ci].terms}
+                    for ci in comp.cstr_ids]
+
+            def score(v):
+                live = sum(v in vs for vs in held)
+                return e.activity[v] / act_max + static[v] / sta_max + live
+
+            v = max(comp.var_ids, key=lambda v: (score(v), -v))
+            lit = pick(mc, comp)
+            assert lit == (v if phase[v] else -v)
+            unwalked += all(len(vs) == mc.formula.num_vars for vs in held)
+            return lit
+
+        monkeypatch.setattr(ModelCounter, "_pick_literal", checked)
+        rng = random.Random(6615)
+        formulas = [parse_opb(gen_knapsack(items=12, dims=3, seed=s)) for s in range(3)]
+        formulas += [_helpers.covered_formula(rng) for _ in range(60)]
+        formulas += [_helpers.tight_formula(rng) for _ in range(60)]
+        for f in formulas:
+            if f.unsat_at_load:
+                continue
+            for heuristic in ("vcis", "baseline"):
+                res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
+                assert res.count == brute_count(f).count
+        assert unwalked > 1000
+
     def test_bad_heuristic_name_rejected(self):
         with pytest.raises(ValueError):
             CounterConfig(heuristic="random")
@@ -400,7 +449,7 @@ class TestSplitScopeMirror:
     def test_matches_pure_splitter_at_root_and_mid_search(self):
         rng = random.Random(6608)
         compared = 0
-        for _ in range(120):
+        for _ in range(200):
             f = _helpers.random_formula(rng, max_vars=10)
             if f.unsat_at_load:
                 continue
@@ -408,15 +457,17 @@ class TestSplitScopeMirror:
             e = mc.engine
             if e.propagate() is not None:
                 continue
+            # the counter renumbers the variables that some constraint holds
+            n = mc.formula.num_vars
             for _round in range(3):
-                comps, free = mc._split_scope(range(1, f.num_vars + 1))
+                comps, free = mc._split_scope(range(1, n + 1))
                 ref_comps, ref_free = residual_components(
                     mc.formula, e.assignment_dict())
                 assert comps == ref_comps
                 assert free == len(ref_free)
                 self._assert_gaps_exact(mc, comps)
                 compared += 1
-                unassigned = [v for v in range(1, f.num_vars + 1)
+                unassigned = [v for v in range(1, n + 1)
                               if e.lit_value(v) is None]
                 if not unassigned:
                     break
@@ -453,8 +504,8 @@ class TestSplitScopeMirror:
             f = _helpers.covered_formula(rng)
             if f.unsat_at_load:
                 continue
-            n = f.num_vars
             mc = ModelCounter(f, CounterConfig())
+            n = mc.formula.num_vars
             e = mc.engine
             if e.propagate() is not None:
                 continue
@@ -517,11 +568,48 @@ class TestBudgets:
     def test_timeout_overshoot_is_bounded(self):
         # few decisions, each propagating through many learned constraints,
         # so the budget must be polled often to stop near the deadline
-        f = parse_opb(gen_auction(bids=40, items=20, revenue_fraction=0.15, seed=5))
+        f = parse_opb(gen_auction(bids=50, items=20, revenue_fraction=0.15, seed=5))
         started = time.monotonic()
         with pytest.raises(SolveTimeout):
             count_models(f, CounterConfig(timeout_s=0.5, leaf_cells=0))
         assert time.monotonic() - started < 2.5
+
+    def test_lists_are_sized_by_the_referenced_variables(self):
+        # x2..x199999 are in no constraint: each doubles the count, and
+        # none takes a slot in the engine's or the counter's lists
+        f = parse_opb("1 x1 +1 x200000 >= 1 ;")
+        mc = ModelCounter(f)
+        assert mc.formula.num_vars == 2 and mc.unreferenced == 199998
+        assert len(mc.engine.val) == len(mc.engine.activity) == 3
+        assert len(mc._var_stamp) == len(mc._static) == 3
+        assert mc.run().count == 3 << 199998
+        # the header's variables count too, referenced or not
+        f = parse_opb("* #variable= 12 #constraint= 1\n+2 x9 +1 ~x4 +1 x11 >= 2 ;\n")
+        mc = ModelCounter(f)
+        assert mc.formula.num_vars == 3 and mc.unreferenced == 9
+        assert mc.run().count == brute_count(f).count == 5 << 9
+
+    def test_unreferenced_variables_change_only_the_count(self):
+        # the padded formula is renumbered back in the same order, so its
+        # search is the same, and each pad doubles the count
+        rng = random.Random(6616)
+        for _ in range(60):
+            f = _helpers.tight_formula(rng, max_vars=8)
+            if f.unsat_at_load:
+                continue
+            padded = PBFormula(3 * f.num_vars + 1, [c.body() for c in f.constraints])
+            for cfg in all_configs():
+                plain, more = count_models(f, cfg), count_models(padded, cfg)
+                assert more.count == plain.count << (2 * f.num_vars + 1)
+                assert more.stats.as_dict() == plain.stats.as_dict()
+
+    def test_decision_events_name_the_input_variables(self):
+        # the counter branches on x3, then on x8 below ~x3; it knows them
+        # as x1 and x2
+        f = parse_opb("+1 x3 +1 x8 +1 x12 >= 1 ;")
+        _, res, decisions, _ = _helpers.count_with_events(f)
+        assert res.count == brute_count(f).count == 7 << 9
+        assert [lit for _, lit in decisions] == [3, -3, 8, -8]
 
     def test_memory_budget_holds_between_enumerations(self):
         # every block is a root component counted by enumeration, so the
@@ -600,12 +688,12 @@ class TestLogsAndStats:
     def test_peak_open_components_pinned(self):
         peaks = []
         conflicts = 0
-        for f in _pinned_formulas()[:17]:
+        for f in _pinned_formulas()[:18]:
             stats = count_models(f, CounterConfig(leaf_cells=0)).stats
             peaks.append(stats.peak_open_components)
             conflicts += stats.conflicts
         assert conflicts > 50
-        assert peaks == [0, 3, 5, 0, 1, 4, 4, 4, 5, 5, 5, 6, 10, 12, 11, 8, 20]
+        assert peaks == [0, 4, 4, 0, 1, 4, 2, 5, 5, 5, 4, 5, 15, 14, 11, 13, 20, 29]
 
     @pytest.mark.parametrize("heuristic", ["vcis", "baseline"])
     def test_search_stats_pinned(self, heuristic):

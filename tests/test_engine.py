@@ -412,8 +412,8 @@ class TestAnalyzeMatchesReference:
 
         monkeypatch.setattr(Engine, "analyze", checked)
         conflicts = 0
-        for seed in (17, 22):
-            f = parse_opb(gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=seed))
+        for seed in (17, 18):
+            f = parse_opb(gen_auction(bids=40, items=20, revenue_fraction=0.15, seed=seed))
             counter = ModelCounter(f, CounterConfig(leaf_cells=0))
             counter.run()
             conflicts += counter.stats.conflicts
