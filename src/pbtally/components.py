@@ -38,22 +38,13 @@ class Component:
     ascending. Every unassigned variable of every listed constraint
     appears in ``var_ids``. The remaining degrees are the engine's
     ``gapv`` entries, so the component does not copy them.
-
-    ``cover`` is the id of one listed constraint whose unassigned
-    variables are exactly ``var_ids``, or -1 when none is known. The
-    counter looks one up only for a component it branches on. While that
-    constraint stays active it alone keeps whatever is left of the
-    component connected, so the splits below skip their search. It is a
-    hint, not part of the subproblem: equality, hashing and the cache key
-    ignore it.
     """
 
-    __slots__ = ("var_ids", "cstr_ids", "cover")
+    __slots__ = ("var_ids", "cstr_ids")
 
-    def __init__(self, var_ids: Iterable[int], cstr_ids: Iterable[int], *, cover: int = -1):
+    def __init__(self, var_ids: Iterable[int], cstr_ids: Iterable[int]):
         self.var_ids = tuple(var_ids)
         self.cstr_ids = tuple(cstr_ids)
-        self.cover = cover
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Component)

@@ -264,11 +264,17 @@ class ModelCounter:
         self._open_pending = 0
         self._var_stamp = [0] * (self.formula.num_vars + 1)
         self._cstr_stamp = [0] * len(self.formula.constraints)
-        #: no constraint covers a component with more variables than its terms
-        self._widest = max((len(c.terms) for c in self.formula.constraints), default=0)
         self._stamp = 0
         self._ops = 0
         self._deadline = None
+        #: per variable, the constraints over every variable of its block,
+        #: the component holding it on the empty trail; () when none is
+        self._spanning = [()] * (self.formula.num_vars + 1)
+        for block in self._split_scope(range(1, self.formula.num_vars + 1))[0]:
+            spans = tuple(ci for ci in block.cstr_ids
+                          if len(self.engine.constraints[ci].terms) == len(block.var_ids))
+            for v in block.var_ids:
+                self._spanning[v] = spans
 
     # ----- pieces ---------------------------------------------------------
 
@@ -281,32 +287,32 @@ class ModelCounter:
         the model count of the surrounding subproblem.
 
         ``parent`` is the component whose frame is being split (``None``
-        at the root). Unless it is -1, its ``cover`` is a constraint whose
-        unassigned variables were exactly the component's when it was
-        split: :meth:`run` looks one up before branching on a component,
-        and this method passes it on. If the cover is still active, the
-        search is skipped: the answer is one component holding the
-        parent's still-unassigned variables and still-active constraints,
-        with the same cover. That is exact
-        after a conflict-free propagation below the parent's split: the
-        trail extends the one the parent was split under, so every active
-        constraint on the parent's unassigned variables is in
-        ``parent.cstr_ids``, and satisfied constraints stay satisfied.
-        Each active constraint keeps an unassigned variable, or
-        propagation would have found a conflict. The active cover holds
-        every unassigned variable, so they stay connected and none is
-        free. With ``debug_checks`` the search runs anyway and must agree.
+        at the root). If a spanning constraint of its block (see
+        ``_spanning``) is still active, the search is skipped: the answer
+        is one component holding the parent's still-unassigned variables
+        and still-active constraints. That is exact after a
+        conflict-free propagation below the parent's split: the trail
+        extends the one the parent was split under, so the constraint was
+        active then too, and it held every unassigned variable of the
+        block, so the parent was all of them. Every active constraint on
+        the parent's unassigned variables is in ``parent.cstr_ids``, and
+        satisfied constraints stay satisfied. Each active constraint keeps
+        an unassigned variable, or propagation would have found a
+        conflict. The spanning constraint holds every unassigned
+        variable, so they stay connected and none is free. With
+        ``debug_checks`` the search runs anyway and must agree.
         """
         engine = self.engine
         val = engine.val
         gapv = engine.gapv
-        if parent is not None and parent.cover >= 0 and gapv[parent.cover] > 0:
-            comp = Component([v for v in parent.var_ids if val[v] == UNASSIGNED],
-                             [ci for ci in parent.cstr_ids if gapv[ci] > 0],
-                             cover=parent.cover)
-            if self.config.debug_checks:
-                assert self._split_scope(scope_vars) == ([comp], 0)
-            return [comp], 0
+        if parent is not None:
+            for ci in self._spanning[parent.var_ids[0]]:
+                if gapv[ci] > 0:
+                    comp = Component([v for v in parent.var_ids if val[v] == UNASSIGNED],
+                                     [cj for cj in parent.cstr_ids if gapv[cj] > 0])
+                    if self.config.debug_checks:
+                        assert self._split_scope(scope_vars) == ([comp], 0)
+                    return [comp], 0
         occ = engine.occ_static
         constraints = engine.constraints
         self._stamp += 1
@@ -347,36 +353,6 @@ class ModelCounter:
             comps.append(Component(comp_vars, comp_cids))
         return comps, free
 
-    def _find_cover(self, comp: Component) -> int:
-        """An active constraint whose unassigned variables are exactly the
-        component's, or -1.
-
-        Only the constraints of the component's smallest variable are
-        tried, in occurrence order. Every unassigned variable of a
-        component constraint is in the component, so one with as many
-        unassigned terms as the component has variables covers it.
-        """
-        n = len(comp.var_ids)
-        if n > self._widest:
-            return -1
-        engine = self.engine
-        val = engine.val
-        gapv = engine.gapv
-        constraints = engine.constraints
-        for ci, _, _ in engine.occ_static[comp.var_ids[0]]:
-            if gapv[ci] <= 0:
-                continue
-            terms = constraints[ci].terms
-            if len(terms) < n:
-                continue
-            k = 0
-            for _, w in terms:
-                if val[w if w > 0 else -w] == UNASSIGNED:
-                    k += 1
-            if k == n:
-                return ci
-        return -1
-
     def _pick_literal(self, comp: Component) -> int:
         """Branching literal for a component, ties to the smallest id.
 
@@ -385,7 +361,9 @@ class ModelCounter:
         Under ``vcis`` the activity and the :func:`compute_vcis_scores`
         score are each divided by their largest value in the component;
         under ``baseline`` the activity is raw, the static score 0 and
-        the phase positive.
+        the phase positive. When every constraint of the component spans
+        its block, each variable's count is their number, found without
+        a walk of its constraints.
         """
         engine = self.engine
         activity = engine.activity
@@ -400,13 +378,12 @@ class ModelCounter:
                     sta_max = static[v]
         act_max = act_max or 1.0
         sta_max = sta_max or 1.0
-        # a constraint over every variable of the formula adds 1 to each
-        # count, so when all of the component's are, no count needs a walk
+        # a spanning constraint adds 1 to the count of every variable of
+        # its block, so when all of the component's span, no count needs a walk
         same = len(comp.cstr_ids)
-        n = self.formula.num_vars
-        constraints = engine.constraints
+        spans = self._spanning[var_ids[0]]
         for ci in comp.cstr_ids:
-            if len(constraints[ci].terms) < n:
+            if ci not in spans:
                 same = -1
                 break
         occ = engine.occ_static
@@ -541,11 +518,6 @@ class ModelCounter:
                         self._budget_tick()
                         frame.prod *= cache.store(key, leaf)
                         continue
-                # a cache miss is about to be branched on, so its split
-                # may skip the search; the trail is still the one it was
-                # split under
-                if comp.cover < 0:
-                    comp.cover = self._find_cover(comp)
                 lit = self._pick_literal(comp)
                 stack.append(_Frame(comp, key, lit, cache.log_position()))
                 if len(stack) > stats.peak_depth:

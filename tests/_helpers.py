@@ -9,7 +9,8 @@ import random
 
 from pbtally import CounterConfig, ModelCounter, PBFormula, build_formula
 from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED
-from pbtally.formula import constraint_gap, lit_var
+from pbtally.formula import constraint_gap, lit_var, parse_opb
+from pbtally.generators import gen_knapsack
 
 
 def random_formula(rng: random.Random, max_vars: int = 10, density: float = 1.0,
@@ -104,6 +105,16 @@ def disjoint_union(formulas) -> PBFormula:
             cons.append((terms, ">=", c.degree))
         offset += f.num_vars
     return build_formula(offset, cons)
+
+
+def spare_variable_knapsack(**params) -> PBFormula:
+    """``gen_knapsack(**params)`` with a ``#variable=`` header one larger
+    than its items: the last variable is in no constraint."""
+    items = params["items"]
+    header = "#variable= %d " % items
+    text = gen_knapsack(**params)
+    assert header in text
+    return parse_opb(text.replace(header, "#variable= %d " % (items + 1), 1))
 
 
 def engine_arrays(formula: PBFormula, assignment):

@@ -246,20 +246,6 @@ class TestComponentKeys:
         key = encode_component(comp, f.constraints, gapv, val, saturate=False)
         assert key == bytes([2, 1, 1, 1, 0, 3])
 
-    def test_cover_is_not_part_of_the_subproblem(self):
-        f = build_formula(2, [([(2, 1), (3, 2)], ">=", 4)])
-        plain = Component((1, 2), (0,))
-        covered = Component((1, 2), (0,), cover=0)
-        assert plain.cover == -1 and covered.cover == 0
-        assert covered == plain and hash(covered) == hash(plain)
-        gapv, val = _helpers.engine_arrays(f, {})
-        key = encode_component(covered, f.constraints, gapv, val)
-        assert key == encode_component(plain, f.constraints, gapv, val)
-        assert decode_component(key, f.constraints)[0].cover == -1
-        # the cover is keyword-only: a third positional argument is an error
-        with pytest.raises(TypeError):
-            Component((1, 2), (0,), 0)
-
     def test_round_trip_without_saturation(self):
         rng = random.Random(4403)
         seen = 0

@@ -18,6 +18,41 @@ from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import constraint_gap, lit_var, parse_opb
 
 
+def _spans_now(mc, comp) -> bool:
+    """Whether a constraint spanning ``comp``'s block is still active."""
+    return any(mc.engine.gapv[ci] > 0 for ci in mc._spanning[comp.var_ids[0]])
+
+
+def _count_fast_splits(f, config=None):
+    """``(count, fast-path splits, splits below the root)`` of one count."""
+    mc = ModelCounter(f, config)
+    split = mc._split_scope
+    fast = below_root = 0
+
+    def counting_split(scope_vars, parent=None):
+        nonlocal fast, below_root
+        if parent is not None:
+            below_root += 1
+            fast += _spans_now(mc, parent)
+        return split(scope_vars, parent)
+
+    mc._split_scope = counting_split
+    return mc.run().count, fast, below_root
+
+
+def _covered_formulas(rng, singles: int, unions: int):
+    """``(formula, count)`` for covered formulas, then for disjoint unions
+    of two, each counted as the product of its blocks' oracle counts."""
+    for i in range(singles + unions):
+        parts = [_helpers.covered_formula(rng) for _ in range(1 if i < singles else 2)]
+        if any(p.unsat_at_load for p in parts):
+            continue
+        want = 1
+        for p in parts:
+            want *= brute_count(p).count
+        yield parts[0] if len(parts) == 1 else _helpers.disjoint_union(parts), want
+
+
 def all_configs():
     """Every heuristic x key-mode pair with enumeration off, then the default."""
     return [CounterConfig(heuristic=h, saturate_keys=s, leaf_cells=0)
@@ -175,25 +210,15 @@ class TestCountMatchesOracle:
             assert count_models(f, cfg).count == brute_count(f).count
 
     def test_debug_checks_stay_silent_below_covers(self):
-        # debug mode re-splits by search wherever the cover fast path runs
+        # debug mode re-splits by search wherever the fast path below a
+        # spanning constraint runs, also inside each block of a union
         rng = random.Random(6613)
         fast = 0
-        for _ in range(100):
-            f = _helpers.covered_formula(rng)
-            if f.unsat_at_load:
-                continue
-            mc = ModelCounter(f, CounterConfig(leaf_cells=0, debug_checks=True))
-            split = mc._split_scope
-
-            def counting_split(scope_vars, parent=None):
-                nonlocal fast
-                if (parent is not None and parent.cover >= 0
-                        and mc.engine.gapv[parent.cover] > 0):
-                    fast += 1
-                return split(scope_vars, parent)
-
-            mc._split_scope = counting_split
-            assert mc.run().count == brute_count(f).count
+        for f, want in _covered_formulas(rng, 100, 30):
+            count, below_span, _ = _count_fast_splits(
+                f, CounterConfig(leaf_cells=0, debug_checks=True))
+            assert count == want
+            fast += below_span
         assert fast > 100
 
     def test_debug_checks_change_nothing_across_hundreds_of_conflicts(self):
@@ -399,7 +424,8 @@ class TestBranchingScores:
     def test_every_pick_matches_the_documented_score(self, monkeypatch):
         # the score recomputed from its definition, with each variable's
         # active constraints found in the component's own list; where all
-        # of those are over every variable, the counter counts none
+        # of those are over every variable of the component's block (the
+        # component holding it on the empty trail), the counter counts none
         pick = ModelCounter._pick_literal
         unwalked = 0
 
@@ -424,20 +450,28 @@ class TestBranchingScores:
             v = max(comp.var_ids, key=lambda v: (score(v), -v))
             lit = pick(mc, comp)
             assert lit == (v if phase[v] else -v)
-            unwalked += all(len(vs) == mc.formula.num_vars for vs in held)
+            block = next(set(b.var_ids) for b in residual_components(mc.formula, {})[0]
+                         if comp.var_ids[0] in b.var_ids)
+            unwalked += all(vs == block for vs in held)
             return lit
 
         monkeypatch.setattr(ModelCounter, "_pick_literal", checked)
         rng = random.Random(6615)
-        formulas = [parse_opb(gen_knapsack(items=12, dims=3, seed=s)) for s in range(3)]
-        formulas += [_helpers.covered_formula(rng) for _ in range(60)]
-        formulas += [_helpers.tight_formula(rng) for _ in range(60)]
-        for f in formulas:
-            if f.unsat_at_load:
-                continue
+        knapsacks = [parse_opb(gen_knapsack(items=12, dims=3, seed=s)) for s in range(3)]
+        cases = [(f, brute_count(f).count) for f in knapsacks]
+        # two blocks, and a header naming a variable no constraint holds
+        cases.append((_helpers.disjoint_union(knapsacks[:2]),
+                      cases[0][1] * cases[1][1]))
+        cases.append((_helpers.spare_variable_knapsack(items=12, dims=3, seed=2),
+                      2 * cases[2][1]))
+        for f in ([_helpers.covered_formula(rng) for _ in range(60)]
+                  + [_helpers.tight_formula(rng) for _ in range(60)]):
+            if not f.unsat_at_load:
+                cases.append((f, brute_count(f).count))
+        for f, want in cases:
             for heuristic in ("vcis", "baseline"):
                 res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
-                assert res.count == brute_count(f).count
+                assert res.count == want
         assert unwalked > 1000
 
     def test_bad_heuristic_name_rejected(self):
@@ -486,41 +520,38 @@ class TestSplitScopeMirror:
                 assert mc.engine.gapv[ci] == constraint_gap(mc.formula.constraints[ci], asn)
 
     @staticmethod
-    def _assert_cover_exact(engine, comp):
-        if comp.cover < 0:
-            return
-        assert comp.cover in comp.cstr_ids
-        open_vars = {lit_var(lit) for _, lit in engine.constraints[comp.cover].terms
-                     if engine.lit_value(lit) is None}
-        assert open_vars == set(comp.var_ids)
+    def _assert_spanning_exact(mc, comps):
+        # an active spanning constraint's open variables are its component's
+        e = mc.engine
+        for comp in comps:
+            for ci in mc._spanning[comp.var_ids[0]]:
+                if e.gapv[ci] > 0:
+                    assert ci in comp.cstr_ids
+                    open_vars = {lit_var(lit) for _, lit in e.constraints[ci].terms
+                                 if e.lit_value(lit) is None}
+                    assert open_vars == set(comp.var_ids)
 
     def test_cover_fast_path_matches_pure_splitter(self):
-        # one constraint over every variable covers the root component;
-        # the splits below it skip the search until that constraint is
+        # one constraint over every variable of a block spans it; the
+        # splits below it skip the search until that constraint is
         # satisfied, and search again from then on
         rng = random.Random(6612)
         fast = fallback = 0
-        for _ in range(300):
-            f = _helpers.covered_formula(rng)
-            if f.unsat_at_load:
-                continue
+        for f, _ in _covered_formulas(rng, 300, 100):
             mc = ModelCounter(f, CounterConfig())
             n = mc.formula.num_vars
             e = mc.engine
             if e.propagate() is not None:
                 continue
             comps, _ = mc._split_scope(range(1, n + 1))
+            self._assert_spanning_exact(mc, comps)
             while comps:
                 comp = rng.choice(comps)
-                # what the search does before branching on a cache miss
-                if comp.cover < 0:
-                    comp.cover = mc._find_cover(comp)
-                self._assert_cover_exact(e, comp)
                 v = rng.choice(comp.var_ids)
                 e.decide(v if rng.random() < 0.5 else -v)
                 if e.propagate() is not None:
                     break
-                takes_fast_path = comp.cover >= 0 and e.gapv[comp.cover] > 0
+                takes_fast_path = _spans_now(mc, comp)
                 comps, free = mc._split_scope(comp.var_ids, comp)
                 ref_comps, ref_free = residual_components(
                     mc.formula, e.assignment_dict())
@@ -528,26 +559,44 @@ class TestSplitScopeMirror:
                 assert comps == [c for c in ref_comps if scope.issuperset(c.var_ids)]
                 assert free == len(scope.intersection(ref_free))
                 self._assert_gaps_exact(mc, comps)
+                self._assert_spanning_exact(mc, comps)
                 if takes_fast_path:
-                    assert [c.cover for c in comps] == [comp.cover]
+                    assert len(comps) == 1 and free == 0
                     fast += 1
-                elif comp.cover >= 0:
+                elif mc._spanning[comp.var_ids[0]]:
                     fallback += 1
         assert fast > 100 and fallback > 50
 
     def test_debug_checks_catch_a_false_cover(self):
-        # two disjoint clauses, and a parent that wrongly claims the first
-        # one covers both: the fast path answers one component, the search two
+        # two disjoint clauses, and a spanning set that wrongly claims the
+        # first one spans both: the fast path answers one component, the
+        # search two
         f = build_formula(4, [([(1, 1), (1, 2)], ">=", 1),
                               ([(1, 3), (1, 4)], ">=", 1)])
-        parent = Component((1, 2, 3, 4), (0, 1), cover=0)
-        mc = ModelCounter(f, CounterConfig())
-        assert mc.engine.propagate() is None
-        assert len(mc._split_scope(parent.var_ids, parent)[0]) == 1
-        mc = ModelCounter(f, CounterConfig(debug_checks=True))
-        assert mc.engine.propagate() is None
-        with pytest.raises(AssertionError):
-            mc._split_scope(parent.var_ids, parent)
+        parent = Component((1, 2, 3, 4), (0, 1))
+        for debug in (False, True):
+            mc = ModelCounter(f, CounterConfig(debug_checks=debug))
+            assert mc._spanning == [(), (0,), (0,), (1,), (1,)]
+            mc._spanning = [()] + [(0,)] * 4
+            assert mc.engine.propagate() is None
+            if debug:
+                with pytest.raises(AssertionError):
+                    mc._split_scope(parent.var_ids, parent)
+            else:
+                assert len(mc._split_scope(parent.var_ids, parent)[0]) == 1
+
+    def test_spanning_constraints_are_per_block(self):
+        # neither union half has a constraint over all 36 variables, so a
+        # rule over the whole formula would take no fast path here; nor
+        # would it with a header that names a variable no constraint holds
+        halves = [parse_opb(gen_knapsack(items=18, dims=2, seed=s)) for s in (0, 1)]
+        count, fast, below_root = _count_fast_splits(_helpers.disjoint_union(halves))
+        assert count == count_models(halves[0]).count * count_models(halves[1]).count
+        assert fast > 0.9 * below_root
+        plain = _count_fast_splits(halves[0])
+        spare = _count_fast_splits(_helpers.spare_variable_knapsack(items=18, dims=2, seed=0))
+        assert spare[0] == 2 * plain[0]
+        assert spare[1] == plain[1] > 0
 
 
 class TestBudgets:
