@@ -9,7 +9,8 @@ residual subproblem, reached anywhere else in the search tree, be
 answered from the cache instead of being recounted.
 
 A small component can also be counted directly, by enumerating its
-assignments in numpy tables.
+assignments in numpy tables, and one whose gaps are small by a dynamic
+program over them.
 
 Cache entries are logged in insertion order. Over its byte budget the
 cache evicts the oldest entries first. The search can purge every entry
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -275,6 +276,110 @@ def count_component(comp: Component, constraints, gapv, val) -> Optional[int]:
             np.greater_equal(low[i], need[i][:, None], out=holds)
             ok &= holds
     return int(np.count_nonzero(ok))
+
+
+#: the largest table :func:`count_by_gaps` builds, in cells: the product of
+#: each constraint's gap plus one. Knapsack 40x3 seed 1 needs 1.7 million
+#: cells at the root. With a bound of 2**20 it took 764 decisions and 368
+#: tables just under the bound, 35 s against 0.3 s (2-vCPU VM)
+GAP_TABLE_CELLS = 1 << 22
+
+
+def _raise_mass(src, raises, gaps, dst, spare):
+    """``src`` with each ``(axis, coeff)`` of ``raises`` added to the mass on
+    its axis, capped at that axis's gap.
+
+    Each raise writes a whole table: the first into ``dst``, the next into
+    ``spare``, and so on alternately. ``spare`` may be ``src``, which is
+    not read again after the first raise. Returns the table holding the
+    result, ``src`` itself when ``raises`` is empty.
+    """
+    for axis, coeff in raises:
+        head = (slice(None),) * axis
+        g = gaps[axis]
+        # masses from g - coeff up all reach the cap
+        np.sum(src[head + (slice(g - coeff, None),)], axis=axis, out=dst[head + (g,)])
+        dst[head + (slice(coeff, g),)] = src[head + (slice(g - coeff),)]
+        dst[head + (slice(coeff),)] = 0
+        src, dst, spare = dst, spare, dst
+    return src
+
+
+def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[int] = None,
+                  poll: Optional[Callable[[], None]] = None) -> Optional[int]:
+    """Models of a component over its own variables, by dynamic programming.
+
+    Same precondition as :func:`count_component`. The table has one axis
+    per constraint, indexed by the mass its true open literals carry so
+    far, capped at its gap, and each entry counts the assignments of the
+    variables taken so far that reach that state. Each variable adds its
+    coefficient on the axes where its true phase is the literal, and on
+    the others in its false phase. The count is the corner entry, where
+    every mass has reached its gap. A table over m constraints holds the
+    product of their gaps plus one, about the number of distinct residual
+    states at any depth when every constraint holds every variable. This
+    is the layered construction of Abio et al., "BDDs for pseudo-Boolean
+    constraints -- revisited" (SAT 2011).
+
+    With one constraint each variable adds its coefficient in exactly one
+    phase, so one vector over the masses below the gap, one in-place add
+    per variable, counts the assignments that miss it.
+
+    Returns None, leaving the component to the search, past 62 variables,
+    where a count could leave int64, past :data:`GAP_TABLE_CELLS` cells,
+    or when the three int64 tables would take more than ``max_bytes``.
+    ``poll`` is called before each variable is taken, and may raise to
+    stop the count.
+    """
+    var_ids = comp.var_ids
+    n = len(var_ids)
+    if n > 62:
+        return None
+    gaps = [gapv[cid] for cid in comp.cstr_ids]
+    cells = 1
+    for g in gaps:
+        cells *= g + 1
+    if cells > GAP_TABLE_CELLS or (max_bytes is not None and 24 * cells > max_bytes):
+        return None
+    if len(gaps) == 1:
+        g = gaps[0]
+        below = np.zeros(g, dtype=np.int64)
+        below[0] = 1
+        for a, lit in constraints[comp.cstr_ids[0]].terms:
+            if val[lit if lit > 0 else -lit] != UNASSIGNED:
+                continue
+            if poll is not None:
+                poll()
+            if a < g:
+                below[a:] += below[:g - a]
+        return (1 << n) - int(below.sum())
+    # per variable, the (axis, coefficient) pairs of its true and false phase
+    ups = {v: [] for v in var_ids}
+    downs = {v: [] for v in var_ids}
+    for axis, cid in enumerate(comp.cstr_ids):
+        g = gaps[axis]
+        for a, lit in constraints[cid].terms:
+            if lit > 0:
+                if val[lit] == UNASSIGNED:
+                    ups[lit].append((axis, min(a, g)))
+            elif val[-lit] == UNASSIGNED:
+                downs[-lit].append((axis, min(a, g)))
+    shape = tuple(g + 1 for g in gaps)
+    tables = [np.zeros(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
+              np.empty(shape, dtype=np.int64)]
+    tables[0][(0,) * len(gaps)] = 1
+    for v in var_ids:
+        if poll is not None:
+            poll()
+        cur, one, two = tables
+        true = _raise_mass(cur, ups[v], gaps, one, two)
+        if true is cur:
+            false = _raise_mass(cur, downs[v], gaps, one, two)
+        else:
+            false = _raise_mass(cur, downs[v], gaps, two if true is one else one, cur)
+        np.add(true, false, out=true)
+        tables = [true] + [t for t in tables if t is not true]
+    return int(tables[0][tuple(gaps)])
 
 
 def decode_component(data: bytes, constraints):

@@ -4,7 +4,8 @@ The search keeps a stack of frames, one per subproblem being counted.
 A frame owns a branching literal; each branch is propagated, split into
 variable-disjoint residual components, and every component is answered
 from the cache, counted by enumerating its assignments when it is small
-(``CounterConfig.leaf_cells``), or pushed as a child frame. A finished frame
+(``CounterConfig.leaf_cells``), counted by a table over its gaps when its
+constraints all span it, or pushed as a child frame. A finished frame
 reports models(branch true) + models(branch false), multiplied into its
 parent, and unconstrained variables contribute a power of two directly.
 
@@ -24,7 +25,8 @@ import math
 import time
 from typing import Callable, Optional
 
-from .components import Component, CountCache, count_component, encode_component
+from .components import (Component, CountCache, count_by_gaps, count_component,
+                         encode_component)
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
 
@@ -61,8 +63,10 @@ class CounterConfig:
 
     ``leaf_cells``, an int of at least 0, is the largest component the
     counter counts by enumeration instead of search, in cells: its
-    constraints times 2 to the power of its variables. 0 turns
-    enumeration off, so every component is searched.
+    constraints times 2 to the power of its variables. A component all of
+    whose constraints span its block is also counted without search, by
+    :func:`count_by_gaps`, when its table fits. 0 turns both off, so every
+    component is searched.
 
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, with ``lit`` in
@@ -116,7 +120,7 @@ class SearchStats:
                  "cache_hits", "cache_misses", "cache_stores",
                  "cache_evictions", "cache_purged", "cache_entries",
                  "cache_bytes_peak", "peak_depth", "peak_open_components",
-                 "leaf_counts")
+                 "leaf_counts", "gap_counts")
 
     def __init__(self):
         for name in self.__slots__:
@@ -353,6 +357,17 @@ class ModelCounter:
             comps.append(Component(comp_vars, comp_cids))
         return comps, free
 
+    def _all_spanning(self, comp: Component) -> bool:
+        """Whether every constraint of ``comp`` spans its block.
+
+        Each of them then holds every variable of ``comp``.
+        """
+        spans = self._spanning[comp.var_ids[0]]
+        for ci in comp.cstr_ids:
+            if ci not in spans:
+                return False
+        return True
+
     def _pick_literal(self, comp: Component) -> int:
         """Branching literal for a component, ties to the smallest id.
 
@@ -380,12 +395,7 @@ class ModelCounter:
         sta_max = sta_max or 1.0
         # a spanning constraint adds 1 to the count of every variable of
         # its block, so when all of the component's span, no count needs a walk
-        same = len(comp.cstr_ids)
-        spans = self._spanning[var_ids[0]]
-        for ci in comp.cstr_ids:
-            if ci not in spans:
-                same = -1
-                break
+        same = len(comp.cstr_ids) if self._all_spanning(comp) else -1
         occ = engine.occ_static
         gapv = engine.gapv
         best_v = var_ids[0]
@@ -405,18 +415,50 @@ class ModelCounter:
                 best_v = v
         return best_v if self._phase[best_v] else -best_v
 
+    def _check_deadline(self) -> None:
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise SolveTimeout("timed out after %.3fs" % self.config.timeout_s)
+
     def _budget_tick(self) -> None:
         self._ops += 1
         if self._ops & _BUDGET_CHECK_MASK:
             return
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise SolveTimeout("timed out after %.3fs" % self.config.timeout_s)
+        self._check_deadline()
         limit = self.config.max_memory_bytes
         if limit is not None:
             used = self.cache.bytes_used + self.engine.learned_bytes
             if used > limit:
                 raise MemoryBudgetExceeded(
                     "accounted %d bytes exceeds budget %d" % (used, limit))
+
+    def _count_without_search(self, comp: Component) -> Optional[int]:
+        """The component's count by enumeration or by its gaps, or None to search it.
+
+        Enumeration takes a component of at most ``leaf_cells`` cells. The
+        gap table takes one whose constraints all span its block: there
+        it holds about as many states as the search would reach, while
+        over many clauses it grows as 2 to the power of their number. The
+        table must fit in what ``max_memory_bytes`` leaves free, and the
+        deadline is checked as it fills.
+        """
+        cfg = self.config
+        engine = self.engine
+        # cstrs << vars <= leaf_cells, without building 1 << vars
+        if len(comp.cstr_ids) <= cfg.leaf_cells >> len(comp.var_ids):
+            n = count_component(comp, engine.constraints, engine.gapv, engine.val)
+            if n is not None:
+                self.stats.leaf_counts += 1
+                return n
+        if not cfg.leaf_cells or not self._all_spanning(comp):
+            return None
+        room = cfg.max_memory_bytes
+        if room is not None:
+            room -= self.cache.bytes_used + engine.learned_bytes
+        n = count_by_gaps(comp, engine.constraints, engine.gapv, engine.val, room,
+                          None if self._deadline is None else self._check_deadline)
+        if n is not None:
+            self.stats.gap_counts += 1
+        return n
 
     def _handle_conflict(self, confl_ci: int, stack) -> bool:
         """Learn from a conflict and rewind. False means zero models overall."""
@@ -509,15 +551,11 @@ class ModelCounter:
                 if cached is not None:
                     frame.prod *= cached
                     continue
-                # cstrs << vars <= leaf_cells, without building 1 << vars
-                if len(comp.cstr_ids) <= cfg.leaf_cells >> len(comp.var_ids):
-                    leaf = count_component(comp, engine.constraints,
-                                           engine.gapv, engine.val)
-                    if leaf is not None:
-                        stats.leaf_counts += 1
-                        self._budget_tick()
-                        frame.prod *= cache.store(key, leaf)
-                        continue
+                n = self._count_without_search(comp)
+                if n is not None:
+                    self._budget_tick()
+                    frame.prod *= cache.store(key, n)
+                    continue
                 lit = self._pick_literal(comp)
                 stack.append(_Frame(comp, key, lit, cache.log_position()))
                 if len(stack) > stats.peak_depth:

@@ -65,6 +65,15 @@ class TestCount:
         # one component of three variables and two constraints: enumerated
         assert stats["leaf_counts"] == 1 and stats["decisions"] == 0
 
+    def test_stats_show_counts_by_gaps(self, tmp_path, capsys):
+        # both constraints hold all 18 items: one table counts the root
+        path = write(tmp_path, "knapsack.opb", gen_knapsack(items=18, dims=2, seed=0))
+        code, out, err = run_cli(["count", "--stats", path], capsys)
+        assert code == 0
+        assert out == "s mc 102937\n"
+        stats = load_report(err)["stats"]
+        assert stats["gap_counts"] == 1 and stats["decisions"] == 0
+
     def test_flags_reach_the_config(self, tmp_path, capsys):
         path = write(tmp_path, "small.opb", SMALL)
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 """Component splitting, canonical keys, and the count cache."""
 
+import math
 import random
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from pbtally import (Component, CountCache, brute_count, brute_residual_count,
                      build_formula, decode_component, encode_component,
                      residual_components, saturate_gap)
-from pbtally.components import LEAF_MASS_LIMIT, count_component
+import pbtally.components
+from pbtally.components import (GAP_TABLE_CELLS, LEAF_MASS_LIMIT, count_by_gaps,
+                                count_component)
 from pbtally.engine import UNASSIGNED
-from pbtally.formula import PBConstraint, constraint_gap, lit_var
+from pbtally.formula import PBConstraint, PBFormula, constraint_gap, lit_var
 
 import _helpers
 
@@ -211,6 +214,129 @@ class TestCountComponent:
         below = [PBConstraint(0, [(half, 1), (half - 1, -2)], half - 1)]
         gapv, val = _hand_arrays(below, comp, [half - 1])
         assert count_component(comp, below, gapv, val) == 3
+
+
+class TestCountByGaps:
+    def test_matches_oracle_on_random_residual_components(self):
+        # each count by gaps equals exhaustive enumeration of the
+        # component's subformula, and with the free variables' powers of
+        # two they multiply to the residual count
+        rng = random.Random(4421)
+        seen = dict.fromkeys(("negative", "mixed", "saturated", "single", "multi",
+                              "empty", "declined"), 0)
+        builders = (_helpers.random_formula, _helpers.tight_formula,
+                    _helpers.covered_formula)
+        checked = 0
+        for i in range(450):
+            f = builders[i % 3](rng)
+            if f.unsat_at_load:
+                continue
+            asn = _helpers.random_partial_assignment(rng, f.num_vars)
+            if any(constraint_gap(c, asn) > 0 and all(lit_var(l) in asn for _, l in c.terms)
+                   for c in f.constraints):
+                # a fully assigned yet unsatisfied constraint is in no component
+                continue
+            comps, free = residual_components(f, asn)
+            gapv, val = _helpers.engine_arrays(f, asn)
+            product = 1 << len(free)
+            for comp in comps:
+                n = count_by_gaps(comp, f.constraints, gapv, val)
+                if math.prod(g + 1 for g in _gaps(gapv, comp)) > GAP_TABLE_CELLS:
+                    # many clauses: the table grows as 2 to their number
+                    assert n is None
+                    product = None
+                    break
+                sub = _helpers.component_subformula(f, comp, _gaps(gapv, comp))
+                assert n == brute_count(sub).count
+                product *= n
+                seen["empty"] += n == 0
+                seen["single" if len(comp.cstr_ids) == 1 else "multi"] += 1
+                signs = {}
+                for cid in comp.cstr_ids:
+                    for a, l in f.constraints[cid].terms:
+                        if lit_var(l) not in asn:
+                            signs.setdefault(lit_var(l), set()).add(l > 0)
+                            seen["negative"] += l < 0
+                            seen["saturated"] += a >= gapv[cid]
+                seen["mixed"] += any(len(s) == 2 for s in signs.values())
+            if product is None:
+                seen["declined"] += 1
+                continue
+            assert product == brute_residual_count(f, asn)
+            checked += 1
+        assert checked > 250
+        assert min(seen.values()) >= 20, seen
+
+    def test_one_constraint_counts_the_assignments_that_miss_it(self):
+        # 3 x1 + 2 ~x2 + 2 x3 >= 4: below 4 are 0, 2, 2 and 3 of the eight
+        cons = [PBConstraint(0, [(3, 1), (2, -2), (2, 3)], 4)]
+        comp = Component((1, 2, 3), (0,))
+        gapv, val = _hand_arrays(cons, comp, [4])
+        assert count_by_gaps(comp, cons, gapv, val) == 4 == brute_count(
+            _helpers.component_subformula(cons_formula(cons), comp, [4])).count
+
+    def test_past_62_variables_is_left_to_the_search(self):
+        # one clause, where 2**62 - 1 is the largest count int64 must hold,
+        # and two constraints over every variable
+        for n, m in ((62, 1), (63, 1), (62, 2), (63, 2)):
+            lits = [(1, v) for v in range(1, n + 1)]
+            cons = [PBConstraint(i, lits, 1 + i) for i in range(m)]
+            comp = Component(range(1, n + 1), range(m))
+            gapv, val = _hand_arrays(cons, comp, [1 + i for i in range(m)])
+            want = {1: (1 << n) - 1, 2: (1 << n) - 1 - n}[m]
+            assert count_by_gaps(comp, cons, gapv, val) == (want if n == 62 else None)
+
+    def test_table_past_its_bound_is_left_to_the_search(self, monkeypatch):
+        # gaps 4 and 5 need 5 * 6 cells; each of the three variables
+        # reaches both gaps alone
+        cons = [PBConstraint(0, [(4, 1), (4, 2), (4, 3)], 4),
+                PBConstraint(1, [(5, -1), (5, 2), (5, 3)], 5)]
+        comp = Component((1, 2, 3), (0, 1))
+        gapv, val = _hand_arrays(cons, comp, [4, 5])
+        want = brute_count(_helpers.component_subformula(cons_formula(cons), comp,
+                                                         [4, 5])).count
+        monkeypatch.setattr(pbtally.components, "GAP_TABLE_CELLS", 30)
+        assert count_by_gaps(comp, cons, gapv, val) == want == 6
+        monkeypatch.setattr(pbtally.components, "GAP_TABLE_CELLS", 29)
+        assert count_by_gaps(comp, cons, gapv, val) is None
+        # the module's bound, through one constraint's vector
+        monkeypatch.undo()
+        big = GAP_TABLE_CELLS
+        comp = Component((1, 2), (0,))
+        for gap, want in ((big - 1, 3), (big, None)):
+            cons = [PBConstraint(0, [(gap, 1), (gap, 2)], gap)]
+            gapv, val = _hand_arrays(cons, comp, [gap])
+            assert count_by_gaps(comp, cons, gapv, val) == want
+
+    def test_tables_over_the_byte_budget_are_left_to_the_search(self):
+        # three int64 tables of 5 * 6 cells
+        cons = [PBConstraint(0, [(4, 1), (4, 2), (4, 3)], 4),
+                PBConstraint(1, [(5, -1), (5, 2), (5, 3)], 5)]
+        comp = Component((1, 2, 3), (0, 1))
+        gapv, val = _hand_arrays(cons, comp, [4, 5])
+        assert count_by_gaps(comp, cons, gapv, val, max_bytes=3 * 8 * 30) == 6
+        assert count_by_gaps(comp, cons, gapv, val, max_bytes=3 * 8 * 30 - 1) is None
+
+    def test_poll_runs_before_each_variable_and_may_stop_the_count(self):
+        for m in (1, 2):
+            cons = [PBConstraint(i, [(2, 1), (1, -2), (1, 3)], 2) for i in range(m)]
+            comp = Component((1, 2, 3), range(m))
+            gapv, val = _hand_arrays(cons, comp, [2] * m)
+            polls = []
+            # 2 x1 + ~x2 + x3 >= 2 fails only with x1 false and x2 true or x3 false
+            assert count_by_gaps(comp, cons, gapv, val, poll=lambda: polls.append(1)) == 5
+            assert len(polls) == 3
+
+            def stop():
+                raise TimeoutError
+            with pytest.raises(TimeoutError):
+                count_by_gaps(comp, cons, gapv, val, poll=stop)
+
+
+def cons_formula(cons):
+    """The formula over hand-built constraints, so the oracle can count them."""
+    n = max(lit_var(l) for c in cons for _, l in c.terms)
+    return PBFormula(n, [c.body() for c in cons])
 
 
 class TestSaturateGap:

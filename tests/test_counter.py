@@ -87,66 +87,66 @@ _STAT_FIELDS = ("decisions", "conflicts", "propagations", "learned",
                 "cache_hits", "cache_misses", "cache_stores",
                 "cache_evictions", "cache_purged", "cache_entries",
                 "cache_bytes_peak", "peak_depth", "peak_open_components",
-                "leaf_counts")
+                "leaf_counts", "gap_counts")
 
 #: (count, SearchStats values in _STAT_FIELDS order) per pinned instance,
 #: with enumeration off
 _PINNED_STATS = {
     "vcis": [
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
-        (21, (15, 2, 21, 2, 2, 8, 6, 0, 0, 6, 449, 5, 4, 0)),
-        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0)),
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
-        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0)),
-        (120, (10, 2, 10, 2, 1, 5, 3, 0, 0, 3, 221, 5, 4, 0)),
-        (8, (6, 1, 19, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0)),
-        (77, (16, 0, 27, 0, 0, 8, 8, 0, 0, 8, 631, 5, 5, 0)),
-        (0, (9, 2, 11, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0)),
-        (192, (21, 4, 34, 4, 1, 11, 7, 0, 0, 7, 543, 5, 5, 0)),
-        (260, (26, 1, 31, 1, 1, 13, 12, 0, 0, 12, 907, 5, 4, 0)),
-        (954, (38, 2, 28, 2, 6, 19, 17, 0, 0, 17, 1266, 6, 5, 0)),
-        (164, (110, 1, 124, 1, 5, 55, 54, 0, 0, 54, 4188, 16, 15, 0)),
-        (296, (120, 0, 105, 0, 3, 60, 60, 0, 0, 60, 4611, 15, 14, 0)),
-        (104, (59, 2, 110, 2, 2, 30, 28, 0, 0, 28, 2279, 12, 11, 0)),
-        (62, (51, 4, 118, 4, 3, 26, 22, 0, 0, 22, 1815, 14, 13, 0)),
-        (66064, (6626, 0, 2844, 0, 2606, 3313, 3313, 0, 0, 3313, 252652, 20, 20, 0)),
-        (6147, (3128, 131, 4790, 131, 618, 1602, 1471, 0, 0, 1471, 117548, 30, 29, 0)),
-        (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17, 0)),
-        (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17, 0)),
-        (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17, 0)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        (21, (15, 2, 21, 2, 2, 8, 6, 0, 0, 6, 449, 5, 4, 0, 0)),
+        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0, 0)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0)),
+        (120, (10, 2, 10, 2, 1, 5, 3, 0, 0, 3, 221, 5, 4, 0, 0)),
+        (8, (6, 1, 19, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0, 0)),
+        (77, (16, 0, 27, 0, 0, 8, 8, 0, 0, 8, 631, 5, 5, 0, 0)),
+        (0, (9, 2, 11, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0, 0)),
+        (192, (21, 4, 34, 4, 1, 11, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
+        (260, (26, 1, 31, 1, 1, 13, 12, 0, 0, 12, 907, 5, 4, 0, 0)),
+        (954, (38, 2, 28, 2, 6, 19, 17, 0, 0, 17, 1266, 6, 5, 0, 0)),
+        (164, (110, 1, 124, 1, 5, 55, 54, 0, 0, 54, 4188, 16, 15, 0, 0)),
+        (296, (120, 0, 105, 0, 3, 60, 60, 0, 0, 60, 4611, 15, 14, 0, 0)),
+        (104, (59, 2, 110, 2, 2, 30, 28, 0, 0, 28, 2279, 12, 11, 0, 0)),
+        (62, (51, 4, 118, 4, 3, 26, 22, 0, 0, 22, 1815, 14, 13, 0, 0)),
+        (66064, (6626, 0, 2844, 0, 2606, 3313, 3313, 0, 0, 3313, 252652, 20, 20, 0, 0)),
+        (6147, (3128, 131, 4790, 131, 618, 1602, 1471, 0, 0, 1471, 117548, 30, 29, 0, 0)),
+        (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17, 0, 0)),
+        (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17, 0, 0)),
+        (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17, 0, 0)),
     ],
     "baseline": [
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
-        (21, (13, 3, 21, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4, 0)),
-        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0)),
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)),
-        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0)),
-        (120, (9, 2, 10, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4, 0)),
-        (8, (5, 1, 15, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0)),
-        (77, (15, 1, 27, 1, 0, 8, 7, 0, 0, 7, 557, 5, 4, 0)),
-        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5, 0)),
-        (192, (23, 6, 38, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5, 0)),
-        (260, (32, 3, 34, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5, 0)),
-        (954, (36, 1, 28, 1, 2, 18, 17, 0, 0, 17, 1269, 6, 5, 0)),
-        (164, (131, 1, 130, 1, 7, 66, 65, 0, 0, 65, 4989, 14, 13, 0)),
-        (296, (180, 0, 107, 0, 29, 90, 90, 0, 0, 90, 6775, 15, 15, 0)),
-        (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0)),
-        (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11, 0)),
-        (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20, 0)),
-        (6147, (3206, 205, 5357, 205, 771, 1654, 1449, 0, 0, 1449, 118376, 27, 26, 0)),
-        (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17, 0)),
-        (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17, 0)),
-        (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17, 0)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        (21, (13, 3, 21, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4, 0, 0)),
+        (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0, 0)),
+        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0)),
+        (120, (9, 2, 10, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4, 0, 0)),
+        (8, (5, 1, 15, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0, 0)),
+        (77, (15, 1, 27, 1, 0, 8, 7, 0, 0, 7, 557, 5, 4, 0, 0)),
+        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5, 0, 0)),
+        (192, (23, 6, 38, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5, 0, 0)),
+        (260, (32, 3, 34, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5, 0, 0)),
+        (954, (36, 1, 28, 1, 2, 18, 17, 0, 0, 17, 1269, 6, 5, 0, 0)),
+        (164, (131, 1, 130, 1, 7, 66, 65, 0, 0, 65, 4989, 14, 13, 0, 0)),
+        (296, (180, 0, 107, 0, 29, 90, 90, 0, 0, 90, 6775, 15, 15, 0, 0)),
+        (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0, 0)),
+        (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11, 0, 0)),
+        (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20, 0, 0)),
+        (6147, (3206, 205, 5357, 205, 771, 1654, 1449, 0, 0, 1449, 118376, 27, 26, 0, 0)),
+        (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17, 0, 0)),
+        (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17, 0, 0)),
+        (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17, 0, 0)),
     ],
 }
 
 #: with ``max_learned=2`` and enumeration off: the pinned rows that differ
 #: from _PINNED_STATS, and the learned constraints evicted over all instances
 _PINNED_TWO_LEARNED = {
-    "vcis": ({9: (192, (22, 5, 37, 5, 1, 12, 7, 0, 0, 7, 543, 5, 5, 0)),
-              17: (6147, (3139, 135, 4816, 135, 620, 1608, 1473, 0, 0, 1473, 117692, 30, 29, 0))},
+    "vcis": ({9: (192, (22, 5, 37, 5, 1, 12, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
+              17: (6147, (3139, 135, 4816, 135, 620, 1608, 1473, 0, 0, 1473, 117692, 30, 29, 0, 0))},
              138),
-    "baseline": ({17: (6147, (3207, 233, 5489, 233, 793, 1656, 1423, 0, 0, 1423, 116547, 25, 25, 0))},
+    "baseline": ({17: (6147, (3207, 233, 5489, 233, 793, 1656, 1423, 0, 0, 1423, 116547, 25, 25, 0, 0))},
                  240),
 }
 
@@ -585,10 +585,13 @@ class TestSplitScopeMirror:
             else:
                 assert len(mc._split_scope(parent.var_ids, parent)[0]) == 1
 
-    def test_spanning_constraints_are_per_block(self):
+    def test_spanning_constraints_are_per_block(self, monkeypatch):
         # neither union half has a constraint over all 36 variables, so a
         # rule over the whole formula would take no fast path here; nor
-        # would it with a header that names a variable no constraint holds
+        # would it with a header that names a variable no constraint holds.
+        # Each knapsack would be counted by its gaps with no split, so the
+        # gap table declines every component here
+        monkeypatch.setattr(pbtally.counter, "count_by_gaps", lambda *args: None)
         halves = [parse_opb(gen_knapsack(items=18, dims=2, seed=s)) for s in (0, 1)]
         count, fast, below_root = _count_fast_splits(_helpers.disjoint_union(halves))
         assert count == count_models(halves[0]).count * count_models(halves[1]).count
@@ -597,6 +600,72 @@ class TestSplitScopeMirror:
         spare = _count_fast_splits(_helpers.spare_variable_knapsack(items=18, dims=2, seed=0))
         assert spare[0] == 2 * plain[0]
         assert spare[1] == plain[1] > 0
+
+
+class TestGapCounts:
+    @staticmethod
+    def _knapsacks():
+        """``(formula, blocks)`` for knapsacks, one block each unless a union."""
+        singles = [parse_opb(gen_knapsack(items=items, dims=dims, seed=seed))
+                   for dims, items in ((1, 20), (2, 16), (3, 13)) for seed in (0, 1)]
+        cases = [(f, 1) for f in singles]
+        cases.append((_helpers.spare_variable_knapsack(items=14, dims=3, seed=2), 1))
+        cases.append((_helpers.disjoint_union(singles[2:5]), 3))
+        cases.append((_helpers.disjoint_union(singles[:2]), 2))
+        return cases
+
+    def test_knapsacks_count_at_the_root_as_the_search_counts(self):
+        # each block's constraints all span it, so its root component is
+        # counted by its gaps and the count makes no decision
+        for f, blocks in self._knapsacks():
+            default = count_models(f)
+            assert default.count == count_models(f, CounterConfig(leaf_cells=0)).count
+            assert default.stats.decisions == 0
+            assert default.stats.gap_counts == blocks
+            assert default.stats.leaf_counts == 0
+
+    def test_counts_match_the_oracle_where_every_table_is_used(self, monkeypatch):
+        # with enumeration declining everything, each component whose
+        # constraints all span its block is counted by its gaps, below the
+        # root too; the debug checks run at every node
+        monkeypatch.setattr(pbtally.counter, "count_component", lambda *args: None)
+        rng = random.Random(6617)
+        builders = (_helpers.random_formula, _helpers.tight_formula,
+                    _helpers.covered_formula, _helpers.clause_heavy_formula)
+        gap_counts = 0
+        for i in range(2000):
+            f = builders[i % 4](rng)
+            if f.unsat_at_load:
+                continue
+            res = count_models(f, CounterConfig(debug_checks=True))
+            assert res.count == brute_count(f).count
+            gap_counts += res.stats.gap_counts
+        assert gap_counts > 300
+
+    def test_timeout_holds_inside_the_table(self):
+        # the root table of 1.7 million cells takes tenths of a second; the
+        # deadline is checked before each of its 40 variables
+        f = parse_opb(gen_knapsack(items=40, dims=3, seed=1))
+        mc = ModelCounter(f, CounterConfig(timeout_s=0.05))
+        started = time.monotonic()
+        with pytest.raises(SolveTimeout):
+            mc.run()
+        assert time.monotonic() - started < 2.5
+        assert mc.stats.decisions == 0 and mc.stats.gap_counts == 0
+
+    def test_table_over_the_memory_budget_is_searched(self):
+        # the root table takes three times 8 bytes per cell, more than the
+        # budget, so the search branches and the count is unchanged
+        f = parse_opb(gen_knapsack(items=14, dims=3, seed=0))
+        mc = ModelCounter(f)
+        assert mc.engine.gapv == [45, 40, 43]
+        table_bytes = 24 * 46 * 41 * 44
+        budget = CounterConfig(max_memory_bytes=table_bytes - 1)
+        res = count_models(f, budget)
+        assert res.count == mc.run().count
+        assert mc.stats.decisions == 0
+        assert res.stats.decisions > 0
+        assert count_models(f, CounterConfig(max_memory_bytes=table_bytes)).stats.decisions == 0
 
 
 class TestBudgets:
