@@ -204,11 +204,8 @@ def _cmd_verify(args) -> int:
     runs.append(("search_only", search_only))
     counts = {}
     for label, config in runs:
-        counter = ModelCounter(formula, config)
-        if not counts and args.corrupt_cache_after is not None:
-            counter.cache.debug_corrupt_after = args.corrupt_cache_after
         try:
-            result = counter.run()
+            result = ModelCounter(formula, config).run()
         except SolveTimeout as exc:
             _report({"status": "timeout", "command": "verify",
                      "file": args.file, "error": str(exc)})
@@ -299,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="wall-clock budget per configuration")
     p_verify.add_argument("--max-cache-mb", type=float, default=None, metavar="MB")
-    p_verify.add_argument("--corrupt-cache-after", type=int, default=None,
-                          metavar="N", help="test hook: corrupt the Nth cache "
-                          "store of the first run; verification must then fail")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("generate", help="emit a seeded benchmark instance")

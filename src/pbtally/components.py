@@ -293,6 +293,11 @@ def _raise_mass(src, raises, gaps, dst, spare):
     ``spare``, and so on alternately. ``spare`` may be ``src``, which is
     not read again after the first raise. Returns the table holding the
     result, ``src`` itself when ``raises`` is empty.
+
+    Precondition: the tables have at least two axes. With one, the capped
+    entry ``dst[head + (g,)]`` is a 0-d view, which ``np.sum`` cannot take
+    as ``out`` (it raises TypeError); :func:`count_by_gaps` counts a single
+    constraint by its vector of masses instead.
     """
     for axis, coeff in raises:
         head = (slice(None),) * axis
@@ -466,17 +471,17 @@ class CountCache:
         return count
 
     def store(self, key: bytes, count: int) -> int:
-        """Store ``count`` under ``key`` unless the key is held already.
+        """Store ``count`` under ``key``, which is not held.
 
-        Returns the count stored or already held, which the search
+        The search never stores a held key. A component counted without
+        search is stored right after its lookup missed. A frame stores its
+        key after its subtree, where every key names a strict subset of
+        its variables, and a conflict that cuts the frame off drops it
+        without a store. Returns the count stored, which the search
         multiplies in, so a corrupted store shows in the result even when
         its entry is never looked up again.
         """
         store = self._store
-        held = store.get(key)
-        if held is not None:
-            # the earlier entry for the same subproblem stays authoritative
-            return held
         if self.debug_corrupt_after is not None and self.stores == self.debug_corrupt_after:
             count += 1
         store[key] = count

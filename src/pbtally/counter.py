@@ -357,17 +357,6 @@ class ModelCounter:
             comps.append(Component(comp_vars, comp_cids))
         return comps, free
 
-    def _all_spanning(self, comp: Component) -> bool:
-        """Whether every constraint of ``comp`` spans its block.
-
-        Each of them then holds every variable of ``comp``.
-        """
-        spans = self._spanning[comp.var_ids[0]]
-        for ci in comp.cstr_ids:
-            if ci not in spans:
-                return False
-        return True
-
     def _pick_literal(self, comp: Component) -> int:
         """Branching literal for a component, ties to the smallest id.
 
@@ -376,9 +365,8 @@ class ModelCounter:
         Under ``vcis`` the activity and the :func:`compute_vcis_scores`
         score are each divided by their largest value in the component;
         under ``baseline`` the activity is raw, the static score 0 and
-        the phase positive. When every constraint of the component spans
-        its block, each variable's count is their number, found without
-        a walk of its constraints.
+        the phase positive. Each variable's count comes from a walk of
+        its occurrence list.
         """
         engine = self.engine
         activity = engine.activity
@@ -393,22 +381,17 @@ class ModelCounter:
                     sta_max = static[v]
         act_max = act_max or 1.0
         sta_max = sta_max or 1.0
-        # a spanning constraint adds 1 to the count of every variable of
-        # its block, so when all of the component's span, no count needs a walk
-        same = len(comp.cstr_ids) if self._all_spanning(comp) else -1
         occ = engine.occ_static
         gapv = engine.gapv
         best_v = var_ids[0]
         best = -1.0
         for v in var_ids:
-            live = same
-            if live < 0:
-                # an active constraint of a component variable is a
-                # component constraint, so they are counted without a lookup
-                live = 0
-                for ci, _, _ in occ[v]:
-                    if gapv[ci] > 0:
-                        live += 1
+            # an active constraint of a component variable is a component
+            # constraint, so they are counted without a lookup
+            live = 0
+            for ci, _, _ in occ[v]:
+                if gapv[ci] > 0:
+                    live += 1
             score = activity[v] / act_max + static[v] / sta_max + live
             if score > best:
                 best = score
@@ -435,7 +418,8 @@ class ModelCounter:
         """The component's count by enumeration or by its gaps, or None to search it.
 
         Enumeration takes a component of at most ``leaf_cells`` cells. The
-        gap table takes one whose constraints all span its block: there
+        gap table takes one whose constraints are all in its block's
+        ``_spanning``, so each holds every variable of the component: there
         it holds about as many states as the search would reach, while
         over many clauses it grows as 2 to the power of their number. The
         table must fit in what ``max_memory_bytes`` leaves free, and the
@@ -449,8 +433,12 @@ class ModelCounter:
             if n is not None:
                 self.stats.leaf_counts += 1
                 return n
-        if not cfg.leaf_cells or not self._all_spanning(comp):
+        if not cfg.leaf_cells:
             return None
+        spans = self._spanning[comp.var_ids[0]]
+        for ci in comp.cstr_ids:
+            if ci not in spans:
+                return None
         room = cfg.max_memory_bytes
         if room is not None:
             room -= self.cache.bytes_used + engine.learned_bytes

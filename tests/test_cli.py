@@ -10,8 +10,9 @@ import pytest
 
 import pbtally
 from _helpers import load_report
-from pbtally import (brute_count, count_models, gen_auction, gen_knapsack, parse_opb,
-                     parse_opb_file)
+import pbtally.cli
+from pbtally import (ModelCounter, brute_count, count_models, gen_auction, gen_knapsack,
+                     parse_opb, parse_opb_file)
 from pbtally.cli import _decimal_digits, main
 
 SMALL = "* #variable= 3 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+2 x2 +1 x3 <= 2 ;\n"
@@ -27,6 +28,22 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def corrupt_first_run(monkeypatch):
+    """Make the first counter ``verify`` builds write a wrong count on its
+    first cache store, which the search multiplies into that run's count."""
+    first = True
+
+    class CorruptingCounter(ModelCounter):
+        def __init__(self, *args, **kwargs):
+            nonlocal first
+            super().__init__(*args, **kwargs)
+            if first:
+                self.cache.debug_corrupt_after = 0
+                first = False
+
+    monkeypatch.setattr(pbtally.cli, "ModelCounter", CorruptingCounter)
 
 
 class TestCount:
@@ -184,12 +201,12 @@ class TestVerify:
         assert len(set(counts.values())) == 1
         assert out == "s verify PASS mc %d\n" % counts["exhaustive"]
 
-    def test_corrupted_cache_is_caught(self, tmp_path, capsys):
+    def test_corrupted_cache_is_caught(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "inst.opb",
                      gen_knapsack(items=12, dims=2, max_coeff=9,
                                   capacity_fraction=0.5, seed=5))
-        code, out, err = run_cli(
-            ["verify", "--corrupt-cache-after", "0", path], capsys)
+        corrupt_first_run(monkeypatch)
+        code, out, err = run_cli(["verify", path], capsys)
         assert code == 1
         assert out == "s verify FAIL\n"
         payload = load_report(err)
@@ -371,12 +388,17 @@ class TestInstalledEntryPoint:
             runs.append((run.stdout, report))
         assert runs[0] == runs[1]
 
-    def test_verify_exit_codes(self, tmp_path):
+    def test_verify_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "inst.opb")
         with open(path, "w") as handle:
             handle.write(gen_knapsack(items=12, dims=2, max_coeff=9,
                                       capacity_fraction=0.5, seed=5))
         ok = run_module(["verify", path])
         assert ok.returncode == 0
-        bad = run_module(["verify", "--corrupt-cache-after", "0", path])
-        assert bad.returncode == 1
+        # corruption is injected in process; verify has no flag for it
+        removed = run_module(["verify", "--corrupt-cache-after", "0", path])
+        assert removed.returncode == 2
+        corrupt_first_run(monkeypatch)
+        code, out, _ = run_cli(["verify", path], capsys)
+        assert code == 1
+        assert out == "s verify FAIL\n"

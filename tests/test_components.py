@@ -555,16 +555,6 @@ class TestCountCache:
         cache.store(b"dead", 0)
         assert cache.lookup(b"dead") == 0
 
-    def test_first_store_wins(self):
-        cache = CountCache()
-        assert cache.store(b"k", 5) == 5
-        before = cache.bytes_used
-        assert cache.store(b"k", 9) == 5
-        assert cache.lookup(b"k") == 5
-        assert cache.stores == 1
-        assert cache.log_position() == 1
-        assert cache.bytes_used == before
-
     def test_purge_from_drops_later_entries(self):
         cache = CountCache()
         cache.store(b"a", 1)

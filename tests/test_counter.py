@@ -200,6 +200,46 @@ class TestCountMatchesOracle:
         assert evictions > 0
         assert reduced >= 10
 
+    def test_no_count_is_stored_under_a_held_key(self, monkeypatch):
+        # CountCache.store writes without looking: a leaf is stored right
+        # after its lookup missed, and a frame after a subtree whose keys
+        # all name fewer variables; tiny caches evict and conflicts purge
+        # between the two
+        store = CountCache.store
+        stores = 0
+
+        def checked_store(cache, key, count):
+            nonlocal stores
+            assert key not in cache._store
+            stores += 1
+            return store(cache, key, count)
+
+        monkeypatch.setattr(CountCache, "store", checked_store)
+        configs = [CounterConfig(max_cache_bytes=600, leaf_cells=0),
+                   CounterConfig(max_cache_bytes=600),
+                   CounterConfig(max_cache_bytes=600, leaf_cells=0, max_learned=2)]
+        builders = [_helpers.random_formula, _helpers.tight_formula,
+                    _helpers.covered_formula, _helpers.clause_heavy_formula]
+        rng = random.Random(6617)
+        formulas = []
+        for i in range(1500):
+            f = builders[i % 4](rng)
+            if not f.unsat_at_load:
+                formulas.append((f, brute_count(f).count))
+        for seed in range(4):
+            f = parse_opb(gen_auction(bids=26, items=12, revenue_fraction=0.15, seed=seed))
+            formulas.append((f, count_models(f).count))
+        evictions = conflicts = 0
+        for f, want in formulas:
+            for cfg in configs:
+                res = count_models(f, cfg)
+                assert res.count == want
+                evictions += res.stats.cache_evictions
+                conflicts += res.stats.conflicts
+        assert stores >= 9000
+        assert evictions >= 4000
+        assert conflicts >= 1500
+
     def test_debug_checks_stay_silent(self):
         rng = random.Random(6605)
         for _ in range(40):
