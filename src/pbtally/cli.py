@@ -23,7 +23,7 @@ import sys
 import time
 
 from .counter import (CounterConfig, MemoryBudgetExceeded, ModelCounter,
-                      SolveTimeout, count_models)
+                      SolveTimeout)
 from .formula import OpbParseError, parse_opb, parse_opb_file
 from .generators import gen_auction, gen_knapsack, gen_sensor
 from .oracle import ENUMERATION_LIMIT, brute_count
@@ -153,28 +153,29 @@ def _cmd_count(args) -> int:
         return EXIT_USAGE
     config = _build_config(args)
     started = time.monotonic()
-    try:
-        result = count_models(formula, config)
-    except SolveTimeout as exc:
-        _report({"status": "timeout", "command": "count", "file": args.file,
-                 "error": str(exc), "config": _config_echo(config)})
-        return EXIT_TIMEOUT
-    except MemoryBudgetExceeded as exc:
-        _report({"status": "memout", "command": "count", "file": args.file,
-                 "error": str(exc), "config": _config_echo(config)})
-        return EXIT_MEMOUT
-    elapsed = time.monotonic() - started
-    print("s mc " + _decimal_digits(result.count))
+    counter = ModelCounter(formula, config)
+    mass = counter.mass
     payload = {
-        "status": "counted",
         "command": "count",
         "file": args.file,
-        "count": result.count,
-        "num_vars": formula.num_vars,
-        "num_constraints": len(formula.constraints),
         "config": _config_echo(config),
-        "elapsed_s": round(elapsed, 6),
+        # K, the constraint counted by weight vectors
+        "mass_constraint": None if mass is None else {"terms": len(mass.terms),
+                                                      "degree": mass.degree},
     }
+    try:
+        result = counter.run()
+    except (SolveTimeout, MemoryBudgetExceeded) as exc:
+        timeout = isinstance(exc, SolveTimeout)
+        payload.update(status="timeout" if timeout else "memout", error=str(exc))
+        if args.stats:
+            payload["stats"] = counter.stats.as_dict()
+        _report(payload)
+        return EXIT_TIMEOUT if timeout else EXIT_MEMOUT
+    elapsed = time.monotonic() - started
+    print("s mc " + _decimal_digits(result.count))
+    payload.update(status="counted", count=result.count, num_vars=formula.num_vars,
+                   num_constraints=len(formula.constraints), elapsed_s=round(elapsed, 6))
     if args.stats:
         payload["stats"] = result.stats.as_dict()
     _report(payload)
@@ -195,7 +196,8 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
 
     # each heuristic x key mode at the default, which counts small
-    # components by enumeration, then the search alone
+    # components by enumeration and carries K in weight vectors, then the
+    # search alone, with every constraint in the engine
     runs = [("%s_%s" % (heuristic, "saturated" if saturate else "raw"),
              _build_config(args, saturate_keys=saturate, heuristic=heuristic))
             for heuristic in HEURISTICS for saturate in (True, False)]
@@ -295,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file", help="OPB input path, or - for stdin")
     p_verify.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="wall-clock budget per configuration")
-    p_verify.add_argument("--max-cache-mb", type=float, default=None, metavar="MB")
+    p_verify.add_argument("--max-cache-mb", type=float, default=None, metavar="MB",
+                          help="component cache budget per configuration (default 256)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("generate", help="emit a seeded benchmark instance")

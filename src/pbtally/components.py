@@ -29,6 +29,7 @@ import numpy as np
 
 from .engine import UNASSIGNED
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
+from .mass import MassVectors, vector_bytes
 
 
 class Component:
@@ -221,7 +222,8 @@ def _subset_bits(h: int) -> np.ndarray:
     return bits
 
 
-def count_component(comp: Component, constraints, gapv, val) -> Optional[int]:
+def count_component(comp: Component, constraints, gapv, val,
+                    vectors: Optional[MassVectors] = None):
     """Models of a component over its own variables, by enumeration.
 
     Same precondition as :func:`encode_component`: the trail is the one
@@ -239,13 +241,20 @@ def count_component(comp: Component, constraints, gapv, val) -> Optional[int]:
     raised the peak heap of a benchmark count by 6%. Returns None,
     leaving the component to the search, when some constraint's open
     coefficient mass reaches :data:`LEAF_MASS_LIMIT`.
+
+    With ``vectors`` the result is the component's int64 vector (see
+    :mod:`pbtally.mass`): the satisfying assignments counted by their K
+    weight, capped at K's degree. K's coefficients are one more row of
+    the half tables, each half's weight capped before the two are added.
     """
     var_ids = comp.var_ids
     k = len(var_ids)
+    n_low = (k + 1) >> 1
     bit = {v: j for j, v in enumerate(var_ids)}
     # one row per constraint: its signed open coefficients, then its gap
     width = k + 1
-    rows = [0] * (len(comp.cstr_ids) * width)
+    m = len(comp.cstr_ids)
+    rows = [0] * ((m + (vectors is not None)) * width)
     row = 0
     for cid in comp.cstr_ids:
         gap = gapv[cid]
@@ -264,18 +273,36 @@ def count_component(comp: Component, constraints, gapv, val) -> Optional[int]:
             return None
         rows[row + k] = gap
         row += width
+    if vectors is not None:
+        # K's row last. A negated K literal weighs its coefficient when its
+        # bit is 0, so it enters as minus its coefficient over a base that
+        # holds it, one base per half; the high one goes in the gap column
+        bases = [0, 0]
+        for j, v in enumerate(var_ids):
+            a = rows[row + j] = vectors.signed[v]
+            if a < 0:
+                bases[j >= n_low] -= a
+        rows[row + k] = -bases[1]
     table = np.array(rows, dtype=np.int64).reshape(-1, width)
-    n_low = (k + 1) >> 1
     low = table[:, :n_low] @ _subset_bits(n_low)
     # a constraint holds where its low sum reaches its gap minus its high sum
     need = table[:, k:] - table[:, n_low:k] @ _subset_bits(k - n_low)
     ok = low[0] >= need[0][:, None]
-    if len(low) > 1:
+    if m > 1:
         holds = np.empty_like(ok)
-        for i in range(1, len(low)):
+        for i in range(1, m):
             np.greater_equal(low[i], need[i][:, None], out=holds)
             ok &= holds
-    return int(np.count_nonzero(ok))
+    if vectors is None:
+        return int(np.count_nonzero(ok))
+    # the K weight of each half, capped at d; the capped halves sum to at
+    # most 2 * d, which the small type holds
+    d = vectors.degree
+    small = np.min_scalar_type(2 * d)
+    weight = (np.minimum(low[m] + bases[0], d).astype(small)
+              + np.minimum(-need[m], d).astype(small)[:, None])
+    np.minimum(weight, d, out=weight)
+    return np.bincount(weight[ok], minlength=d + 1)
 
 
 #: the largest table :func:`count_by_gaps` builds, in cells: the product of
@@ -311,7 +338,8 @@ def _raise_mass(src, raises, gaps, dst, spare):
 
 
 def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[int] = None,
-                  poll: Optional[Callable[[], None]] = None) -> Optional[int]:
+                  poll: Optional[Callable[[], None]] = None,
+                  vectors: Optional[MassVectors] = None):
     """Models of a component over its own variables, by dynamic programming.
 
     Same precondition as :func:`count_component`. The table has one axis
@@ -335,12 +363,18 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     or when the three int64 tables would take more than ``max_bytes``.
     ``poll`` is called before each variable is taken, and may raise to
     stop the count.
+
+    With ``vectors`` K's mass is one more axis, capped at K's degree, and
+    the result is the component's int64 vector (see :mod:`pbtally.mass`):
+    the row of the table where every other mass has reached its gap.
     """
     var_ids = comp.var_ids
     n = len(var_ids)
     if n > 62:
         return None
     gaps = [gapv[cid] for cid in comp.cstr_ids]
+    if vectors is not None:
+        gaps.append(vectors.degree)
     cells = 1
     for g in gaps:
         cells *= g + 1
@@ -369,6 +403,14 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
                     ups[lit].append((axis, min(a, g)))
             elif val[-lit] == UNASSIGNED:
                 downs[-lit].append((axis, min(a, g)))
+    if vectors is not None:
+        axis = len(comp.cstr_ids)
+        for v in var_ids:
+            a = vectors.signed[v]
+            if a > 0:
+                ups[v].append((axis, a))
+            elif a < 0:
+                downs[v].append((axis, -a))
     shape = tuple(g + 1 for g in gaps)
     tables = [np.zeros(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
               np.empty(shape, dtype=np.int64)]
@@ -384,6 +426,8 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
             false = _raise_mass(cur, downs[v], gaps, two if true is one else one, cur)
         np.add(true, false, out=true)
         tables = [true] + [t for t in tables if t is not true]
+    if vectors is not None:
+        return tables[0][tuple(gaps[:-1])].copy()
     return int(tables[0][tuple(gaps)])
 
 
@@ -455,8 +499,12 @@ class CountCache:
         return len(self._store)
 
     @staticmethod
-    def _entry_bytes(key: bytes, count: int) -> int:
-        return len(key) + max(1, (count.bit_length() + 7) // 8) + CountCache.ENTRY_OVERHEAD
+    def _entry_bytes(key: bytes, count) -> int:
+        if type(count) is int:
+            size = max(1, (count.bit_length() + 7) // 8)
+        else:
+            size = vector_bytes(count)
+        return len(key) + size + CountCache.ENTRY_OVERHEAD
 
     def log_position(self) -> int:
         """Position the next store gets; feed to :meth:`purge_from`."""
@@ -470,8 +518,9 @@ class CountCache:
         self.hits += 1
         return count
 
-    def store(self, key: bytes, count: int) -> int:
-        """Store ``count`` under ``key``, which is not held.
+    def store(self, key: bytes, count):
+        """Store ``count``, an int or a vector (see :mod:`pbtally.mass`), under
+        ``key``, which is not held.
 
         The search never stores a held key. A component counted without
         search is stored right after its lookup missed. A frame stores its

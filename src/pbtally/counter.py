@@ -9,6 +9,13 @@ constraints all span it, or pushed as a child frame. A finished frame
 reports models(branch true) + models(branch false), multiplied into its
 parent, and unconstrained variables contribute a power of two directly.
 
+When one constraint K holds every variable beside narrower ones, K
+leaves the engine, the split and the cache keys, and every count above
+becomes a vector over K's weight (:mod:`pbtally.mass`): components
+multiply by convolution, branches add, a free variable is a factor
+``1 + z**a``, and a branch is shifted by the K weight of the literals set
+at its level. The count is the root vector's entry at K's degree.
+
 Conflicts are analyzed into learned constraints as in a clause-learning
 satisfiability search. Because a conflict proves the current combination
 of assumptions impossible, every cache entry inserted after the backjump
@@ -22,6 +29,7 @@ independently-multiplied components actually independent.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from typing import Callable, Optional
 
@@ -29,6 +37,7 @@ from .components import (Component, CountCache, count_by_gaps, count_component,
                          encode_component)
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
+from .mass import INT64_VARS, MassVectors, choose_mass_constraint
 
 #: budgets are checked every 256 decisions plus conflicts
 _BUDGET_CHECK_MASK = (1 << 8) - 1
@@ -65,8 +74,11 @@ class CounterConfig:
     counter counts by enumeration instead of search, in cells: its
     constraints times 2 to the power of its variables. A component all of
     whose constraints span its block is also counted without search, by
-    :func:`count_by_gaps`, when its table fits. 0 turns both off, so every
-    component is searched.
+    :func:`count_by_gaps`, when its table fits. A constraint over every
+    variable, beside a narrower one, whose degree is below ``leaf_cells``
+    becomes the counter's K (:attr:`ModelCounter.mass`): it is counted by
+    weight vectors instead of searched. 0 turns all three off, so every
+    component is searched with every constraint in the engine.
 
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, with ``lit`` in
@@ -238,8 +250,10 @@ class _Frame:
         self.lit = lit
         self.log_pos = log_pos
         self.phase = 0
-        self.branch_sum = 0
-        self.prod = 1
+        #: the first branch's count, once it is done
+        self.branch_sum = None
+        #: the current branch's count so far, set when it is split
+        self.prod = None
         self.pending = None
 
 
@@ -254,7 +268,17 @@ class ModelCounter:
         self.formula, self.input_ids = compact_variables(formula)
         #: input variables left out of it, each a factor of 2 in the count
         self.unreferenced = formula.num_vars - self.formula.num_vars
-        self.engine = Engine(self.formula, max_learned=self.config.max_learned)
+        n = self.formula.num_vars
+        #: K, the constraint the counts carry as weight vectors instead of
+        #: the search (see :mod:`pbtally.mass`), or None
+        self.mass = choose_mass_constraint(self.formula, self.config.leaf_cells)
+        searched = self.formula
+        self._vectors = None
+        if self.mass is not None:
+            searched = self.formula.without(self.mass)
+            self._vectors = MassVectors(self.mass, n)
+        #: propagates, learns from and splits the formula without K
+        self.engine = Engine(searched, max_learned=self.config.max_learned)
         self.cache = CountCache(max_bytes=self.config.max_cache_bytes)
         self.stats = SearchStats()
         #: static score and phase per variable; only ``vcis`` scales its scores
@@ -262,19 +286,19 @@ class ModelCounter:
         if self._scaled:
             self._static, self._phase = compute_vcis_scores(self.formula)
         else:
-            self._static = [0.0] * (self.formula.num_vars + 1)
-            self._phase = [True] * (self.formula.num_vars + 1)
+            self._static = [0.0] * (n + 1)
+            self._phase = [True] * (n + 1)
         #: components waiting in the ``pending`` lists of all stack frames
         self._open_pending = 0
-        self._var_stamp = [0] * (self.formula.num_vars + 1)
-        self._cstr_stamp = [0] * len(self.formula.constraints)
+        self._var_stamp = [0] * (n + 1)
+        self._cstr_stamp = [0] * len(searched.constraints)
         self._stamp = 0
         self._ops = 0
         self._deadline = None
         #: per variable, the constraints over every variable of its block,
         #: the component holding it on the empty trail; () when none is
-        self._spanning = [()] * (self.formula.num_vars + 1)
-        for block in self._split_scope(range(1, self.formula.num_vars + 1))[0]:
+        self._spanning = [()] * (n + 1)
+        for block in self._split_scope(range(1, n + 1))[0]:
             spans = tuple(ci for ci in block.cstr_ids
                           if len(self.engine.constraints[ci].terms) == len(block.var_ids))
             for v in block.var_ids:
@@ -286,9 +310,10 @@ class ModelCounter:
         """Residual components among the given unassigned variables.
 
         Two variables connect when an unsatisfied original constraint
-        contains both. Returns ``(components, n_free)`` with free
-        variables (in no active constraint) only counted: each doubles
-        the model count of the surrounding subproblem.
+        contains both. Returns ``(components, free)``, where ``free``
+        lists the variables in no active constraint, in ``scope_vars``
+        order: each doubles the model count of the surrounding
+        subproblem, or is a factor ``1 + z**a`` of its vector.
 
         ``parent`` is the component whose frame is being split (``None``
         at the root). If a spanning constraint of its block (see
@@ -315,8 +340,8 @@ class ModelCounter:
                     comp = Component([v for v in parent.var_ids if val[v] == UNASSIGNED],
                                      [cj for cj in parent.cstr_ids if gapv[cj] > 0])
                     if self.config.debug_checks:
-                        assert self._split_scope(scope_vars) == ([comp], 0)
-                    return [comp], 0
+                        assert self._split_scope(scope_vars) == ([comp], [])
+                    return [comp], []
         occ = engine.occ_static
         constraints = engine.constraints
         self._stamp += 1
@@ -324,7 +349,7 @@ class ModelCounter:
         vstamp = self._var_stamp
         cstamp = self._cstr_stamp
         comps = []
-        free = 0
+        free = []
         for v0 in scope_vars:
             if val[v0] != UNASSIGNED or vstamp[v0] == stamp:
                 continue
@@ -350,7 +375,7 @@ class ModelCounter:
                         vstamp[w] = stamp
                         queue.append(w)
             if not comp_cids:
-                free += 1
+                free.append(v0)
                 continue
             comp_vars.sort()
             comp_cids.sort()
@@ -414,7 +439,7 @@ class ModelCounter:
                 raise MemoryBudgetExceeded(
                     "accounted %d bytes exceeds budget %d" % (used, limit))
 
-    def _count_without_search(self, comp: Component) -> Optional[int]:
+    def _count_without_search(self, comp: Component):
         """The component's count by enumeration or by its gaps, or None to search it.
 
         Enumeration takes a component of at most ``leaf_cells`` cells. The
@@ -423,13 +448,15 @@ class ModelCounter:
         it holds about as many states as the search would reach, while
         over many clauses it grows as 2 to the power of their number. The
         table must fit in what ``max_memory_bytes`` leaves free, and the
-        deadline is checked as it fills.
+        deadline is checked as it fills. With K, either gives the
+        component's vector.
         """
         cfg = self.config
         engine = self.engine
         # cstrs << vars <= leaf_cells, without building 1 << vars
         if len(comp.cstr_ids) <= cfg.leaf_cells >> len(comp.var_ids):
-            n = count_component(comp, engine.constraints, engine.gapv, engine.val)
+            n = count_component(comp, engine.constraints, engine.gapv, engine.val,
+                                self._vectors)
             if n is not None:
                 self.stats.leaf_counts += 1
                 return n
@@ -443,7 +470,8 @@ class ModelCounter:
         if room is not None:
             room -= self.cache.bytes_used + engine.learned_bytes
         n = count_by_gaps(comp, engine.constraints, engine.gapv, engine.val, room,
-                          None if self._deadline is None else self._check_deadline)
+                          None if self._deadline is None else self._check_deadline,
+                          self._vectors)
         if n is not None:
             self.stats.gap_counts += 1
         return n
@@ -464,9 +492,7 @@ class ModelCounter:
         self._open_pending -= sum(len(fr.pending) for fr in stack[jump:]
                                   if fr.pending)
         del stack[jump + 1:]
-        frame = stack[jump]
-        frame.prod = 1
-        frame.pending = None
+        stack[jump].pending = None
         if self.config.on_event is not None:
             self.config.on_event("learned", (terms, degree, jump))
         engine.add_learned(terms, degree)
@@ -482,22 +508,58 @@ class ModelCounter:
 
     # ----- main loop --------------------------------------------------------
 
+    def _fill_stats(self) -> None:
+        """Copy the engine's and the cache's counters into ``stats``."""
+        stats = self.stats
+        engine = self.engine
+        cache = self.cache
+        stats.propagations = engine.n_propagations
+        stats.learned = engine.learned_total
+        stats.cache_hits = cache.hits
+        stats.cache_misses = cache.misses
+        stats.cache_stores = cache.stores
+        stats.cache_evictions = cache.evictions
+        stats.cache_purged = cache.purged
+        stats.cache_entries = len(cache)
+        stats.cache_bytes_peak = cache.bytes_peak
+
+    def _level_vector(self, frame: _Frame, free):
+        """With K, a split branch's vector before its components multiply in.
+
+        The free variables' factor, shifted by the K weight of the literals
+        set at the frame's level: its decision and what that propagated.
+        """
+        engine = self.engine
+        lim = engine.trail_lim
+        wide = (engine.num_vars if frame.comp is None else len(frame.comp.var_ids)) > INT64_VARS
+        vectors = self._vectors
+        return vectors.shift(vectors.free(free, wide),
+                             vectors.weight(engine.trail[lim[-1] if lim else 0:]))
+
     def run(self) -> CountResult:
+        if self.config.timeout_s is not None:
+            self._deadline = time.monotonic() + self.config.timeout_s
+        try:
+            count = 0 if self.formula.unsat_at_load else self._search()
+        finally:
+            # a budget stop reports how far the search got
+            self._fill_stats()
+        assert 0 <= count <= (1 << self.formula.num_vars)
+        return CountResult(count << self.unreferenced, self.stats, self.cache)
+
+    def _search(self) -> int:
         cfg = self.config
         stats = self.stats
         engine = self.engine
         cache = self.cache
-        if cfg.timeout_s is not None:
-            self._deadline = time.monotonic() + cfg.timeout_s
-
-        count = None
-        if self.formula.unsat_at_load:
-            count = 0
+        vectors = self._vectors
+        mul = operator.mul if vectors is None else vectors.mul
+        add = operator.add if vectors is None else vectors.add
         stack = [_Frame(None, None, 0, 0)]
         stats.peak_depth = 1
         split_gaps = {}  # debug_checks: stack depth -> original gaps at that frame's split
 
-        while count is None:
+        while True:
             frame = stack[-1]
             if frame.pending is None:
                 if frame.comp is None:
@@ -507,8 +569,7 @@ class ModelCounter:
                 confl = engine.propagate()
                 if confl is not None:
                     if not self._handle_conflict(confl, stack):
-                        count = 0
-                        break
+                        return 0
                     continue
                 if cfg.debug_checks:
                     assert engine.current_level() == len(stack) - 1
@@ -520,7 +581,10 @@ class ModelCounter:
                 comps, free = self._split_scope(scope, frame.comp)
                 if cfg.debug_checks:
                     split_gaps[len(stack)] = engine.gapv[:]
-                frame.prod = 1 << free
+                if vectors is None:
+                    frame.prod = 1 << len(free)
+                else:
+                    frame.prod = self._level_vector(frame, free)
                 frame.pending = comps
                 self._open_pending += len(comps)
                 open_comps = self._open_pending + len(stack) - 1
@@ -531,18 +595,18 @@ class ModelCounter:
                 self._open_pending -= 1
                 if cfg.debug_checks:
                     # encode_component's precondition: the trail is the one comp was split under
-                    assert self._split_scope(comp.var_ids) == ([comp], 0)
+                    assert self._split_scope(comp.var_ids) == ([comp], [])
                     assert engine.gapv == split_gaps[len(stack)]
                 key = encode_component(comp, engine.constraints, engine.gapv,
                                        engine.val, cfg.saturate_keys)
                 cached = cache.lookup(key)
                 if cached is not None:
-                    frame.prod *= cached
+                    frame.prod = mul(frame.prod, cached)
                     continue
                 n = self._count_without_search(comp)
                 if n is not None:
                     self._budget_tick()
-                    frame.prod *= cache.store(key, n)
+                    frame.prod = mul(frame.prod, cache.store(key, n))
                     continue
                 lit = self._pick_literal(comp)
                 stack.append(_Frame(comp, key, lit, cache.log_position()))
@@ -550,36 +614,23 @@ class ModelCounter:
                     stats.peak_depth = len(stack)
                 engine.decide(lit)
                 self._note_decision(lit)
+            elif len(stack) == 1:
+                return frame.prod if vectors is None else vectors.final(frame.prod)
             else:
-                if len(stack) == 1:
-                    count = frame.prod
-                    break
-                frame.branch_sum += frame.prod
                 engine.backjump_to(len(stack) - 2)
                 if frame.phase == 0:
+                    frame.branch_sum = frame.prod
                     frame.phase = 1
                     frame.lit = -frame.lit
                     frame.log_pos = cache.log_position()
-                    frame.prod = 1
                     frame.pending = None
                     engine.decide(frame.lit)
                     self._note_decision(frame.lit)
                 else:
                     stack.pop()
-                    stack[-1].prod *= cache.store(frame.key, frame.branch_sum)
-
-        assert 0 <= count <= (1 << self.formula.num_vars)
-        count <<= self.unreferenced
-        stats.propagations = engine.n_propagations
-        stats.learned = engine.learned_total
-        stats.cache_hits = cache.hits
-        stats.cache_misses = cache.misses
-        stats.cache_stores = cache.stores
-        stats.cache_evictions = cache.evictions
-        stats.cache_purged = cache.purged
-        stats.cache_entries = len(cache)
-        stats.cache_bytes_peak = cache.bytes_peak
-        return CountResult(count, stats, cache)
+                    parent = stack[-1]
+                    parent.prod = mul(parent.prod,
+                                      cache.store(frame.key, add(frame.branch_sum, frame.prod)))
 
 
 def count_models(formula: PBFormula, config: Optional[CounterConfig] = None) -> CountResult:

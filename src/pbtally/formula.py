@@ -88,6 +88,15 @@ class PBConstraint:
     def coef_sum(self) -> int:
         return sum(c for c, _ in self.terms)
 
+    def renumbered(self, cid: int) -> "PBConstraint":
+        """The same constraint under id ``cid``, its terms not sorted again."""
+        c = PBConstraint.__new__(PBConstraint)
+        c.cid = cid
+        c.terms = self.terms
+        c.degree = self.degree
+        c.clausal = self.clausal
+        return c
+
     def body(self) -> tuple:
         """Identity of the constraint minus its id, usable as a dict key."""
         return (self.terms, self.degree)
@@ -120,10 +129,22 @@ class PBFormula:
         self.unsat_at_load = unsat_at_load
         for c in self.constraints:
             for _, lit in c.terms:
-                v = lit_var(lit)
-                if not 1 <= v <= num_vars:
+                if not 0 < abs(lit) <= num_vars:
                     raise ValueError("constraint %d references x%d outside 1..%d"
-                                     % (c.cid, v, num_vars))
+                                     % (c.cid, abs(lit), num_vars))
+
+    def without(self, dropped: PBConstraint) -> "PBFormula":
+        """The formula less its constraint ``dropped``, the later ones renumbered.
+
+        The constraints before ``dropped`` keep their ids and are shared.
+        All are already normalized, ordered and in range, so none is
+        checked again.
+        """
+        cut = dropped.cid
+        rest = PBFormula(self.num_vars, (), self.unsat_at_load)
+        rest.constraints = self.constraints[:cut] + tuple(
+            c.renumbered(cid) for cid, c in enumerate(self.constraints[cut + 1:], cut))
+        return rest
 
     def __repr__(self) -> str:
         return "PBFormula(num_vars=%d, constraints=%d%s)" % (

@@ -314,10 +314,10 @@ def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0
             if rng.random() < rate}
 
 
-def count_with_events(formula: PBFormula):
+def count_with_events(formula: PBFormula, leaf_cells: int = 0):
     """Count through ``on_event`` and return ``(counter, result, decisions, learned)``.
 
-    Enumeration is off, so every component is searched.
+    By default enumeration is off, so every component is searched.
 
     ``decisions`` are the ``(level, lit)`` payloads in order. ``learned``
     entries are ``(terms, degree, jump, asserting)``. ``asserting`` is read
@@ -339,7 +339,7 @@ def count_with_events(formula: PBFormula):
         forcing = any(lit_value(lit) is None and a > slack for a, lit in terms)
         learned.append((terms, degree, jump, slack >= 0 and forcing))
 
-    counter = ModelCounter(formula, CounterConfig(leaf_cells=0, on_event=on_event))
+    counter = ModelCounter(formula, CounterConfig(leaf_cells=leaf_cells, on_event=on_event))
     result = counter.run()
     return counter, result, decisions, learned
 

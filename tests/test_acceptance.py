@@ -191,7 +191,7 @@ def test_c4_branch_choice_matches_hand_computed_scores():
         mc = ModelCounter(f, CounterConfig(heuristic=heuristic))
         assert mc.engine.propagate() is None
         comps, free = mc._split_scope(range(1, 5))
-        assert free == 0 and [tuple(c.var_ids) for c in comps] == [(1, 2, 3, 4)]
+        assert free == [] and [tuple(c.var_ids) for c in comps] == [(1, 2, 3, 4)]
         mc.engine.activity[1] = 2.0
         mc.engine.activity[3] = 0.5
         assert mc._pick_literal(comps[0]) == lit

@@ -9,10 +9,10 @@ from decimal import Decimal
 import pytest
 
 import pbtally
-from _helpers import load_report
+from _helpers import disjoint_union, load_report
 import pbtally.cli
-from pbtally import (ModelCounter, brute_count, count_models, gen_auction, gen_knapsack,
-                     parse_opb, parse_opb_file)
+from pbtally import (ModelCounter, brute_count, count_models, emit_opb, gen_auction,
+                     gen_knapsack, parse_opb, parse_opb_file)
 from pbtally.cli import _decimal_digits, main
 
 SMALL = "* #variable= 3 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+2 x2 +1 x3 <= 2 ;\n"
@@ -59,6 +59,7 @@ class TestCount:
         assert payload["num_vars"] == 3
         assert payload["config"]["heuristic"] == "vcis"
         assert payload["config"]["saturate_keys"] is True
+        assert payload["mass_constraint"] is None
         assert "stats" not in payload
 
     @pytest.mark.parametrize("bits", [0, 2047, 2048, 2049, 4097, 20003, 100001])
@@ -161,6 +162,28 @@ class TestCount:
         assert code == 20
         assert out == ""
         assert load_report(err)["status"] == "memout"
+
+    @pytest.mark.parametrize("flags, code, status", [
+        (["--timeout", "0.001"], 10, "timeout"),
+        (["--max-memory-mb", "0.01"], 20, "memout"),
+    ])
+    def test_budget_stops_report_how_far_the_search_got(self, tmp_path, capsys, flags,
+                                                        code, status):
+        # the budget is polled every 256 decisions, conflicts and leaves,
+        # and this auction takes thousands of them with its revenue floor
+        # as K; the stats are those of the stop
+        path = write(tmp_path, "auction.opb",
+                     gen_auction(bids=60, items=30, revenue_fraction=0.15, seed=0))
+        got, out, err = run_cli(["count", "--stats", *flags, path], capsys)
+        assert got == code
+        assert out == ""
+        payload = load_report(err)
+        assert payload["status"] == status
+        assert payload["mass_constraint"] == {"terms": 60, "degree": 96}
+        stats = payload["stats"]
+        assert stats["decisions"] > 0 and stats["cache_stores"] > 0
+        got, _, err = run_cli(["count", *flags, path], capsys)
+        assert got == code and "stats" not in load_report(err)
 
     @pytest.mark.parametrize("flags", [
         ["--timeout", "nan"], ["--timeout", "0"], ["--timeout", "-1"],
@@ -373,20 +396,28 @@ class TestInstalledEntryPoint:
 
     def test_reports_are_identical_across_processes(self, tmp_path):
         # string hashing is salted per process; nothing the count reports
-        # may depend on it
-        path = str(tmp_path / "auction.opb")
-        with open(path, "w") as handle:
-            handle.write(gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=1))
-        runs = []
-        for hash_seed in ("0", "1"):
-            run = run_module(["count", "--stats", path],
-                             extra_env={"PYTHONHASHSEED": hash_seed}, text=True)
-            assert run.returncode == 0
-            report = load_report(run.stderr)
-            assert report["stats"]["conflicts"] > 0
-            del report["elapsed_s"]
-            runs.append((run.stdout, report))
-        assert runs[0] == runs[1]
+        # may depend on it. The auction's revenue floor is its K; two
+        # auctions side by side have none, and their search learns
+        auctions = [parse_opb(gen_auction(bids=35, items=20, revenue_fraction=0.15, seed=s))
+                    for s in (17, 16)]
+        texts = {"floor": gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=1),
+                 "union": emit_opb(disjoint_union(auctions))}
+        for name, text in texts.items():
+            path = write(tmp_path, name + ".opb", text)
+            runs = []
+            for hash_seed in ("0", "1"):
+                run = run_module(["count", "--stats", path],
+                                 extra_env={"PYTHONHASHSEED": hash_seed}, text=True)
+                assert run.returncode == 0
+                report = load_report(run.stderr)
+                if name == "floor":
+                    assert report["mass_constraint"] == {"terms": 29, "degree": 37}
+                else:
+                    assert report["mass_constraint"] is None
+                    assert report["stats"]["conflicts"] > 0
+                del report["elapsed_s"]
+                runs.append((run.stdout, report))
+            assert runs[0] == runs[1]
 
     def test_verify_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "inst.opb")

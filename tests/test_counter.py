@@ -451,7 +451,7 @@ class TestBranchingScores:
         mc = ModelCounter(f, CounterConfig())
         assert mc.engine.propagate() is None
         comps, free = mc._split_scope(range(1, 4))
-        assert len(comps) == 1 and free == 0
+        assert len(comps) == 1 and free == []
         assert mc._pick_literal(comps[0]) == -1
 
     def test_baseline_pick_is_positive_and_tie_breaks_low(self):
@@ -522,23 +522,26 @@ class TestBranchingScores:
 class TestSplitScopeMirror:
     def test_matches_pure_splitter_at_root_and_mid_search(self):
         rng = random.Random(6608)
-        compared = 0
+        compared = with_mass = 0
         for _ in range(200):
             f = _helpers.random_formula(rng, max_vars=10)
             if f.unsat_at_load:
                 continue
             mc = ModelCounter(f, CounterConfig())
             e = mc.engine
+            # the counter renumbers the variables that some constraint
+            # holds, and splits the formula without K
+            n = mc.formula.num_vars
+            searched = PBFormula(n, [c.body() for c in e.constraints])
+            with_mass += mc.mass is not None
             if e.propagate() is not None:
                 continue
-            # the counter renumbers the variables that some constraint holds
-            n = mc.formula.num_vars
             for _round in range(3):
                 comps, free = mc._split_scope(range(1, n + 1))
                 ref_comps, ref_free = residual_components(
-                    mc.formula, e.assignment_dict())
+                    searched, e.assignment_dict())
                 assert comps == ref_comps
-                assert free == len(ref_free)
+                assert free == ref_free
                 self._assert_gaps_exact(mc, comps)
                 compared += 1
                 unassigned = [v for v in range(1, n + 1)
@@ -549,7 +552,7 @@ class TestSplitScopeMirror:
                 e.decide(v if rng.random() < 0.5 else -v)
                 if e.propagate() is not None:
                     break
-        assert compared > 120
+        assert compared > 120 and with_mass > 10
 
     @staticmethod
     def _assert_gaps_exact(mc, comps):
@@ -557,7 +560,7 @@ class TestSplitScopeMirror:
         asn = mc.engine.assignment_dict()
         for comp in comps:
             for ci in comp.cstr_ids:
-                assert mc.engine.gapv[ci] == constraint_gap(mc.formula.constraints[ci], asn)
+                assert mc.engine.gapv[ci] == constraint_gap(mc.engine.constraints[ci], asn)
 
     @staticmethod
     def _assert_spanning_exact(mc, comps):
@@ -574,11 +577,12 @@ class TestSplitScopeMirror:
     def test_cover_fast_path_matches_pure_splitter(self):
         # one constraint over every variable of a block spans it; the
         # splits below it skip the search until that constraint is
-        # satisfied, and search again from then on
+        # satisfied, and search again from then on. Without leaf_cells a
+        # formula's spanning constraint is searched, not its K
         rng = random.Random(6612)
         fast = fallback = 0
         for f, _ in _covered_formulas(rng, 300, 100):
-            mc = ModelCounter(f, CounterConfig())
+            mc = ModelCounter(f, CounterConfig(leaf_cells=0))
             n = mc.formula.num_vars
             e = mc.engine
             if e.propagate() is not None:
@@ -597,11 +601,11 @@ class TestSplitScopeMirror:
                     mc.formula, e.assignment_dict())
                 scope = set(comp.var_ids)
                 assert comps == [c for c in ref_comps if scope.issuperset(c.var_ids)]
-                assert free == len(scope.intersection(ref_free))
+                assert free == [v for v in ref_free if v in scope]
                 self._assert_gaps_exact(mc, comps)
                 self._assert_spanning_exact(mc, comps)
                 if takes_fast_path:
-                    assert len(comps) == 1 and free == 0
+                    assert len(comps) == 1 and free == []
                     fast += 1
                 elif mc._spanning[comp.var_ids[0]]:
                     fallback += 1
@@ -667,20 +671,22 @@ class TestGapCounts:
     def test_counts_match_the_oracle_where_every_table_is_used(self, monkeypatch):
         # with enumeration declining everything, each component whose
         # constraints all span its block is counted by its gaps, below the
-        # root too; the debug checks run at every node
+        # root too, and with K's mass as one more axis where the formula
+        # has a K; the debug checks run at every node
         monkeypatch.setattr(pbtally.counter, "count_component", lambda *args: None)
         rng = random.Random(6617)
         builders = (_helpers.random_formula, _helpers.tight_formula,
                     _helpers.covered_formula, _helpers.clause_heavy_formula)
-        gap_counts = 0
-        for i in range(2000):
+        gap_counts = [0, 0]
+        for i in range(2400):
             f = builders[i % 4](rng)
             if f.unsat_at_load:
                 continue
-            res = count_models(f, CounterConfig(debug_checks=True))
+            mc = ModelCounter(f, CounterConfig(debug_checks=True))
+            res = mc.run()
             assert res.count == brute_count(f).count
-            gap_counts += res.stats.gap_counts
-        assert gap_counts > 300
+            gap_counts[mc.mass is not None] += res.stats.gap_counts
+        assert sum(gap_counts) > 300 and gap_counts[1] > 100
 
     def test_timeout_holds_inside_the_table(self):
         # the root table of 1.7 million cells takes tenths of a second; the
