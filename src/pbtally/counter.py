@@ -37,9 +37,12 @@ from .components import (Component, CountCache, count_by_gaps, count_component,
                          encode_component)
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
-from .mass import INT64_VARS, MassVectors, choose_mass_constraint
+from .mass import INT64_VARS, MassVectors, choose_mass_constraint, vector_bytes
 
-#: budgets are checked every 256 decisions plus conflicts
+#: budgets are checked every 256 decisions, conflicts and counts without
+#: search; with K the deadline is checked at each of them and at every
+#: cache hit, as one product of vectors of thousands of Python ints takes
+#: up to a second
 _BUDGET_CHECK_MASK = (1 << 8) - 1
 
 
@@ -48,7 +51,7 @@ class SolveTimeout(Exception):
 
 
 class MemoryBudgetExceeded(Exception):
-    """Accounted cache plus learned-constraint bytes left the budget."""
+    """Accounted cache, learned-constraint and weight-vector bytes left the budget."""
 
 
 class CounterConfig:
@@ -67,7 +70,8 @@ class CounterConfig:
 
     ``max_cache_bytes`` bounds the count cache, which evicts its oldest
     entries first; ``max_memory_bytes`` bounds the cache plus the learned
-    constraints. Both are ints of at least 0 (None lifts the second), and
+    constraints, plus with K the weight vectors of the open search frames.
+    Both are ints of at least 0 (None lifts the second), and
     ``timeout_s`` is a positive, finite int or float; no ``bool`` passes.
 
     ``leaf_cells``, an int of at least 0, is the largest component the
@@ -295,6 +299,8 @@ class ModelCounter:
         self._stamp = 0
         self._ops = 0
         self._deadline = None
+        #: the search's frames, while it runs
+        self._stack = []
         #: per variable, the constraints over every variable of its block,
         #: the component holding it on the empty trail; () when none is
         self._spanning = [()] * (n + 1)
@@ -430,14 +436,27 @@ class ModelCounter:
     def _budget_tick(self) -> None:
         self._ops += 1
         if self._ops & _BUDGET_CHECK_MASK:
+            if self._vectors is not None:
+                self._check_deadline()
             return
         self._check_deadline()
         limit = self.config.max_memory_bytes
         if limit is not None:
-            used = self.cache.bytes_used + self.engine.learned_bytes
+            used = self._accounted_bytes()
             if used > limit:
                 raise MemoryBudgetExceeded(
                     "accounted %d bytes exceeds budget %d" % (used, limit))
+
+    def _accounted_bytes(self) -> int:
+        """The bytes ``max_memory_bytes`` bounds: the cache's, the learned
+        constraints', and with K the vectors the open frames hold."""
+        used = self.cache.bytes_used + self.engine.learned_bytes
+        if self._vectors is not None:
+            for frame in self._stack:
+                for p in (frame.prod, frame.branch_sum):
+                    if p is not None:
+                        used += vector_bytes(p)
+        return used
 
     def _count_without_search(self, comp: Component):
         """The component's count by enumeration or by its gaps, or None to search it.
@@ -468,7 +487,7 @@ class ModelCounter:
                 return None
         room = cfg.max_memory_bytes
         if room is not None:
-            room -= self.cache.bytes_used + engine.learned_bytes
+            room -= self._accounted_bytes()
         n = count_by_gaps(comp, engine.constraints, engine.gapv, engine.val, room,
                           None if self._deadline is None else self._check_deadline,
                           self._vectors)
@@ -555,7 +574,8 @@ class ModelCounter:
         vectors = self._vectors
         mul = operator.mul if vectors is None else vectors.mul
         add = operator.add if vectors is None else vectors.add
-        stack = [_Frame(None, None, 0, 0)]
+        stack = self._stack
+        stack.append(_Frame(None, None, 0, 0))
         stats.peak_depth = 1
         split_gaps = {}  # debug_checks: stack depth -> original gaps at that frame's split
 
@@ -601,6 +621,8 @@ class ModelCounter:
                                        engine.val, cfg.saturate_keys)
                 cached = cache.lookup(key)
                 if cached is not None:
+                    if vectors is not None:
+                        self._check_deadline()
                     frame.prod = mul(frame.prod, cached)
                     continue
                 n = self._count_without_search(comp)

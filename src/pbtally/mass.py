@@ -36,12 +36,6 @@ from .formula import PBConstraint, PBFormula
 INT64_VARS = 62
 
 
-#: a scaled shift costs about as much as this many steps of a convolution
-#: (numpy 2.4, one core); :meth:`MassVectors.mul` shifts when the sparser
-#: vector's entries cost fewer steps than the whole convolution
-_SHIFT_STEPS = 5000
-
-
 def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBConstraint]:
     """K for :class:`MassVectors`, or None when the formula has none.
 
@@ -142,35 +136,28 @@ class MassVectors:
     def mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The vector of two components over disjoint variables: the lumped convolution.
 
-        A convolution takes about ``d * d`` steps. When the sparser
-        operand has few nonzero entries, a scaled shift of the other per
-        entry is cheaper: a search frame's ``p`` is often one term
-        ``c * z**j``, its shift and free variables before any component,
-        and under a K of large coefficients a small component's vector
-        holds a few weights among thousands of entries.
+        Two int64 vectors convolve in numpy. Over Python ints every product
+        is a Python operation either way, so each nonzero entry of the
+        sparser vector adds a scaled shift of the other: never more
+        products than the convolution, and far fewer when one vector holds
+        a few weights, as a small component's does beside a wide frame's.
         """
         d = self.degree
-        if p.dtype != q.dtype:
-            # one is a frame's over more than INT64_VARS variables
-            p, q = p.astype(object), q.astype(object)
+        if p.dtype == q.dtype != object:
+            r = np.convolve(p, q)
+            r[d] = r[d:].sum()
+            return r[:d + 1].copy()
         p_at = p.nonzero()[0]
-        if len(p_at) > 1:
-            q_at = q.nonzero()[0]
-            if len(q_at) < len(p_at):
-                p, q, p_at = q, p, q_at
-        if len(p_at) == 1:
-            j = int(p_at[0])
-            r = self.shift(q, j)
-            return r if p[j] == 1 else r * p[j]
-        if _SHIFT_STEPS * len(p_at) < d * d:
-            r = np.zeros_like(q)
-            for j in p_at.tolist():
-                r[d] += p[j] * q[d - j:].sum()
-                r[j:d] += p[j] * q[:d - j]
-            return r
-        r = np.convolve(p, q)
-        r[d] = r[d:].sum()
-        return r[:d + 1].copy()
+        q_at = q.nonzero()[0]
+        if len(q_at) < len(p_at):
+            p, q, p_at = q, p, q_at
+        q = q.astype(object, copy=False)
+        r = np.zeros(d + 1, dtype=object)
+        for j in p_at.tolist():
+            a = int(p[j])
+            r[d] += a * q[d - j:].sum()
+            r[j:d] += a * q[:d - j]
+        return r
 
     @staticmethod
     def add(p: np.ndarray, q: np.ndarray) -> np.ndarray:

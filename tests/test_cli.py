@@ -169,9 +169,10 @@ class TestCount:
     ])
     def test_budget_stops_report_how_far_the_search_got(self, tmp_path, capsys, flags,
                                                         code, status):
-        # the budget is polled every 256 decisions, conflicts and leaves,
-        # and this auction takes thousands of them with its revenue floor
-        # as K; the stats are those of the stop
+        # with the revenue floor as K the deadline is polled at every
+        # decision, so a stop by time comes after the first one; memory is
+        # polled every 256 decisions, conflicts and leaves, by when the
+        # search has stored counts. The stats are those of the stop
         path = write(tmp_path, "auction.opb",
                      gen_auction(bids=60, items=30, revenue_fraction=0.15, seed=0))
         got, out, err = run_cli(["count", "--stats", *flags, path], capsys)
@@ -181,7 +182,9 @@ class TestCount:
         assert payload["status"] == status
         assert payload["mass_constraint"] == {"terms": 60, "degree": 96}
         stats = payload["stats"]
-        assert stats["decisions"] > 0 and stats["cache_stores"] > 0
+        assert stats["decisions"] > 0
+        if status == "memout":
+            assert stats["cache_stores"] > 0
         got, _, err = run_cli(["count", *flags, path], capsys)
         assert got == code and "stats" not in load_report(err)
 

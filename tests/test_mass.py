@@ -38,9 +38,7 @@ class TestVectorHelpers:
     def test_helpers_match_brute_force_by_weight(self, d):
         # variables 1..10 are in K, with coefficients up to past the
         # degree, and 11 is not; a vector is checked against the models it
-        # stands for, counted by their lumped weights. Degree 7 multiplies
-        # by convolution, 300 by a shift per weight, and a monomial by one
-        # shift
+        # stands for, counted by their lumped weights
         rng = random.Random(d)
         for _ in range(40):
             terms = [(rng.randint(1, d + 3), v if rng.random() < 0.5 else -v)
@@ -281,3 +279,38 @@ class TestBudgetsWithMass:
         assert all(CountCache._entry_bytes(k, c) > c.nbytes for k, c in cache._store.items())
         with pytest.raises(MemoryBudgetExceeded):
             count_models(f, CounterConfig(max_memory_bytes=4096))
+
+    @staticmethod
+    def _ring_with_mass(n, coeff, degree):
+        """The clauses x_i or x_i+1 around a ring of ``n`` variables, and K
+        over all of them with one coefficient and a large degree."""
+        rows = [([(1, i), (1, i % n + 1)], ">=", 1) for i in range(1, n + 1)]
+        rows.append(([(coeff, v) for v in range(1, n + 1)], ">=", degree))
+        return build_formula(n, rows)
+
+    def test_memory_budget_counts_the_open_frames_vectors(self):
+        # the cache holds nothing and the search learns nothing, so only
+        # the vectors of 2,901 entries on the open frames can pass the
+        # budget; the timeout ends the count if they are not counted
+        f = self._ring_with_mass(30, 100, 2900)
+        mc = ModelCounter(f, CounterConfig(max_cache_bytes=0, max_memory_bytes=200_000,
+                                           timeout_s=60.0))
+        assert mc.mass is not None and mc.mass.degree == 2900
+        with pytest.raises(MemoryBudgetExceeded):
+            mc.run()
+        assert mc.cache.bytes_used == 0 and mc.engine.learned_bytes == 0
+        assert len(mc._stack) > 5 and mc._accounted_bytes() > 200_000
+
+    def test_timeout_overshoot_is_bounded_with_wide_vectors(self):
+        # 70 variables, so the root's vectors hold Python ints, and each
+        # product of two vectors of 3,001 entries takes tens of
+        # milliseconds; the count takes about 6 s on a 2-vCPU VM in fewer
+        # than 256 steps, so the deadline is polled at every step
+        f = self._ring_with_mass(70, 60, 3000)
+        mc = ModelCounter(f, CounterConfig(timeout_s=0.5))
+        assert mc.mass is not None
+        started = time.monotonic()
+        with pytest.raises(SolveTimeout):
+            mc.run()
+        assert time.monotonic() - started < 2.5
+        assert mc.stats.decisions > 0
