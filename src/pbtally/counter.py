@@ -5,9 +5,10 @@ A frame owns a branching literal; each branch is propagated, split into
 variable-disjoint residual components, and every component is answered
 from the cache, counted by enumerating its assignments when it is small
 (``CounterConfig.leaf_cells``), counted by a table over its gaps when its
-constraints all span it, or pushed as a child frame. A finished frame
-reports models(branch true) + models(branch false), multiplied into its
-parent, and unconstrained variables contribute a power of two directly.
+constraints all span its block, or pushed as a child frame. A finished
+frame reports models(branch true) + models(branch false), multiplied into
+its parent, and unconstrained variables contribute a power of two
+directly.
 
 When one constraint K holds every variable beside narrower ones, K
 leaves the engine, the split and the cache keys, and every count above
@@ -301,18 +302,18 @@ class ModelCounter:
         self._deadline = None
         #: the search's frames, while it runs
         self._stack = []
-        #: per variable, the constraints over every variable of its block,
-        #: the component holding it on the empty trail; () when none is
-        self._spanning = [()] * (n + 1)
+        #: per searched constraint, whether it holds every variable of its
+        #: block, the component holding it on the empty trail; only picks
+        #: the gap table for a component (see _count_without_search)
+        self._spans_block = [False] * len(searched.constraints)
         for block in self._split_scope(range(1, n + 1))[0]:
-            spans = tuple(ci for ci in block.cstr_ids
-                          if len(self.engine.constraints[ci].terms) == len(block.var_ids))
-            for v in block.var_ids:
-                self._spanning[v] = spans
+            for ci in block.cstr_ids:
+                self._spans_block[ci] = (len(self.engine.constraints[ci].terms)
+                                         == len(block.var_ids))
 
     # ----- pieces ---------------------------------------------------------
 
-    def _split_scope(self, scope_vars, parent: Optional[Component] = None):
+    def _split_scope(self, scope_vars):
         """Residual components among the given unassigned variables.
 
         Two variables connect when an unsatisfied original constraint
@@ -320,34 +321,10 @@ class ModelCounter:
         lists the variables in no active constraint, in ``scope_vars``
         order: each doubles the model count of the surrounding
         subproblem, or is a factor ``1 + z**a`` of its vector.
-
-        ``parent`` is the component whose frame is being split (``None``
-        at the root). If a spanning constraint of its block (see
-        ``_spanning``) is still active, the search is skipped: the answer
-        is one component holding the parent's still-unassigned variables
-        and still-active constraints. That is exact after a
-        conflict-free propagation below the parent's split: the trail
-        extends the one the parent was split under, so the constraint was
-        active then too, and it held every unassigned variable of the
-        block, so the parent was all of them. Every active constraint on
-        the parent's unassigned variables is in ``parent.cstr_ids``, and
-        satisfied constraints stay satisfied. Each active constraint keeps
-        an unassigned variable, or propagation would have found a
-        conflict. The spanning constraint holds every unassigned
-        variable, so they stay connected and none is free. With
-        ``debug_checks`` the search runs anyway and must agree.
         """
         engine = self.engine
         val = engine.val
         gapv = engine.gapv
-        if parent is not None:
-            for ci in self._spanning[parent.var_ids[0]]:
-                if gapv[ci] > 0:
-                    comp = Component([v for v in parent.var_ids if val[v] == UNASSIGNED],
-                                     [cj for cj in parent.cstr_ids if gapv[cj] > 0])
-                    if self.config.debug_checks:
-                        assert self._split_scope(scope_vars) == ([comp], [])
-                    return [comp], []
         occ = engine.occ_static
         constraints = engine.constraints
         self._stamp += 1
@@ -462,13 +439,14 @@ class ModelCounter:
         """The component's count by enumeration or by its gaps, or None to search it.
 
         Enumeration takes a component of at most ``leaf_cells`` cells. The
-        gap table takes one whose constraints are all in its block's
-        ``_spanning``, so each holds every variable of the component: there
-        it holds about as many states as the search would reach, while
-        over many clauses it grows as 2 to the power of their number. The
-        table must fit in what ``max_memory_bytes`` leaves free, and the
-        deadline is checked as it fills. With K, either gives the
-        component's vector.
+        gap table takes one whose constraints are all flagged in
+        ``_spans_block``: each holds every variable of its block, so of the
+        component too, and the table holds about as many states as the
+        search would reach, while over many clauses it grows as 2 to the
+        power of their number. The table is exact for any component, so
+        the flags only choose where it is worth building. It must fit in
+        what ``max_memory_bytes`` leaves free, and the deadline is checked
+        as it fills. With K, either gives the component's vector.
         """
         cfg = self.config
         engine = self.engine
@@ -481,9 +459,9 @@ class ModelCounter:
                 return n
         if not cfg.leaf_cells:
             return None
-        spans = self._spanning[comp.var_ids[0]]
+        spans = self._spans_block
         for ci in comp.cstr_ids:
-            if ci not in spans:
+            if not spans[ci]:
                 return None
         room = cfg.max_memory_bytes
         if room is not None:
@@ -598,7 +576,7 @@ class ModelCounter:
                     scope = range(1, engine.num_vars + 1)
                 else:
                     scope = frame.comp.var_ids
-                comps, free = self._split_scope(scope, frame.comp)
+                comps, free = self._split_scope(scope)
                 if cfg.debug_checks:
                     split_gaps[len(stack)] = engine.gapv[:]
                 if vectors is None:

@@ -67,7 +67,7 @@ def covered_formula(rng: random.Random, max_vars: int = 12):
 
     The extra constraint covers the root component, and its degree is low
     enough that the search satisfies it partway down, so the splits below
-    it skip the component search at first and search again later.
+    it find one component at first and can find several later.
     """
     base = random_formula(rng, max_vars=max_vars)
     n = base.num_vars

@@ -4,11 +4,12 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import _helpers
 import pbtally.counter
-from pbtally import (Component, CounterConfig, MemoryBudgetExceeded,
+from pbtally import (CounterConfig, MemoryBudgetExceeded,
                      ModelCounter, PBFormula, SearchStats, SolveTimeout,
                      brute_count, build_formula, compute_vcis_scores,
                      count_models, residual_components)
@@ -16,28 +17,6 @@ from pbtally.components import CountCache
 from pbtally.counter import dedup_constraints
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import constraint_gap, lit_var, parse_opb
-
-
-def _spans_now(mc, comp) -> bool:
-    """Whether a constraint spanning ``comp``'s block is still active."""
-    return any(mc.engine.gapv[ci] > 0 for ci in mc._spanning[comp.var_ids[0]])
-
-
-def _count_fast_splits(f, config=None):
-    """``(count, fast-path splits, splits below the root)`` of one count."""
-    mc = ModelCounter(f, config)
-    split = mc._split_scope
-    fast = below_root = 0
-
-    def counting_split(scope_vars, parent=None):
-        nonlocal fast, below_root
-        if parent is not None:
-            below_root += 1
-            fast += _spans_now(mc, parent)
-        return split(scope_vars, parent)
-
-    mc._split_scope = counting_split
-    return mc.run().count, fast, below_root
 
 
 def _covered_formulas(rng, singles: int, unions: int):
@@ -51,6 +30,37 @@ def _covered_formulas(rng, singles: int, unions: int):
         for p in parts:
             want *= brute_count(p).count
         yield parts[0] if len(parts) == 1 else _helpers.disjoint_union(parts), want
+
+
+def _capped_shift(table, axis: int, mass: int):
+    """``table`` with each entry moved ``mass`` up ``axis``, capped at its last index."""
+    if mass == 0:
+        return table
+    top = table.shape[axis] - 1
+    src = np.moveaxis(table, axis, 0)
+    out = np.zeros_like(table)
+    dst = np.moveaxis(out, axis, 0)
+    kept = max(top - mass, 0)
+    dst[mass:top] = src[:kept]
+    dst[top] = src[kept:].sum(axis=0)
+    return out
+
+
+def _two_row_count(f) -> int:
+    """Models of a formula of two normalized rows, by a table over the
+    masses their true literals carry, each capped at its row's degree."""
+    rows = f.constraints
+    assert len(rows) == 2
+    # per variable, the masses its true and its false phase add to each row
+    adds = [[[0, 0], [0, 0]] for _ in range(f.num_vars + 1)]
+    for r, row in enumerate(rows):
+        for a, lit in row.terms:
+            adds[lit_var(lit)][lit < 0][r] += a
+    table = np.zeros((rows[0].degree + 1, rows[1].degree + 1), dtype=object)
+    table[0, 0] = 1
+    for v in range(1, f.num_vars + 1):
+        table = sum(_capped_shift(_capped_shift(table, 0, m0), 1, m1) for m0, m1 in adds[v])
+    return table[-1, -1]
 
 
 def all_configs():
@@ -250,16 +260,16 @@ class TestCountMatchesOracle:
             assert count_models(f, cfg).count == brute_count(f).count
 
     def test_debug_checks_stay_silent_below_covers(self):
-        # debug mode re-splits by search wherever the fast path below a
-        # spanning constraint runs, also inside each block of a union
+        # debug mode re-splits every popped component by search, also
+        # below a constraint over every variable of its block and inside
+        # each block of a union
         rng = random.Random(6613)
-        fast = 0
+        decisions = 0
         for f, want in _covered_formulas(rng, 100, 30):
-            count, below_span, _ = _count_fast_splits(
-                f, CounterConfig(leaf_cells=0, debug_checks=True))
-            assert count == want
-            fast += below_span
-        assert fast > 100
+            res = count_models(f, CounterConfig(leaf_cells=0, debug_checks=True))
+            assert res.count == want
+            decisions += res.stats.decisions
+        assert decisions > 400
 
     def test_debug_checks_change_nothing_across_hundreds_of_conflicts(self):
         # check_integrity recomputes every learned slack at every node; here
@@ -463,14 +473,14 @@ class TestBranchingScores:
 
     def test_every_pick_matches_the_documented_score(self, monkeypatch):
         # the score recomputed from its definition, with each variable's
-        # active constraints found in the component's own list; where all
-        # of those are over every variable of the component's block (the
-        # component holding it on the empty trail), the counter counts none
+        # active constraints found in the component's own list; many picks
+        # are in components whose constraints all hold every variable of
+        # the block (the component holding it on the empty trail)
         pick = ModelCounter._pick_literal
-        unwalked = 0
+        spanning_picks = 0
 
         def checked(mc, comp):
-            nonlocal unwalked
+            nonlocal spanning_picks
             e = mc.engine
             if mc.config.heuristic == "vcis":
                 static, phase = compute_vcis_scores(mc.formula)
@@ -492,7 +502,7 @@ class TestBranchingScores:
             assert lit == (v if phase[v] else -v)
             block = next(set(b.var_ids) for b in residual_components(mc.formula, {})[0]
                          if comp.var_ids[0] in b.var_ids)
-            unwalked += all(vs == block for vs in held)
+            spanning_picks += all(vs == block for vs in held)
             return lit
 
         monkeypatch.setattr(ModelCounter, "_pick_literal", checked)
@@ -512,7 +522,7 @@ class TestBranchingScores:
             for heuristic in ("vcis", "baseline"):
                 res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
                 assert res.count == want
-        assert unwalked > 1000
+        assert spanning_picks > 1000
 
     def test_bad_heuristic_name_rejected(self):
         with pytest.raises(ValueError):
@@ -563,24 +573,24 @@ class TestSplitScopeMirror:
                 assert mc.engine.gapv[ci] == constraint_gap(mc.engine.constraints[ci], asn)
 
     @staticmethod
-    def _assert_spanning_exact(mc, comps):
-        # an active spanning constraint's open variables are its component's
+    def _assert_flags_exact(mc, comps):
+        # an active constraint flagged as spanning its block holds open
+        # exactly its component's variables
         e = mc.engine
         for comp in comps:
-            for ci in mc._spanning[comp.var_ids[0]]:
-                if e.gapv[ci] > 0:
-                    assert ci in comp.cstr_ids
+            for ci in comp.cstr_ids:
+                if mc._spans_block[ci]:
                     open_vars = {lit_var(lit) for _, lit in e.constraints[ci].terms
                                  if e.lit_value(lit) is None}
                     assert open_vars == set(comp.var_ids)
 
     def test_cover_fast_path_matches_pure_splitter(self):
         # one constraint over every variable of a block spans it; the
-        # splits below it skip the search until that constraint is
-        # satisfied, and search again from then on. Without leaf_cells a
-        # formula's spanning constraint is searched, not its K
+        # splits below it equal the pure splitter's while it is active and
+        # after it is satisfied. Without leaf_cells a formula's spanning
+        # constraint is searched, not its K
         rng = random.Random(6612)
-        fast = fallback = 0
+        below = after = 0
         for f, _ in _covered_formulas(rng, 300, 100):
             mc = ModelCounter(f, CounterConfig(leaf_cells=0))
             n = mc.formula.num_vars
@@ -588,62 +598,28 @@ class TestSplitScopeMirror:
             if e.propagate() is not None:
                 continue
             comps, _ = mc._split_scope(range(1, n + 1))
-            self._assert_spanning_exact(mc, comps)
+            self._assert_flags_exact(mc, comps)
             while comps:
                 comp = rng.choice(comps)
                 v = rng.choice(comp.var_ids)
                 e.decide(v if rng.random() < 0.5 else -v)
                 if e.propagate() is not None:
                     break
-                takes_fast_path = _spans_now(mc, comp)
-                comps, free = mc._split_scope(comp.var_ids, comp)
+                flagged = [ci for ci in comp.cstr_ids if mc._spans_block[ci]]
+                comps, free = mc._split_scope(comp.var_ids)
                 ref_comps, ref_free = residual_components(
                     mc.formula, e.assignment_dict())
                 scope = set(comp.var_ids)
                 assert comps == [c for c in ref_comps if scope.issuperset(c.var_ids)]
                 assert free == [v for v in ref_free if v in scope]
                 self._assert_gaps_exact(mc, comps)
-                self._assert_spanning_exact(mc, comps)
-                if takes_fast_path:
+                self._assert_flags_exact(mc, comps)
+                if any(e.gapv[ci] > 0 for ci in flagged):
                     assert len(comps) == 1 and free == []
-                    fast += 1
-                elif mc._spanning[comp.var_ids[0]]:
-                    fallback += 1
-        assert fast > 100 and fallback > 50
-
-    def test_debug_checks_catch_a_false_cover(self):
-        # two disjoint clauses, and a spanning set that wrongly claims the
-        # first one spans both: the fast path answers one component, the
-        # search two
-        f = build_formula(4, [([(1, 1), (1, 2)], ">=", 1),
-                              ([(1, 3), (1, 4)], ">=", 1)])
-        parent = Component((1, 2, 3, 4), (0, 1))
-        for debug in (False, True):
-            mc = ModelCounter(f, CounterConfig(debug_checks=debug))
-            assert mc._spanning == [(), (0,), (0,), (1,), (1,)]
-            mc._spanning = [()] + [(0,)] * 4
-            assert mc.engine.propagate() is None
-            if debug:
-                with pytest.raises(AssertionError):
-                    mc._split_scope(parent.var_ids, parent)
-            else:
-                assert len(mc._split_scope(parent.var_ids, parent)[0]) == 1
-
-    def test_spanning_constraints_are_per_block(self, monkeypatch):
-        # neither union half has a constraint over all 36 variables, so a
-        # rule over the whole formula would take no fast path here; nor
-        # would it with a header that names a variable no constraint holds.
-        # Each knapsack would be counted by its gaps with no split, so the
-        # gap table declines every component here
-        monkeypatch.setattr(pbtally.counter, "count_by_gaps", lambda *args: None)
-        halves = [parse_opb(gen_knapsack(items=18, dims=2, seed=s)) for s in (0, 1)]
-        count, fast, below_root = _count_fast_splits(_helpers.disjoint_union(halves))
-        assert count == count_models(halves[0]).count * count_models(halves[1]).count
-        assert fast > 0.9 * below_root
-        plain = _count_fast_splits(halves[0])
-        spare = _count_fast_splits(_helpers.spare_variable_knapsack(items=18, dims=2, seed=0))
-        assert spare[0] == 2 * plain[0]
-        assert spare[1] == plain[1] > 0
+                    below += 1
+                elif flagged:
+                    after += 1
+        assert below > 100 and after > 50
 
 
 class TestGapCounts:
@@ -712,6 +688,14 @@ class TestGapCounts:
         assert mc.stats.decisions == 0
         assert res.stats.decisions > 0
         assert count_models(f, CounterConfig(max_memory_bytes=table_bytes)).stats.decisions == 0
+
+    def test_search_past_the_table_variable_bound_matches_a_dp(self):
+        # 70 variables are past the table's 62, so the root is searched
+        # and the components below it are counted by their gaps
+        f = parse_opb(gen_knapsack(items=70, dims=2, seed=1))
+        res = count_models(f)
+        assert res.stats.decisions > 0 and res.stats.gap_counts > 0
+        assert res.count == _two_row_count(f) == 485191427743731894841
 
 
 class TestBudgets:
