@@ -320,17 +320,14 @@ def _raise_mass(src, raises, gaps, dst, spare):
     ``spare``, and so on alternately. ``spare`` may be ``src``, which is
     not read again after the first raise. Returns the table holding the
     result, ``src`` itself when ``raises`` is empty.
-
-    Precondition: the tables have at least two axes. With one, the capped
-    entry ``dst[head + (g,)]`` is a 0-d view, which ``np.sum`` cannot take
-    as ``out`` (it raises TypeError); :func:`count_by_gaps` counts a single
-    constraint by its vector of masses instead.
     """
     for axis, coeff in raises:
         head = (slice(None),) * axis
         g = gaps[axis]
-        # masses from g - coeff up all reach the cap
-        np.sum(src[head + (slice(g - coeff, None),)], axis=axis, out=dst[head + (g,)])
+        # masses from g - coeff up all reach the cap, written through a
+        # slice one cell wide: an array view even when the table has one axis
+        src[head + (slice(g - coeff, None),)].sum(axis=axis, out=dst[head + (slice(g, None),)],
+                                                   keepdims=True)
         dst[head + (slice(coeff, g),)] = src[head + (slice(g - coeff),)]
         dst[head + (slice(coeff),)] = 0
         src, dst, spare = dst, spare, dst
@@ -354,10 +351,6 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     is the layered construction of Abio et al., "BDDs for pseudo-Boolean
     constraints -- revisited" (SAT 2011).
 
-    With one constraint each variable adds its coefficient in exactly one
-    phase, so one vector over the masses below the gap, one in-place add
-    per variable, counts the assignments that miss it.
-
     Returns None, leaving the component to the search, past 62 variables,
     where a count could leave int64, past :data:`GAP_TABLE_CELLS` cells,
     or when the three int64 tables would take more than ``max_bytes``.
@@ -369,8 +362,7 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     the row of the table where every other mass has reached its gap.
     """
     var_ids = comp.var_ids
-    n = len(var_ids)
-    if n > 62:
+    if len(var_ids) > 62:
         return None
     gaps = [gapv[cid] for cid in comp.cstr_ids]
     if vectors is not None:
@@ -380,18 +372,6 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
         cells *= g + 1
     if cells > GAP_TABLE_CELLS or (max_bytes is not None and 24 * cells > max_bytes):
         return None
-    if len(gaps) == 1:
-        g = gaps[0]
-        below = np.zeros(g, dtype=np.int64)
-        below[0] = 1
-        for a, lit in constraints[comp.cstr_ids[0]].terms:
-            if val[lit if lit > 0 else -lit] != UNASSIGNED:
-                continue
-            if poll is not None:
-                poll()
-            if a < g:
-                below[a:] += below[:g - a]
-        return (1 << n) - int(below.sum())
     # per variable, the (axis, coefficient) pairs of its true and false phase
     ups = {v: [] for v in var_ids}
     downs = {v: [] for v in var_ids}

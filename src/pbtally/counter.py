@@ -40,10 +40,10 @@ from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
 from .mass import INT64_VARS, MassVectors, choose_mass_constraint, vector_bytes
 
-#: budgets are checked every 256 decisions, conflicts and counts without
-#: search; with K the deadline is checked at each of them and at every
-#: cache hit, as one product of vectors of thousands of Python ints takes
-#: up to a second
+#: the memory budget, which walks the open frames, is checked every 256
+#: decisions, conflicts and counts without search; the deadline is checked
+#: at each of them and at every cache hit, as one product of vectors of
+#: thousands of Python ints takes up to a second
 _BUDGET_CHECK_MASK = (1 << 8) - 1
 
 
@@ -411,12 +411,10 @@ class ModelCounter:
             raise SolveTimeout("timed out after %.3fs" % self.config.timeout_s)
 
     def _budget_tick(self) -> None:
+        self._check_deadline()
         self._ops += 1
         if self._ops & _BUDGET_CHECK_MASK:
-            if self._vectors is not None:
-                self._check_deadline()
             return
-        self._check_deadline()
         limit = self.config.max_memory_bytes
         if limit is not None:
             used = self._accounted_bytes()
@@ -599,8 +597,7 @@ class ModelCounter:
                                        engine.val, cfg.saturate_keys)
                 cached = cache.lookup(key)
                 if cached is not None:
-                    if vectors is not None:
-                        self._check_deadline()
+                    self._check_deadline()
                     frame.prod = mul(frame.prod, cached)
                     continue
                 n = self._count_without_search(comp)

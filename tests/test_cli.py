@@ -169,8 +169,8 @@ class TestCount:
     ])
     def test_budget_stops_report_how_far_the_search_got(self, tmp_path, capsys, flags,
                                                         code, status):
-        # with the revenue floor as K the deadline is polled at every
-        # decision, so a stop by time comes after the first one; memory is
+        # the deadline is polled at every decision, so a stop by time
+        # comes after the first one; memory is
         # polled every 256 decisions, conflicts and leaves, by when the
         # search has stored counts. The stats are those of the stop
         path = write(tmp_path, "auction.opb",

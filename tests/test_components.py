@@ -274,6 +274,17 @@ class TestCountByGaps:
         gapv, val = _hand_arrays(cons, comp, [4])
         assert count_by_gaps(comp, cons, gapv, val) == 4 == brute_count(
             _helpers.component_subformula(cons_formula(cons), comp, [4])).count
+        # one wide axis: 20 variables, every third negated, coefficients in
+        # the thousands and a gap of half their sum, about 50,000 cells
+        rng = random.Random(2011)
+        terms = [(rng.randint(1000, 9999), -v if v % 3 == 0 else v) for v in range(1, 21)]
+        gap = sum(a for a, _ in terms) // 2
+        cons = [PBConstraint(0, terms, gap)]
+        comp = Component(range(1, 21), (0,))
+        gapv, val = _hand_arrays(cons, comp, [gap])
+        want = brute_count(_helpers.component_subformula(cons_formula(cons), comp, [gap])).count
+        assert count_by_gaps(comp, cons, gapv, val) == want
+        assert 0 < want < 1 << 20
 
     def test_past_62_variables_is_left_to_the_search(self):
         # one clause, where 2**62 - 1 is the largest count int64 must hold,
@@ -299,7 +310,7 @@ class TestCountByGaps:
         assert count_by_gaps(comp, cons, gapv, val) == want == 6
         monkeypatch.setattr(pbtally.components, "GAP_TABLE_CELLS", 29)
         assert count_by_gaps(comp, cons, gapv, val) is None
-        # the module's bound, through one constraint's vector
+        # the module's bound, on one axis
         monkeypatch.undo()
         big = GAP_TABLE_CELLS
         comp = Component((1, 2), (0,))

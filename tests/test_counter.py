@@ -722,6 +722,23 @@ class TestBudgets:
             count_models(f, CounterConfig(timeout_s=0.5, leaf_cells=0))
         assert time.monotonic() - started < 2.5
 
+    @pytest.mark.parametrize("leaf_cells", [0, CounterConfig().leaf_cells])
+    def test_deadline_is_polled_at_every_decision(self, leaf_cells):
+        # the first decision sleeps past the budget, so the next one stops
+        # the count, with the revenue floor chosen as K or searched
+        f = parse_opb(gen_auction(bids=50, items=20, revenue_fraction=0.15, seed=5))
+
+        def on_event(kind, _):
+            if kind == "decision" and mc.stats.decisions == 1:
+                time.sleep(0.1)
+
+        mc = ModelCounter(f, CounterConfig(timeout_s=0.05, leaf_cells=leaf_cells,
+                                           on_event=on_event))
+        assert (mc.mass is not None) == (leaf_cells > 0)
+        with pytest.raises(SolveTimeout):
+            mc.run()
+        assert mc.stats.decisions <= 2
+
     def test_lists_are_sized_by_the_referenced_variables(self):
         # x2..x199999 are in no constraint: each doubles the count, and
         # none takes a slot in the engine's or the counter's lists
