@@ -18,13 +18,14 @@ multiply by convolution, branches add, a free variable is a factor
 at its level. The count is the root vector's entry at K's degree.
 
 Conflicts are analyzed into learned constraints as in a clause-learning
-satisfiability search. Because a conflict proves the current combination
-of assumptions impossible, every cache entry inserted after the backjump
-target's decision was made is purged: such entries were computed while
-an impossible sibling subproblem was still considered open and their
-values cannot be trusted. Learned constraints also only ever force
-variables inside the subproblem currently being counted, which keeps
-independently-multiplied components actually independent.
+satisfiability search; each one is dropped when the search backjumps
+below the level it was learned at. Because a conflict proves the current
+combination of assumptions impossible, every cache entry inserted after
+the backjump target's decision was made is purged: such entries were
+computed while an impossible sibling subproblem was still considered
+open and their values cannot be trusted. Learned constraints also only
+ever force variables inside the subproblem currently being counted,
+which keeps independently-multiplied components actually independent.
 """
 
 from __future__ import annotations
@@ -65,15 +66,13 @@ class CounterConfig:
     component, and takes the static score's preferred phase;
     ``"baseline"`` adds the raw activity and branches positive first.
 
-    ``max_learned``, an int of at least 0, caps the learned constraints
-    the engine holds. Past it the coldest ones that are not a reason on
-    the trail are evicted down to 3/4 of the cap.
-
     ``max_cache_bytes`` bounds the count cache, which evicts its oldest
     entries first; ``max_memory_bytes`` bounds the cache plus the learned
     constraints, plus with K the weight vectors of the open search frames.
     Both are ints of at least 0 (None lifts the second), and
     ``timeout_s`` is a positive, finite int or float; no ``bool`` passes.
+    The learned constraints take no bound of their own: each lives only
+    until the search backjumps below the level it was learned at.
 
     ``leaf_cells``, an int of at least 0, is the largest component the
     counter counts by enumeration instead of search, in cells: its
@@ -95,14 +94,13 @@ class CounterConfig:
     """
 
     __slots__ = ("heuristic", "saturate_keys", "max_cache_bytes",
-                 "max_memory_bytes", "timeout_s", "max_learned",
-                 "leaf_cells", "on_event", "debug_checks")
+                 "max_memory_bytes", "timeout_s", "leaf_cells",
+                 "on_event", "debug_checks")
 
     def __init__(self, heuristic: str = "vcis", saturate_keys: bool = True,
                  max_cache_bytes: int = 256 << 20,
                  max_memory_bytes: Optional[int] = None,
-                 timeout_s: Optional[float] = None, max_learned: int = 10000,
-                 leaf_cells: int = 4096,
+                 timeout_s: Optional[float] = None, leaf_cells: int = 4096,
                  on_event: Optional[Callable[[str, tuple], None]] = None,
                  debug_checks: bool = False):
         if heuristic not in ("vcis", "baseline"):
@@ -113,8 +111,7 @@ class CounterConfig:
             raise ValueError("timeout_s must be positive and finite, got %r"
                              % (timeout_s,))
         # checked here: a float or None would fail only deep inside a count
-        sizes = [("max_cache_bytes", max_cache_bytes), ("max_learned", max_learned),
-                 ("leaf_cells", leaf_cells)]
+        sizes = [("max_cache_bytes", max_cache_bytes), ("leaf_cells", leaf_cells)]
         if max_memory_bytes is not None:
             sizes.append(("max_memory_bytes", max_memory_bytes))
         for name, value in sizes:
@@ -126,7 +123,6 @@ class CounterConfig:
         self.max_cache_bytes = max_cache_bytes
         self.max_memory_bytes = max_memory_bytes
         self.timeout_s = timeout_s
-        self.max_learned = max_learned
         self.leaf_cells = leaf_cells
         self.on_event = on_event
         self.debug_checks = debug_checks
@@ -283,7 +279,7 @@ class ModelCounter:
             searched = self.formula.without(self.mass)
             self._vectors = MassVectors(self.mass, n)
         #: propagates, learns from and splits the formula without K
-        self.engine = Engine(searched, max_learned=self.config.max_learned)
+        self.engine = Engine(searched)
         self.cache = CountCache(max_bytes=self.config.max_cache_bytes)
         self.stats = SearchStats()
         #: static score and phase per variable; only ``vcis`` scales its scores
@@ -549,7 +545,6 @@ class ModelCounter:
         cache = self.cache
         vectors = self._vectors
         mul = operator.mul if vectors is None else vectors.mul
-        add = operator.add if vectors is None else vectors.add
         stack = self._stack
         stack.append(_Frame(None, None, 0, 0))
         stats.peak_depth = 1
@@ -627,7 +622,7 @@ class ModelCounter:
                     stack.pop()
                     parent = stack[-1]
                     parent.prod = mul(parent.prod,
-                                      cache.store(frame.key, add(frame.branch_sum, frame.prod)))
+                                      cache.store(frame.key, frame.branch_sum + frame.prod))
 
 
 def count_models(formula: PBFormula, config: Optional[CounterConfig] = None) -> CountResult:

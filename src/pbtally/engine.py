@@ -50,8 +50,10 @@ class Engine:
     """Propagation and learning over one normalized formula.
 
     Constraint ids index ``constraints`` and every per-constraint list:
-    originals first, then learned ones from ``first_learned``. Reductions
-    renumber the learned ones, so each id is a live constraint's ``cid``.
+    originals first, then learned ones from ``first_learned``. The learned
+    ones form a stack: ``learned_level`` holds the decision level each was
+    learned at, and a backjump below that level pops it. Ids are never
+    renumbered: a learned constraint keeps its ``cid`` until it is popped.
     Terms run largest coefficient first (see :class:`PBConstraint`), so a
     forcing scan stops at the first coefficient within the slack.
 
@@ -63,12 +65,13 @@ class Engine:
     empty tuple.
     """
 
-    def __init__(self, formula: PBFormula, max_learned: int = 10000):
+    def __init__(self, formula: PBFormula):
         n = formula.num_vars
         self.num_vars = n
         self.constraints = list(formula.constraints)
         self.first_learned = len(self.constraints)
-        self.max_learned = max_learned
+        #: the decision level of each learned constraint, oldest first
+        self.learned_level = []
 
         self.val = [UNASSIGNED] * (n + 1)
         self.level = [0] * (n + 1)
@@ -84,13 +87,11 @@ class Engine:
         self.occ_learned = [()] * (2 * n + 2)
         self.slack = []
         self.gapv = []
-        self.c_activity = []
         for c in self.constraints:
             for coeff, lit in c.terms:
                 self.occ_static[lit_var(lit)].append((c.cid, coeff, lit > 0))
             self.slack.append(c.coef_sum() - c.degree)
             self.gapv.append(c.degree)
-            self.c_activity.append(0.0)
 
         # constraints that may force literals under the current assignment
         # without any new trail event; drained by propagate()
@@ -104,7 +105,6 @@ class Engine:
         self._scope_seq = 0
 
         self.var_inc = 1.0
-        self.cla_inc = 1.0
         self.learned_total = 0
         self.learned_bytes = 0
         self.n_propagations = 0
@@ -263,10 +263,29 @@ class Engine:
         return None
 
     def backjump_to(self, target_level: int) -> None:
-        """Retract every assignment above the target decision level."""
+        """Retract every assignment above the target decision level, and
+        pop every learned constraint learned above it."""
         assert 0 <= target_level <= len(self.trail_lim)
         if target_level == len(self.trail_lim):
             return
+        # pending forcing scans belonged to the abandoned branch
+        for ci in self.dirty:
+            self.in_dirty[ci] = False
+        self.dirty.clear()
+        # newest first, so each popped constraint's entries are the last ones
+        # in their lists. It was learned at a level above the target, and
+        # everything it forced lies at that level or deeper, so no reason
+        # left on the trail names it
+        learned_level = self.learned_level
+        occ = self.occ_learned
+        while learned_level and learned_level[-1] > target_level:
+            learned_level.pop()
+            self.slack.pop()
+            self.in_dirty.pop()
+            terms = self.constraints.pop().terms
+            for _, lit in terms:
+                occ[2 * lit if lit > 0 else 1 - 2 * lit].pop()
+            self.learned_bytes -= self._learned_cost(len(terms))
         target = self.trail_lim[target_level]
         trail = self.trail
         for i in range(len(trail) - 1, target - 1, -1):
@@ -280,14 +299,6 @@ class Engine:
         del self.trail_lim[target_level:]
         if self.qhead > target:
             self.qhead = target
-        # pending forcing scans belonged to the abandoned branch
-        for ci in self.dirty:
-            self.in_dirty[ci] = False
-        self.dirty.clear()
-        # a reduction keeps every reason on the trail, even past the cap;
-        # those retracted here may go now
-        if len(self.constraints) - self.first_learned > self.max_learned:
-            self._reduce_learned(protect=-1)
 
     # ----- activities ----------------------------------------------------
 
@@ -299,21 +310,10 @@ class Engine:
                 self.activity[u] *= scale
             self.var_inc *= scale
 
-    def _bump_constraint(self, ci: int) -> None:
-        if ci < self.first_learned:
-            return
-        self.c_activity[ci] += self.cla_inc
-        if self.c_activity[ci] > _ACTIVITY_CAP:
-            scale = 1.0 / _ACTIVITY_CAP
-            for cj in range(self.first_learned, len(self.constraints)):
-                self.c_activity[cj] *= scale
-            self.cla_inc *= scale
-
     def _bump_and_decay(self, touched) -> None:
         for v in touched:
             self._bump_var(v)
         self.var_inc /= _ACTIVITY_DECAY
-        self.cla_inc /= _ACTIVITY_DECAY
 
     # ----- conflict analysis ----------------------------------------------
 
@@ -349,7 +349,6 @@ class Engine:
         coefficient exceeds the slack after the cut, and the scan of the
         levels returned there.
         """
-        self._bump_constraint(confl_ci)
         val, level = self.val, self.level
         c = self.constraints[confl_ci]
         # weaken every non-falsified literal away so the conflict is a
@@ -423,10 +422,8 @@ class Engine:
         """
         forced_lit = self.trail[p_pos]
         v_p = abs(forced_lit)
-        r_ci = self.reason[v_p]
-        self._bump_constraint(r_ci)
         touched.add(v_p)
-        reason = self.constraints[r_ci]
+        reason = self.constraints[self.reason[v_p]]
         val, pos, level = self.val, self.pos, self.level
 
         # weaken the reason down to its forced literal plus the literals
@@ -481,7 +478,8 @@ class Engine:
     # ----- learned constraint store ---------------------------------------
 
     def add_learned(self, terms, degree: int) -> int:
-        """Append a learned constraint, queue a forcing scan, return its id."""
+        """Push a learned constraint at the current level, queue a forcing
+        scan, and return its id."""
         assert self.qhead == len(self.trail), "trail must be fully applied"
         cid = len(self.constraints)
         c = PBConstraint(cid, terms, degree)
@@ -499,49 +497,16 @@ class Engine:
             else:
                 occ[i] = [(cid, coeff, largest)]
         self.slack.append(s - degree)
-        self.c_activity.append(self.cla_inc)
         self.in_dirty.append(False)
         self._mark_dirty(cid)
+        self.learned_level.append(len(self.trail_lim))
         self.learned_total += 1
         self.learned_bytes += self._learned_cost(len(terms))
-        if len(self.constraints) - self.first_learned > self.max_learned:
-            self._reduce_learned(protect=cid)
-        return len(self.constraints) - 1  # a reduction may renumber it
+        return cid
 
     @staticmethod
     def _learned_cost(n_terms: int) -> int:
         return 24 * n_terms + 80
-
-    def _reduce_learned(self, protect: int) -> None:
-        """Evict cold learned constraints down to 3/4 of the cap.
-
-        Constraints currently serving as a reason on the trail stay, as
-        does the just-added one; the rest go coldest first, ties to the
-        oldest. The survivors keep their order and take the ids
-        ``first_learned, first_learned + 1, ...``; every per-constraint
-        list, the trail's reasons, the queue of forcing scans and the
-        occurrence lists follow them, so the search sees what it saw.
-        """
-        first = self.first_learned
-        keep = {self.reason[lit_var(lit)] for lit in self.trail} | {protect}
-        cands = [ci for ci in range(first, len(self.constraints)) if ci not in keep]
-        cands.sort(key=self.c_activity.__getitem__)
-        evicted = set(cands[:len(self.constraints) - first - 3 * self.max_learned // 4])
-        kept = [ci for ci in range(first, len(self.constraints)) if ci not in evicted]
-        new_id = {ci: i for i, ci in enumerate(kept, first)}
-        touched = {lit_index(lit) for c in self.constraints[first:] for _, lit in c.terms}
-        for per_cstr in (self.constraints, self.slack, self.c_activity, self.in_dirty):
-            per_cstr[first:] = [per_cstr[ci] for ci in kept]
-        for ci, c in enumerate(self.constraints[first:], first):
-            c.cid = ci
-        for v in map(lit_var, self.trail):
-            self.reason[v] = new_id.get(self.reason[v], self.reason[v])
-        self.dirty[:] = [new_id.get(ci, ci) for ci in self.dirty if ci not in evicted]
-        occ = self.occ_learned
-        for i in touched:
-            occ[i] = [(new_id[ci], a, largest) for ci, a, largest in occ[i] if ci in new_id]
-        self.learned_bytes = sum(self._learned_cost(len(c.terms))
-                                 for c in self.constraints[first:])
 
     # ----- integrity (debug) ----------------------------------------------
 
@@ -550,15 +515,16 @@ class Engine:
 
         That is every constraint's slack, learned ones included, the gaps
         of the original constraints (learned ones keep none), and the
-        learned occurrence lists, entry by entry and literal by literal.
-        Slow; meant for tests. With ``expect_quiescent`` the trail must be
-        fully applied and original constraints must be at their forcing
-        fixpoint. Also checks the trail's shape, which conflict analysis
-        walks: ``trail_lim`` rises strictly, each variable's level is the
-        number of ``trail_lim`` entries at or below its position, and
-        exactly the literals at those entries have no reason. Then it
-        replays the trail to confirm every propagated literal was genuinely
-        forced by its recorded reason at the moment it was enqueued.
+        learned occurrence lists, entry by entry and literal by literal, and
+        the levels of the learned stack. Slow; meant for tests. With
+        ``expect_quiescent`` the trail must be fully applied and original
+        constraints must be at their forcing fixpoint. Also checks the
+        trail's shape, which conflict analysis walks: ``trail_lim`` rises
+        strictly, each variable's level is the number of ``trail_lim``
+        entries at or below its position, and exactly the literals at those
+        entries have no reason. Then it replays the trail to confirm every
+        propagated literal was genuinely forced by its recorded reason at
+        the moment it was enqueued.
         """
         n = self.num_vars
         lim = self.trail_lim
@@ -600,8 +566,17 @@ class Engine:
             assert self.slack[ci] == s, "slack drift on constraint %d" % ci
             if ci < self.first_learned:
                 assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
-        assert len(self.slack) == m and len(self.gapv) == self.first_learned, \
+        assert len(self.slack) == len(self.in_dirty) == m \
+            and len(self.gapv) == self.first_learned, \
             "per-constraint lists out of step with the constraints"
+
+        # the learned constraints are a stack: one level each, never falling
+        # along it and none above the current level
+        levels = [0, *self.learned_level, len(lim)]
+        assert len(levels) == m - self.first_learned + 2, \
+            "learned_level out of step with the learned constraints"
+        assert all(a <= b for a, b in zip(levels, levels[1:])), \
+            "learned levels fall, or one lies above the current level"
 
         # every queued id names a constraint, and in_dirty marks exactly those
         assert sorted(self.dirty) == [ci for ci in range(m) if self.in_dirty[ci]], \

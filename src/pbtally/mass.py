@@ -70,12 +70,12 @@ def vector_bytes(p: np.ndarray) -> int:
 
 
 class MassVectors:
-    """The vector helpers for one K: free factor, shift, multiply, add and final.
+    """The vector helpers for one K: free factor, shift, multiply and final.
 
     Vectors are numpy arrays of ``degree + 1`` entries, int64 for at most
-    :data:`INT64_VARS` variables and ``object`` (Python ints) above. No
-    helper changes a vector it is given, so one vector may sit in the
-    cache and in any number of products.
+    :data:`INT64_VARS` variables and ``object`` (Python ints) above; two
+    of them add with ``+``. No helper changes a vector it is given, so one
+    vector may sit in the cache and in any number of products.
     """
 
     __slots__ = ("degree", "signed", "_lit_weight")
@@ -158,11 +158,6 @@ class MassVectors:
             r[d] += a * q[d - j:].sum()
             r[j:d] += a * q[:d - j]
         return r
-
-    @staticmethod
-    def add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The vector of two disjoint sets of models of the same variables."""
-        return p + q
 
     def final(self, p: np.ndarray) -> int:
         """The models that reach K's degree: the count."""

@@ -197,10 +197,10 @@ def reference_encode_component(comp, constraints, gaps, saturate: bool = True) -
 def reference_analyze(engine, confl_ci: int):
     """The plain form of ``Engine.analyze``, kept to check its output.
 
-    Returns ``(outcome, touched, bumped)``: ``outcome`` is what
+    Returns ``(outcome, touched, steps)``: ``outcome`` is what
     ``engine.analyze(confl_ci)`` returns, ``touched`` the set of variables
-    whose activity it bumps, and ``bumped`` the constraint ids it bumps, in
-    order and with repeats. Reads the engine and changes nothing in it.
+    whose activity it bumps, and ``steps`` the number of resolution steps
+    it takes. Reads the engine and changes nothing in it.
 
     Every step rebuilds the per-level sums and maxima in a dict, re-saturates
     every coefficient, sorts the levels, and finds the literal to resolve
@@ -211,7 +211,7 @@ def reference_analyze(engine, confl_ci: int):
     def is_false(lit):
         return engine.lit_value(lit) is False
 
-    bumped = [confl_ci]
+    steps = 0
     touched = set()
     c = engine.constraints[confl_ci]
     coeffs = {}
@@ -234,7 +234,7 @@ def reference_analyze(engine, confl_ci: int):
             by_level[d] = (s + a, max(a, m))
         if sum(s for d, (s, _) in by_level.items() if d >= 1) < degree:
             touched.update(lit_var(lit) for lit in coeffs)
-            return None, touched, bumped
+            return None, touched, steps
         running_sum = running_max = 0
         for d in sorted((d for d in by_level if d >= 1), reverse=True):
             s, m = by_level[d]
@@ -244,7 +244,7 @@ def reference_analyze(engine, confl_ci: int):
             if slack_after >= 0 and running_max > slack_after:
                 touched.update(lit_var(lit) for lit in coeffs)
                 terms = tuple((a, lit) for lit, a in coeffs.items())
-                return (terms, degree, d - 1), touched, bumped
+                return (terms, degree, d - 1), touched, steps
 
         # resolve on the latest propagated literal
         propagated = [lit for lit in coeffs if reason[lit_var(lit)] >= 0]
@@ -252,7 +252,7 @@ def reference_analyze(engine, confl_ci: int):
         p_lit = max(propagated, key=lambda lit: pos[lit_var(lit)])
         p_pos = pos[lit_var(p_lit)]
         r_ci = reason[lit_var(p_lit)]
-        bumped.append(r_ci)
+        steps += 1
         touched.add(lit_var(p_lit))
         r = engine.constraints[r_ci]
         rdeg = r.degree
@@ -280,33 +280,24 @@ def reference_analyze(engine, confl_ci: int):
                 dec = engine.trail[start]
                 touched.add(lit_var(dec))
                 terms.append((1, -dec))
-            return (tuple(terms), 1, len(engine.trail_lim) - 1), touched, bumped
+            return (tuple(terms), 1, len(engine.trail_lim) - 1), touched, steps
 
 
-def expected_activities(engine, touched, bumped):
-    """``(activity, c_activity)`` after an analysis that bumps ``touched``
-    and ``bumped``, computed from the engine before it runs.
+def expected_activities(engine, touched):
+    """Variable activities after an analysis that bumps ``touched``,
+    computed from the engine before it runs.
 
     Follows the engine's bump arithmetic, rescaling included.
     """
     scale = 1.0 / _ACTIVITY_CAP
     act = list(engine.activity)
-    c_act = list(engine.c_activity)
-    cla_inc = engine.cla_inc
-    for ci in bumped:
-        if ci < engine.first_learned:
-            continue
-        c_act[ci] += cla_inc
-        if c_act[ci] > _ACTIVITY_CAP:
-            c_act[engine.first_learned:] = [a * scale for a in c_act[engine.first_learned:]]
-            cla_inc *= scale
     var_inc = engine.var_inc
     for v in touched:
         act[v] += var_inc
         if act[v] > _ACTIVITY_CAP:
             act[1:] = [a * scale for a in act[1:]]
             var_inc *= scale
-    return act, c_act
+    return act
 
 
 def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0.4):

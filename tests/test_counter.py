@@ -112,15 +112,15 @@ _PINNED_STATS = {
         (8, (6, 1, 19, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0, 0)),
         (77, (16, 0, 27, 0, 0, 8, 8, 0, 0, 8, 631, 5, 5, 0, 0)),
         (0, (9, 2, 11, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0, 0)),
-        (192, (21, 4, 34, 4, 1, 11, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
+        (192, (22, 5, 37, 5, 1, 12, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
         (260, (26, 1, 31, 1, 1, 13, 12, 0, 0, 12, 907, 5, 4, 0, 0)),
         (954, (38, 2, 28, 2, 6, 19, 17, 0, 0, 17, 1266, 6, 5, 0, 0)),
         (164, (110, 1, 124, 1, 5, 55, 54, 0, 0, 54, 4188, 16, 15, 0, 0)),
         (296, (120, 0, 105, 0, 3, 60, 60, 0, 0, 60, 4611, 15, 14, 0, 0)),
         (104, (59, 2, 110, 2, 2, 30, 28, 0, 0, 28, 2279, 12, 11, 0, 0)),
-        (62, (51, 4, 118, 4, 3, 26, 22, 0, 0, 22, 1815, 14, 13, 0, 0)),
+        (62, (53, 5, 126, 5, 4, 27, 22, 0, 0, 22, 1815, 14, 13, 0, 0)),
         (66064, (6626, 0, 2844, 0, 2606, 3313, 3313, 0, 0, 3313, 252652, 20, 20, 0, 0)),
-        (6147, (3128, 131, 4790, 131, 618, 1602, 1471, 0, 0, 1471, 117548, 30, 29, 0, 0)),
+        (6147, (3141, 136, 4830, 136, 620, 1609, 1473, 0, 0, 1473, 117699, 30, 29, 0, 0)),
         (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17, 0, 0)),
         (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17, 0, 0)),
         (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17, 0, 0)),
@@ -143,23 +143,12 @@ _PINNED_STATS = {
         (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0, 0)),
         (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11, 0, 0)),
         (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20, 0, 0)),
-        (6147, (3206, 205, 5357, 205, 771, 1654, 1449, 0, 0, 1449, 118376, 27, 26, 0, 0)),
+        (6147, (3212, 234, 5532, 234, 794, 1657, 1423, 0, 0, 1423, 116540, 27, 26, 0, 0)),
         (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17, 0, 0)),
         (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17, 0, 0)),
         (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17, 0, 0)),
     ],
 }
-
-#: with ``max_learned=2`` and enumeration off: the pinned rows that differ
-#: from _PINNED_STATS, and the learned constraints evicted over all instances
-_PINNED_TWO_LEARNED = {
-    "vcis": ({9: (192, (22, 5, 37, 5, 1, 12, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
-              17: (6147, (3139, 135, 4816, 135, 620, 1608, 1473, 0, 0, 1473, 117692, 30, 29, 0, 0))},
-             138),
-    "baseline": ({17: (6147, (3207, 233, 5489, 233, 793, 1656, 1423, 0, 0, 1423, 116547, 25, 25, 0, 0))},
-                 240),
-}
-
 
 class TestCountMatchesOracle:
     def test_random_formulas_all_configs(self):
@@ -184,20 +173,18 @@ class TestCountMatchesOracle:
         assert conflicts > 100
 
     def test_tiny_cache_and_learned_budgets(self):
-        # heavy eviction on both stores must never change the answer, and
-        # the cache's byte accounting must match its live entries; the
-        # debug checks hold the learned store's occurrence lists to its
-        # live constraints after every reduction
+        # heavy eviction from the cache must never change the answer, and
+        # its byte accounting must match its live entries; the debug checks
+        # hold the learned stack's occurrence lists and levels to its live
+        # constraints after every backjump that pops some
         rng = random.Random(6603)
-        evictions = 0
-        reduced = 0
+        evictions = conflicts = 0
         for _ in range(200):
             f = _helpers.tight_formula(rng, max_vars=12)
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
-            cfg = CounterConfig(max_cache_bytes=2048, max_learned=1,
-                                leaf_cells=0, debug_checks=True)
+            cfg = CounterConfig(max_cache_bytes=2048, leaf_cells=0, debug_checks=True)
             res = count_models(f, cfg)
             assert res.count == want
             cache = res.cache
@@ -206,9 +193,9 @@ class TestCountMatchesOracle:
             assert cache.bytes_used <= cfg.max_cache_bytes
             assert sorted(cache._log) == sorted(cache._store)
             evictions += res.stats.cache_evictions
-            reduced += res.stats.learned > cfg.max_learned
+            conflicts += res.stats.conflicts
         assert evictions > 0
-        assert reduced >= 10
+        assert conflicts >= 100
 
     def test_no_count_is_stored_under_a_held_key(self, monkeypatch):
         # CountCache.store writes without looking: a leaf is stored right
@@ -226,17 +213,16 @@ class TestCountMatchesOracle:
 
         monkeypatch.setattr(CountCache, "store", checked_store)
         configs = [CounterConfig(max_cache_bytes=600, leaf_cells=0),
-                   CounterConfig(max_cache_bytes=600),
-                   CounterConfig(max_cache_bytes=600, leaf_cells=0, max_learned=2)]
+                   CounterConfig(max_cache_bytes=600)]
         builders = [_helpers.random_formula, _helpers.tight_formula,
                     _helpers.covered_formula, _helpers.clause_heavy_formula]
         rng = random.Random(6617)
         formulas = []
-        for i in range(1500):
+        for i in range(2800):
             f = builders[i % 4](rng)
             if not f.unsat_at_load:
                 formulas.append((f, brute_count(f).count))
-        for seed in range(4):
+        for seed in range(8):
             f = parse_opb(gen_auction(bids=26, items=12, revenue_fraction=0.15, seed=seed))
             formulas.append((f, count_models(f).count))
         evictions = conflicts = 0
@@ -274,29 +260,30 @@ class TestCountMatchesOracle:
     def test_debug_checks_change_nothing_across_hundreds_of_conflicts(self):
         # check_integrity recomputes every learned slack at every node; here
         # it runs where hundreds of learned constraints propagate, with a
-        # store reduced on most conflicts and with one never reduced
+        # learned stack pushed and popped on every conflict
         conflicts = 0
-        for seed in range(6):
+        for seed in range(12):
             f = parse_opb(gen_auction(bids=26, items=14, revenue_fraction=0.15, seed=seed))
             counts = set()
             for heuristic in ("vcis", "baseline"):
-                for max_learned in (2, CounterConfig().max_learned):
-                    plain, checked = (count_models(f, CounterConfig(
-                        heuristic=heuristic, max_learned=max_learned, leaf_cells=0,
-                        debug_checks=debug))
-                        for debug in (False, True))
-                    assert checked.count == plain.count
-                    assert checked.stats.as_dict() == plain.stats.as_dict()
-                    counts.add(plain.count)
-                    conflicts += plain.stats.conflicts
+                plain, checked = (count_models(f, CounterConfig(
+                    heuristic=heuristic, leaf_cells=0, debug_checks=debug))
+                    for debug in (False, True))
+                assert checked.count == plain.count
+                assert checked.stats.as_dict() == plain.stats.as_dict()
+                counts.add(plain.count)
+                conflicts += plain.stats.conflicts
             assert len(counts) == 1
         assert conflicts >= 250
 
-    @pytest.mark.parametrize("max_learned", [1, 10000])
-    def test_engine_keys_match_reference_on_search_states(self, monkeypatch, max_learned):
+    @pytest.mark.parametrize("max_cache_bytes", [1, 10000])
+    def test_engine_keys_match_reference_on_search_states(self, monkeypatch,
+                                                          max_cache_bytes):
         # every key the search encodes from the engine's arrays equals the
         # reference encoder's, which takes its gaps from the assignment and
-        # finds the component's terms through its variable ids
+        # finds the component's terms through its variable ids; a cache that
+        # holds no entry makes the search re-enter every component it has
+        # counted, one that holds some skips them on a hit
         encode = pbtally.counter.encode_component
         mc = None
         keys = 0
@@ -315,20 +302,18 @@ class TestCountMatchesOracle:
         rng = random.Random(6614)
         builders = (_helpers.tight_formula, _helpers.random_formula,
                     _helpers.covered_formula)
-        conflicts = reductions = 0
+        conflicts = 0
         for i in range(900):
             f = builders[i % 3](rng)
             if f.unsat_at_load:
                 continue
             mc = ModelCounter(f, CounterConfig(saturate_keys=i % 2 == 0,
-                                               max_learned=max_learned,
+                                               max_cache_bytes=max_cache_bytes,
                                                leaf_cells=0, debug_checks=True))
             res = mc.run()
             assert res.count == brute_count(f).count
             conflicts += res.stats.conflicts
-            reductions += res.stats.learned > max_learned
         assert keys > 2000 and conflicts > 300
-        assert reductions > 30 or max_learned > 1
 
     def test_component_past_the_int64_margin_is_searched(self, monkeypatch):
         # the root component's open mass is 3 * 2**59 + 1, so enumeration
@@ -787,12 +772,29 @@ class TestBudgets:
         with pytest.raises(MemoryBudgetExceeded):
             count_models(f, CounterConfig(max_memory_bytes=4096))
 
+    def test_a_finished_count_holds_only_what_it_learned_at_level_0(self):
+        # neither block's budget holds every variable of the union, so the
+        # default count learns; each learned constraint leaves on the
+        # backjump below the level it was learned at, and the bytes the
+        # memory budget counts leave with it
+        f = _helpers.disjoint_union([parse_opb(gen_sensor(sensors=40, targets=50, seed=s))
+                                     for s in (0, 1)])
+        mc = ModelCounter(f)
+        res = mc.run()
+        assert res.count == 2013792 and res.stats.learned > 0
+        engine = mc.engine
+        held = engine.constraints[engine.first_learned:]
+        assert engine.learned_level == [0] * len(held)
+        assert len(held) < res.stats.learned
+        assert engine.learned_bytes == sum(engine._learned_cost(len(c.terms)) for c in held)
+
     @pytest.mark.parametrize("kwargs", [
         {"timeout_s": float("nan")}, {"timeout_s": 0}, {"timeout_s": -1.0},
         {"max_cache_bytes": -1}, {"max_memory_bytes": -1},
         {"timeout_s": float("inf")},
-        {"max_learned": -1}, {"max_learned": 2.5}, {"max_learned": None},
-        {"max_learned": "10"}, {"max_learned": True},
+        {"timeout_s": float("-inf")}, {"max_cache_bytes": float("inf")},
+        {"max_memory_bytes": float("inf")}, {"max_cache_bytes": "10"},
+        {"max_memory_bytes": True},
         {"max_cache_bytes": None}, {"max_memory_bytes": "10"}, {"timeout_s": "1"},
         {"max_cache_bytes": 2.5}, {"max_memory_bytes": 2.5}, {"timeout_s": True},
         {"max_cache_bytes": True},
@@ -805,10 +807,10 @@ class TestBudgets:
 
     def test_smallest_budgets_accepted(self):
         cfg = CounterConfig(timeout_s=1e-6, max_cache_bytes=0, max_memory_bytes=0,
-                            max_learned=0, leaf_cells=0)
+                            leaf_cells=0)
         assert cfg.timeout_s == 1e-6
         assert cfg.max_cache_bytes == 0 and cfg.max_memory_bytes == 0
-        assert cfg.max_learned == 0 and cfg.leaf_cells == 0
+        assert cfg.leaf_cells == 0
 
     def test_generous_budgets_do_not_interfere(self):
         f = build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)])
@@ -870,33 +872,6 @@ class TestLogsAndStats:
             res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
             got.append((res.count, tuple(res.stats.as_dict().values())))
         assert got == _PINNED_STATS[heuristic]
-
-    @pytest.mark.parametrize("heuristic", ["vcis", "baseline"])
-    def test_search_stats_pinned_with_two_learned(self, heuristic):
-        # a store this small is reduced on most conflicts; what it keeps
-        # and how it propagates afterwards both show in the search
-        diffs, want_evicted = _PINNED_TWO_LEARNED[heuristic]
-        want = [diffs.get(i, row) for i, row in enumerate(_PINNED_STATS[heuristic])]
-        got = []
-        evicted = 0
-        for f in _pinned_formulas():
-            mc = ModelCounter(f, CounterConfig(heuristic=heuristic, max_learned=2,
-                                               leaf_cells=0))
-            res = mc.run()
-            got.append((res.count, tuple(res.stats.as_dict().values())))
-            engine = mc.engine
-            # the store ends within its cap, with nothing kept of an evicted one
-            held = len(engine.constraints) - engine.first_learned
-            assert held <= 2
-            for per_cstr in (engine.slack, engine.c_activity, engine.in_dirty):
-                assert len(per_cstr) == engine.first_learned + held
-            # gaps are kept for original constraints only
-            assert len(engine.gapv) == engine.first_learned
-            assert sum(map(len, engine.occ_learned)) == sum(
-                len(c.terms) for c in engine.constraints[engine.first_learned:])
-            evicted += engine.learned_total - held
-        assert got == want
-        assert evicted == want_evicted
 
     def test_stats_are_coherent(self):
         rng = random.Random(6611)

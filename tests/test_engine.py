@@ -206,19 +206,19 @@ class TestScope:
 def analyze_like_reference(engine, confl, analyze=Engine.analyze):
     """``analyze(engine, confl)``, checked against ``_helpers.reference_analyze``.
 
-    The terms as a set, the degree, the jump and every activity must agree.
-    Returns the engine's outcome and the number of resolution steps taken.
+    The terms as a set, the degree, the jump and every variable activity
+    must agree. Returns the engine's outcome and the number of resolution
+    steps taken.
     """
-    ref, touched, bumped = _helpers.reference_analyze(engine, confl)
-    act, c_act = _helpers.expected_activities(engine, touched, bumped)
+    ref, touched, steps = _helpers.reference_analyze(engine, confl)
+    act = _helpers.expected_activities(engine, touched)
     out = analyze(engine, confl)
     if ref is None:
         assert out is None
     else:
         assert (sorted(out[0]), out[1], out[2]) == (sorted(ref[0]), ref[1], ref[2])
     assert engine.activity == act
-    assert engine.c_activity == c_act
-    return out, len(bumped) - 1
+    return out, steps
 
 
 class TestAnalyze:
@@ -294,6 +294,24 @@ class TestAnalyze:
         e.add_learned(terms, degree)
         assert e.propagate() is None
         assert e.lit_value(2) is True and e.lit_value(3) is True
+
+    def test_variable_activity_rescale(self):
+        e = Engine(build_formula(8, [([(1, 1), (1, 2), (1, 3)], ">=", 1)]))
+        e._bump_var(4)
+        for _ in range(3):
+            e._bump_var(3)
+        # one more increment stays under the cap, the second one passes it
+        e.var_inc = 0.6 * _ACTIVITY_CAP
+        act = list(e.activity)
+        act[8] = act[8] + e.var_inc + e.var_inc
+        for _ in range(2):
+            e._bump_var(8)
+        scale = 1.0 / _ACTIVITY_CAP
+        assert e.activity == [a * scale for a in act]
+        assert e.var_inc == 0.6 * _ACTIVITY_CAP * scale
+        order = sorted(range(len(act)), key=act.__getitem__)
+        assert sorted(range(len(act)), key=e.activity.__getitem__) == order
+        assert 0.0 < e.activity[4] < e.activity[3] < e.activity[8]
 
     def test_learned_constraints_are_implied_and_asserting(self):
         rng = random.Random(5503)
@@ -479,86 +497,48 @@ class TestLearnedStore:
         assert e.slack[cid] == 2
         e.check_integrity()
 
-    @staticmethod
-    def _renumbered_engine():
-        """An engine whose store was just reduced from 4 learned to 2.
-
-        Learned in order: junk0, forcing (the reason for x2), junk1 and
-        newest. Conflicts touched the junk, so the newest is the coldest
-        and only its protection keeps it.
-        """
-        f = build_formula(8, [([(1, 1), (1, 2), (1, 3)], ">=", 1)])
-        e = Engine(f, max_learned=3)
+    def test_backjump_pops_constraints_learned_above_its_target(self):
+        f = build_formula(7, [([(1, 1), (1, 2), (1, 3)], ">=", 1)])
+        e = Engine(f)
         first = e.first_learned
         assert e.propagate() is None
-        e.decide(-1)
+        e.decide(-4)
         assert e.propagate() is None
-        junk0 = e.add_learned(((1, 5), (1, 6)), 1)
-        forcing = e.add_learned(((1, 1), (1, 2)), 1)
-        assert e.propagate() is None
-        assert e.reason[2] == forcing == first + 1
-        junk1 = e.add_learned(((1, 6), (1, 7)), 1)
-        e._bump_constraint(junk0)
-        e._bump_constraint(junk1)
-        newest = e.add_learned(((1, 7), (1, 8)), 1)
-        return e, newest
-
-    def test_eviction_spares_reasons_and_newest(self):
-        e, newest = self._renumbered_engine()
-        first = e.first_learned
-        # the survivors keep their order and take the lowest learned ids
-        assert newest == first + 1
-        assert [(c.cid, c.body()) for c in e.constraints[first:]] == [
-            (first, (((1, 1), (1, 2)), 1)), (first + 1, (((1, 7), (1, 8)), 1))]
-        for per_cstr in (e.slack, e.c_activity, e.in_dirty):
-            assert len(per_cstr) == first + 2
-        assert len(e.gapv) == first
-        assert e.reason[2] == first
-        occ = e.occ_learned
-        assert occ[lit_index(1)] == occ[lit_index(2)] == [(first, 1, 1)]
-        assert occ[lit_index(7)] == occ[lit_index(8)] == [(first + 1, 1, 1)]
-        assert occ[lit_index(5)] == occ[lit_index(6)] == []
-        assert all(occ[lit_index(-v)] == () for v in range(1, 9))
-        assert e.learned_bytes == 2 * e._learned_cost(2)
-        # junk1 was still queued for a forcing scan; only the newest is now
-        assert e.dirty == [newest]
-        assert e.in_dirty[first:] == [False, True]
-        e.check_integrity(expect_quiescent=False)
-        # the survivor still propagates after the renumbering
+        kept = e.add_learned(((1, 5), (1, 6)), 1)
         assert e.propagate() is None
         e.decide(-7)
         assert e.propagate() is None
-        assert e.lit_value(8) is True
-        assert e.reason[8] == newest
-        e.check_integrity()
-
-    def test_activity_rescale_after_renumbering(self):
-        e, newest = self._renumbered_engine()
-        first = e.first_learned
-        e._bump_constraint(first)
-        e._bump_var(4)
-        for _ in range(3):
-            e._bump_var(3)
-        # one more increment stays under the cap, the second one passes it
-        e.var_inc = e.cla_inc = 0.6 * _ACTIVITY_CAP
-        act = list(e.activity)
-        act[8] = act[8] + e.var_inc + e.var_inc
-        c_act = list(e.c_activity)
-        c_act[newest] = c_act[newest] + e.cla_inc + e.cla_inc
-        for _ in range(2):
-            e._bump_var(8)
-            e._bump_constraint(newest)
-        scale = 1.0 / _ACTIVITY_CAP
-        assert e.activity == [a * scale for a in act]
-        assert e.c_activity == [a * scale for a in c_act]
-        assert e.var_inc == e.cla_inc == 0.6 * _ACTIVITY_CAP * scale
-        order = sorted(range(len(act)), key=act.__getitem__)
-        assert sorted(range(len(act)), key=e.activity.__getitem__) == order
-        order = sorted(range(len(c_act)), key=c_act.__getitem__)
-        assert sorted(range(len(c_act)), key=e.c_activity.__getitem__) == order
-        assert 0.0 < e.activity[4] < e.activity[3] < e.activity[8]
-        assert 0.0 < e.c_activity[first] < e.c_activity[newest]
+        # at level 2: one forces x5, the other is still queued for its scan
+        forcing = e.add_learned(((1, 7), (1, 5)), 1)
+        assert e.propagate() is None
+        assert e.reason[5] == forcing
+        queued = e.add_learned(((1, 6), (1, 7)), 1)
+        assert e.learned_level == [1, 2, 2] and e.dirty == [queued]
+        assert e.occ_learned[lit_index(5)] == [(kept, 1, 1), (forcing, 1, 1)]
         e.check_integrity(expect_quiescent=False)
+        e.backjump_to(1)
+        # both leave every per-constraint list and every occurrence list
+        assert [c.body() for c in e.constraints[first:]] == [(((1, 5), (1, 6)), 1)]
+        assert len(e.slack) == len(e.in_dirty) == first + 1
+        assert e.learned_level == [1] and e.dirty == []
+        occ = e.occ_learned
+        assert occ[lit_index(5)] == occ[lit_index(6)] == [(kept, 1, 1)]
+        assert occ[lit_index(7)] == []
+        assert e.learned_bytes == e._learned_cost(2)
+        assert e.trail == [-4] and e.reason[5] == -1
+        e.check_integrity()
+        # the one learned at level 1 stays, and still forces
+        e.decide(-6)
+        assert e.propagate() is None
+        assert e.lit_value(5) is True and e.reason[5] == kept
+        e.check_integrity()
+        # ids are not renumbered: the next one takes the first popped id
+        assert e.add_learned(((1, 1), (1, 7)), 1) == forcing
+        e.check_integrity(expect_quiescent=False)
+        e.backjump_to(0)
+        assert len(e.constraints) == first and e.learned_level == []
+        assert sum(map(len, e.occ_learned)) == e.learned_bytes == 0
+        e.check_integrity()
 
     def test_integrity_checker_detects_corruption(self):
         f = build_formula(3, [([(2, 1), (1, 2), (1, 3)], ">=", 2)])

@@ -67,8 +67,8 @@ class TestVectorHelpers:
             assert vectors.mul(monomial, vec_right).tolist() == _by_weight(
                 [b + w for b in _weights(mass, right, some_right)] * 3, d)
             rest = [m for m in all_left if m not in some_left]
-            assert vectors.add(vec_left, np.array(
-                _by_weight(_weights(mass, left, rest), d))).tolist() == vectors.free(left).tolist()
+            assert (vec_left + np.array(_by_weight(_weights(mass, left, rest), d))).tolist() \
+                == vectors.free(left).tolist()
             assert vectors.final(vec_left) == sum(
                 1 for x in _weights(mass, left, some_left) if x >= d)
             # Python ints, alone and beside int64, give the same vectors
