@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .engine import UNASSIGNED
+from .mass import INT64_VARS
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
 from .mass import MassVectors, vector_bytes
 
@@ -351,18 +352,18 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     is the layered construction of Abio et al., "BDDs for pseudo-Boolean
     constraints -- revisited" (SAT 2011).
 
-    Returns None, leaving the component to the search, past 62 variables,
-    where a count could leave int64, past :data:`GAP_TABLE_CELLS` cells,
-    or when the three int64 tables would take more than ``max_bytes``.
-    ``poll`` is called before each variable is taken, and may raise to
-    stop the count.
+    Returns None, leaving the component to the search, past
+    :data:`~pbtally.mass.INT64_VARS` variables, where a count could leave
+    int64, past :data:`GAP_TABLE_CELLS` cells, or when the three int64
+    tables would take more than ``max_bytes``. ``poll`` is called before
+    each variable is taken, and may raise to stop the count.
 
     With ``vectors`` K's mass is one more axis, capped at K's degree, and
     the result is the component's int64 vector (see :mod:`pbtally.mass`):
     the row of the table where every other mass has reached its gap.
     """
     var_ids = comp.var_ids
-    if len(var_ids) > 62:
+    if len(var_ids) > INT64_VARS:
         return None
     gaps = [gapv[cid] for cid in comp.cstr_ids]
     if vectors is not None:

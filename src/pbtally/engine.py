@@ -14,7 +14,11 @@ least the mass of its unassigned literals.
 
 Propagation is two-phase: enqueueing a literal only records it, the
 arithmetic happens when the trail pointer reaches it, so a backjump can
-undo exactly the applied prefix.
+undo exactly the applied prefix. A constraint is scanned for forcing
+where its slack drops; the slack counts the applied prefix only, so a
+scan never forces too much, and what it misses is forced when a later
+literal lowers the slack again. A constraint that joined since the last
+propagation is scanned once when the next one starts.
 
 Conflicts are rewritten into learned constraints by cancelling the
 reason of the most recently falsified propagated literal into the
@@ -54,6 +58,8 @@ class Engine:
     ones form a stack: ``learned_level`` holds the decision level each was
     learned at, and a backjump below that level pops it. Ids are never
     renumbered: a learned constraint keeps its ``cid`` until it is popped.
+    ``scan_from`` is the first id that has not been scanned for forcing
+    since it joined; :meth:`propagate` scans the ids from there on.
     Terms run largest coefficient first (see :class:`PBConstraint`), so a
     forcing scan stops at the first coefficient within the slack.
 
@@ -93,10 +99,8 @@ class Engine:
             self.slack.append(c.coef_sum() - c.degree)
             self.gapv.append(c.degree)
 
-        # constraints that may force literals under the current assignment
-        # without any new trail event; drained by propagate()
-        self.dirty = list(range(len(self.constraints)))
-        self.in_dirty = [True] * len(self.constraints)
+        # the first constraint id not scanned since it joined
+        self.scan_from = 0
 
         # propagation scope: when nonzero, learned constraints may only
         # force variables stamped with the current scope mark
@@ -167,36 +171,36 @@ class Engine:
             self.n_propagations += 1
         self.trail.append(lit)
 
-    def _mark_dirty(self, ci: int) -> None:
-        if not self.in_dirty[ci]:
-            self.in_dirty[ci] = True
-            self.dirty.append(ci)
-
     def propagate(self) -> Optional[int]:
-        """Run to fixpoint. Returns a conflicting constraint id, or None."""
-        while True:
-            if self.qhead < len(self.trail):
-                confl = self._apply(self.trail[self.qhead])
-                self.qhead += 1
-                if confl is not None:
-                    return confl
-            elif self.dirty:
-                ci = self.dirty.pop()
-                self.in_dirty[ci] = False
-                confl = self._scan_forcing(ci)
-                if confl is not None:
-                    return confl
-            else:
-                return None
+        """Run to fixpoint. Returns a conflicting constraint id, or None.
+
+        Scans the constraints from ``scan_from`` on, then applies the
+        trail, which scans each constraint whose slack it lowers.
+        """
+        while self.scan_from < len(self.constraints):
+            ci = self.scan_from
+            self.scan_from = ci + 1
+            confl = self._scan_forcing(ci)
+            if confl is not None:
+                return confl
+        trail = self.trail
+        while self.qhead < len(trail):
+            confl = self._apply(trail[self.qhead])
+            self.qhead += 1
+            if confl is not None:
+                return confl
+        return None
 
     def _apply(self, lit: int) -> Optional[int]:
         """Fold one trail literal into every affected slack and gap.
 
-        Learned constraints are visited only through the terms ``lit``
-        falsifies, and queued for a forcing scan only when the new slack
-        lies below their largest coefficient, the only case in which
-        one can force. Always completes the full update so a later undo
-        is exact; the first conflict seen is reported after the scan.
+        Each constraint whose slack drops is scanned for forcing at once:
+        an original while its gap is above 0, a learned one, visited only
+        through the terms ``lit`` falsifies, when the new slack lies below
+        its largest coefficient, the only case in which one can force.
+        Always completes the full update so a later undo is exact; the
+        first conflict seen is reported after the loop, and no scan runs
+        after it.
         """
         v = lit_var(lit)
         truth = lit > 0
@@ -212,8 +216,8 @@ class Engine:
                 if s < 0:
                     if confl is None:
                         confl = ci
-                elif gapv[ci] > 0:
-                    self._mark_dirty(ci)
+                elif confl is None and gapv[ci] > 0:
+                    self._scan_forcing(ci)
         # the slot of -lit: 2 * v + 1 for a true lit, 2 * v for a false one
         for ci, coeff, largest in self.occ_learned[2 * v + truth]:
             s = slack[ci] - coeff
@@ -221,8 +225,8 @@ class Engine:
             if s < 0:
                 if confl is None:
                     confl = ci
-            elif s < largest:
-                self._mark_dirty(ci)
+            elif confl is None and s < largest:
+                self._scan_forcing(ci)
         return confl
 
     def _undo_apply(self, lit: int) -> None:
@@ -268,10 +272,6 @@ class Engine:
         assert 0 <= target_level <= len(self.trail_lim)
         if target_level == len(self.trail_lim):
             return
-        # pending forcing scans belonged to the abandoned branch
-        for ci in self.dirty:
-            self.in_dirty[ci] = False
-        self.dirty.clear()
         # newest first, so each popped constraint's entries are the last ones
         # in their lists. It was learned at a level above the target, and
         # everything it forced lies at that level or deeper, so no reason
@@ -281,11 +281,12 @@ class Engine:
         while learned_level and learned_level[-1] > target_level:
             learned_level.pop()
             self.slack.pop()
-            self.in_dirty.pop()
             terms = self.constraints.pop().terms
             for _, lit in terms:
                 occ[2 * lit if lit > 0 else 1 - 2 * lit].pop()
             self.learned_bytes -= self._learned_cost(len(terms))
+        if self.scan_from > len(self.constraints):
+            self.scan_from = len(self.constraints)
         target = self.trail_lim[target_level]
         trail = self.trail
         for i in range(len(trail) - 1, target - 1, -1):
@@ -478,8 +479,10 @@ class Engine:
     # ----- learned constraint store ---------------------------------------
 
     def add_learned(self, terms, degree: int) -> int:
-        """Push a learned constraint at the current level, queue a forcing
-        scan, and return its id."""
+        """Push a learned constraint at the current level and return its id.
+
+        The next :meth:`propagate` scans it, under the scope set by then.
+        """
         assert self.qhead == len(self.trail), "trail must be fully applied"
         cid = len(self.constraints)
         c = PBConstraint(cid, terms, degree)
@@ -497,8 +500,6 @@ class Engine:
             else:
                 occ[i] = [(cid, coeff, largest)]
         self.slack.append(s - degree)
-        self.in_dirty.append(False)
-        self._mark_dirty(cid)
         self.learned_level.append(len(self.trail_lim))
         self.learned_total += 1
         self.learned_bytes += self._learned_cost(len(terms))
@@ -517,14 +518,14 @@ class Engine:
         of the original constraints (learned ones keep none), and the
         learned occurrence lists, entry by entry and literal by literal, and
         the levels of the learned stack. Slow; meant for tests. With
-        ``expect_quiescent`` the trail must be fully applied and original
-        constraints must be at their forcing fixpoint. Also checks the
-        trail's shape, which conflict analysis walks: ``trail_lim`` rises
-        strictly, each variable's level is the number of ``trail_lim``
-        entries at or below its position, and exactly the literals at those
-        entries have no reason. Then it replays the trail to confirm every
-        propagated literal was genuinely forced by its recorded reason at
-        the moment it was enqueued.
+        ``expect_quiescent`` the trail must be fully applied, every
+        constraint scanned, and original constraints at their forcing
+        fixpoint. Also checks the trail's shape, which conflict analysis
+        walks: ``trail_lim`` rises strictly, each variable's level is the
+        number of ``trail_lim`` entries at or below its position, and
+        exactly the literals at those entries have no reason. Then it
+        replays the trail to confirm every propagated literal was genuinely
+        forced by its recorded reason at the moment it was enqueued.
         """
         n = self.num_vars
         lim = self.trail_lim
@@ -566,8 +567,8 @@ class Engine:
             assert self.slack[ci] == s, "slack drift on constraint %d" % ci
             if ci < self.first_learned:
                 assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
-        assert len(self.slack) == len(self.in_dirty) == m \
-            and len(self.gapv) == self.first_learned, \
+        assert len(self.slack) == m and len(self.gapv) == self.first_learned \
+            and self.scan_from <= m, \
             "per-constraint lists out of step with the constraints"
 
         # the learned constraints are a stack: one level each, never falling
@@ -577,10 +578,6 @@ class Engine:
             "learned_level out of step with the learned constraints"
         assert all(a <= b for a, b in zip(levels, levels[1:])), \
             "learned levels fall, or one lies above the current level"
-
-        # every queued id names a constraint, and in_dirty marks exactly those
-        assert sorted(self.dirty) == [ci for ci in range(m) if self.in_dirty[ci]], \
-            "in_dirty disagrees with the queue of forcing scans"
 
         # occ_learned holds exactly one entry per term of each learned
         # constraint, filed under the term's literal and carrying the
@@ -617,7 +614,7 @@ class Engine:
 
         if expect_quiescent:
             assert self.qhead == len(self.trail), "unapplied trail entries"
-            assert not self.dirty, "pending forcing scans"
+            assert self.scan_from == m, "constraints not yet scanned"
             for ci in range(self.first_learned):
                 if self.gapv[ci] <= 0:
                     continue

@@ -104,46 +104,46 @@ _STAT_FIELDS = ("decisions", "conflicts", "propagations", "learned",
 _PINNED_STATS = {
     "vcis": [
         (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
-        (21, (15, 2, 21, 2, 2, 8, 6, 0, 0, 6, 449, 5, 4, 0, 0)),
+        (21, (15, 2, 24, 2, 2, 8, 6, 0, 0, 6, 449, 5, 4, 0, 0)),
         (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0, 0)),
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
-        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0)),
-        (120, (10, 2, 10, 2, 1, 5, 3, 0, 0, 3, 221, 5, 4, 0, 0)),
-        (8, (6, 1, 19, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0, 0)),
+        (0, (0, 1, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        (0, (1, 2, 12, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0)),
+        (120, (10, 2, 13, 2, 1, 5, 3, 0, 0, 3, 221, 5, 4, 0, 0)),
+        (8, (6, 1, 20, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0, 0)),
         (77, (16, 0, 27, 0, 0, 8, 8, 0, 0, 8, 631, 5, 5, 0, 0)),
-        (0, (9, 2, 11, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0, 0)),
-        (192, (22, 5, 37, 5, 1, 12, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
-        (260, (26, 1, 31, 1, 1, 13, 12, 0, 0, 12, 907, 5, 4, 0, 0)),
-        (954, (38, 2, 28, 2, 6, 19, 17, 0, 0, 17, 1266, 6, 5, 0, 0)),
+        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 292, 4, 5, 0, 0)),
+        (192, (21, 4, 35, 4, 1, 11, 7, 0, 0, 7, 543, 5, 5, 0, 0)),
+        (260, (26, 1, 32, 1, 1, 13, 12, 0, 0, 12, 907, 5, 4, 0, 0)),
+        (954, (38, 2, 29, 2, 6, 19, 17, 0, 0, 17, 1266, 6, 5, 0, 0)),
         (164, (110, 1, 124, 1, 5, 55, 54, 0, 0, 54, 4188, 16, 15, 0, 0)),
         (296, (120, 0, 105, 0, 3, 60, 60, 0, 0, 60, 4611, 15, 14, 0, 0)),
-        (104, (59, 2, 110, 2, 2, 30, 28, 0, 0, 28, 2279, 12, 11, 0, 0)),
-        (62, (53, 5, 126, 5, 4, 27, 22, 0, 0, 22, 1815, 14, 13, 0, 0)),
+        (104, (59, 2, 111, 2, 2, 30, 28, 0, 0, 28, 2279, 12, 11, 0, 0)),
+        (62, (53, 5, 128, 5, 4, 27, 22, 0, 0, 22, 1815, 14, 13, 0, 0)),
         (66064, (6626, 0, 2844, 0, 2606, 3313, 3313, 0, 0, 3313, 252652, 20, 20, 0, 0)),
-        (6147, (3141, 136, 4830, 136, 620, 1609, 1473, 0, 0, 1473, 117699, 30, 29, 0, 0)),
+        (6147, (3145, 142, 4964, 142, 622, 1614, 1472, 0, 0, 1472, 117621, 30, 29, 0, 0)),
         (102937, (4800, 0, 2628, 0, 1895, 2400, 2400, 0, 0, 2400, 188351, 18, 17, 0, 0)),
         (95980, (2674, 0, 1350, 0, 1054, 1337, 1337, 0, 0, 1337, 104613, 18, 17, 0, 0)),
         (100133, (4302, 0, 2397, 0, 1679, 2151, 2151, 0, 0, 2151, 169449, 18, 17, 0, 0)),
     ],
     "baseline": [
         (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
-        (21, (13, 3, 21, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4, 0, 0)),
+        (21, (13, 3, 24, 3, 2, 7, 4, 0, 0, 4, 307, 5, 4, 0, 0)),
         (1428, (14, 0, 14, 0, 0, 7, 7, 0, 0, 7, 528, 4, 4, 0, 0)),
-        (0, (0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
-        (0, (1, 2, 11, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0)),
-        (120, (9, 2, 10, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4, 0, 0)),
+        (0, (0, 1, 4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)),
+        (0, (1, 2, 12, 1, 0, 1, 0, 0, 0, 0, 0, 2, 1, 0, 0)),
+        (120, (9, 2, 11, 2, 1, 5, 3, 0, 0, 3, 226, 5, 4, 0, 0)),
         (8, (5, 1, 15, 1, 0, 3, 2, 0, 0, 2, 151, 3, 2, 0, 0)),
         (77, (15, 1, 27, 1, 0, 8, 7, 0, 0, 7, 557, 5, 4, 0, 0)),
-        (0, (9, 2, 12, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5, 0, 0)),
-        (192, (23, 6, 38, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5, 0, 0)),
-        (260, (32, 3, 34, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5, 0, 0)),
+        (0, (9, 2, 14, 1, 0, 5, 4, 0, 0, 4, 298, 4, 5, 0, 0)),
+        (192, (22, 6, 37, 6, 0, 13, 7, 0, 0, 7, 541, 5, 5, 0, 0)),
+        (260, (32, 3, 36, 3, 1, 17, 14, 0, 0, 14, 1056, 5, 5, 0, 0)),
         (954, (36, 1, 28, 1, 2, 18, 17, 0, 0, 17, 1269, 6, 5, 0, 0)),
         (164, (131, 1, 130, 1, 7, 66, 65, 0, 0, 65, 4989, 14, 13, 0, 0)),
         (296, (180, 0, 107, 0, 29, 90, 90, 0, 0, 90, 6775, 15, 15, 0, 0)),
-        (104, (60, 3, 112, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0, 0)),
-        (62, (52, 4, 118, 4, 2, 28, 24, 0, 0, 24, 1973, 12, 11, 0, 0)),
+        (104, (60, 3, 113, 3, 2, 31, 28, 0, 0, 28, 2284, 12, 11, 0, 0)),
+        (62, (57, 5, 124, 5, 3, 31, 26, 0, 0, 26, 2114, 13, 13, 0, 0)),
         (66064, (5758, 0, 2806, 0, 2265, 2879, 2879, 0, 0, 2879, 219357, 21, 20, 0, 0)),
-        (6147, (3212, 234, 5532, 234, 794, 1657, 1423, 0, 0, 1423, 116540, 27, 26, 0, 0)),
+        (6147, (3198, 206, 5710, 206, 734, 1652, 1446, 0, 0, 1446, 118490, 25, 24, 0, 0)),
         (102937, (6306, 0, 2952, 0, 2435, 3153, 3153, 0, 0, 3153, 246302, 18, 17, 0, 0)),
         (95980, (6148, 0, 2764, 0, 2219, 3074, 3074, 0, 0, 3074, 238511, 18, 17, 0, 0)),
         (100133, (5868, 0, 3030, 0, 2255, 2934, 2934, 0, 0, 2934, 229831, 17, 17, 0, 0)),
@@ -184,7 +184,7 @@ class TestCountMatchesOracle:
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
-            cfg = CounterConfig(max_cache_bytes=2048, leaf_cells=0, debug_checks=True)
+            cfg = CounterConfig(max_cache_bytes=256, leaf_cells=0, debug_checks=True)
             res = count_models(f, cfg)
             assert res.count == want
             cache = res.cache
@@ -194,7 +194,8 @@ class TestCountMatchesOracle:
             assert sorted(cache._log) == sorted(cache._store)
             evictions += res.stats.cache_evictions
             conflicts += res.stats.conflicts
-        assert evictions > 0
+        # 584 of the 964 stores are evicted, in 90 of the formulas
+        assert evictions >= 584
         assert conflicts >= 100
 
     def test_no_count_is_stored_under_a_held_key(self, monkeypatch):

@@ -51,8 +51,10 @@ class TestPropagation:
         e = Engine(f)
         assert e.propagate() is None
         e.decide(-2)
+        # ~x2 lowers both slacks; the first scan forces x1, which breaks the second
         confl = e.propagate()
-        assert confl == 0
+        assert confl == 1
+        assert e.trail_view() == [(-2, 1, -1), (1, 1, 0)]
         e.check_integrity(expect_quiescent=False)
 
     def test_conflicting_input_found_at_root(self):
@@ -61,8 +63,9 @@ class TestPropagation:
             ([(1, -1)], ">=", 1),
         ])
         e = Engine(f)
+        # the scan of constraint 0 forces x1, and applying it breaks constraint 1
         confl = e.propagate()
-        assert confl == 0
+        assert confl == 1
         assert analyze_like_reference(e, confl) == (None, 0)
 
     def test_backjump_restores_engine_state(self):
@@ -157,33 +160,60 @@ class TestScope:
         assert e.propagate() is None
         return e
 
-    def test_learned_forcing_respects_scope(self):
+    def _blocked_learned_clause(self):
+        """A learned x1 + x2 >= 1 whose slack drop by ~x1 cannot force x2."""
         e = self._loose_engine()
-        e.decide(-1)
-        assert e.propagate() is None
         cid = e.add_learned(((1, 1), (1, 2)), 1)
         e.set_scope([3])
         assert e.propagate() is None
+        e.decide(-1)
+        assert e.propagate() is None
         # x2 is outside the scope, so the learned clause must not fire
         assert e.lit_value(2) is None
+        e.backjump_to(0)
+        return e, cid
+
+    def test_learned_forcing_respects_scope(self):
+        e, cid = self._blocked_learned_clause()
+        # the same drop under a scope that holds x2 forces it
         e.set_scope([1, 2])
-        e._mark_dirty(cid)
+        e.decide(-1)
         assert e.propagate() is None
         assert e.lit_value(2) is True
         assert e.reason[2] == cid
 
     def test_clear_scope_reenables_forcing(self):
+        e, cid = self._blocked_learned_clause()
+        e.clear_scope()
+        e.decide(-1)
+        assert e.propagate() is None
+        assert e.lit_value(2) is True
+        assert e.reason[2] == cid
+
+    def test_learned_constraint_is_scanned_under_the_next_scope(self):
+        # the counter adds a learned constraint before it sets the scope of
+        # the backjump target's frame, so its first scan waits for propagate
         e = self._loose_engine()
+        e.set_scope([3])
         e.decide(-1)
         assert e.propagate() is None
         cid = e.add_learned(((1, 1), (1, 2)), 1)
-        e.set_scope([3])
+        assert e.scan_from == cid
+        e.set_scope([1, 2])
         assert e.propagate() is None
-        assert e.lit_value(2) is None
-        e.clear_scope()
-        e._mark_dirty(cid)
+        assert e.lit_value(2) is True and e.reason[2] == cid
+        assert e.scan_from == cid + 1
+        e.check_integrity()
+        # popped, its id goes to the next learned constraint, scanned in turn
+        e.backjump_to(0)
+        assert len(e.constraints) == e.scan_from == cid
+        e.decide(-4)
         assert e.propagate() is None
-        assert e.lit_value(2) is True
+        assert e.add_learned(((1, 4), (1, 5)), 1) == cid
+        e.set_scope([5])
+        assert e.propagate() is None
+        assert e.lit_value(5) is True and e.reason[5] == cid
+        e.check_integrity()
 
     def test_learned_conflicts_ignore_scope(self):
         e = self._loose_engine()
@@ -223,8 +253,9 @@ def analyze_like_reference(engine, confl, analyze=Engine.analyze):
 
 class TestAnalyze:
     def test_resolution_worked_example(self):
-        # x2 propagates x3 both ways; resolving the two reasons cancels
-        # x3 and leaves the unit fact that x2 cannot hold
+        # x2 forces x3, which breaks ~x2 + ~x3 >= 1; resolving that conflict
+        # with x3's reason cancels x3 and leaves the unit fact that x2
+        # cannot hold
         f = build_formula(3, [
             ([(1, 1), (1, 2)], ">=", 1),
             ([(1, -2), (1, 3)], ">=", 1),
@@ -234,8 +265,10 @@ class TestAnalyze:
         assert e.propagate() is None
         e.decide(-1)
         confl = e.propagate()
-        assert confl == 1
-        terms, degree, jump = e.analyze(confl)
+        assert confl == 2
+        assert e.trail_view() == [(-1, 1, -1), (2, 1, 0), (3, 1, 1)]
+        (terms, degree, jump), steps = analyze_like_reference(e, confl)
+        assert steps == 1
         assert terms == ((1, -2),)
         assert degree == 1
         assert jump == 0
@@ -255,8 +288,9 @@ class TestAnalyze:
         e = Engine(f)
         assert e.propagate() is None
         e.decide(-1)
+        # ~x1 forces x2 by the first constraint, and x2 breaks the second
         confl = e.propagate()
-        assert confl == 0
+        assert confl == 1
         # cancellation would push a coefficient past the guard, so the
         # result is a clause over the decisions taken
         (terms, degree, jump), steps = analyze_like_reference(e, confl)
@@ -415,9 +449,9 @@ class TestAnalyzeMatchesReference:
         assert e.propagate() is None
         confl = e.add_learned(((2, -5), (1, -2), (1, -3), (1, -4)), 2)
         assert e.propagate() == confl
-        assert e.trail == [1, 2, 4, 3, 5]
+        assert e.trail == [1, 2, 3, 4, 5]
         (terms, degree, jump), steps = analyze_like_reference(e, confl)
-        assert (sorted(terms), degree, jump, steps) == ([(1, -4), (2, -2), (2, -1)], 2, 1, 2)
+        assert (sorted(terms), degree, jump, steps) == ([(1, -3), (2, -2), (2, -1)], 2, 1, 2)
 
     def test_every_conflict_of_two_auction_counts(self, monkeypatch):
         analyze = Engine.analyze
@@ -485,12 +519,13 @@ class TestLearnedStore:
         assert e.slack[cid] == 2 and scanned == [cid]
         assert e.trail == [1, -2]
         e.check_integrity()
-        # unsatisfied, the same drop forces x1, and only x1, by this constraint
+        # unsatisfied, the same drop forces x1, and only x1, by this constraint;
+        # the original, whose gap is still above 0, is scanned first
         e.backjump_to(0)
         scanned.clear()
         e.decide(-2)
         assert e.propagate() is None
-        assert scanned[0] == cid
+        assert scanned == [0, cid]
         assert e.trail == [-2, 1]
         assert e.reason[1] == cid and e.level[1] == 1
         assert e.lit_value(3) is None and e.lit_value(4) is None
@@ -508,19 +543,19 @@ class TestLearnedStore:
         assert e.propagate() is None
         e.decide(-7)
         assert e.propagate() is None
-        # at level 2: one forces x5, the other is still queued for its scan
+        # at level 2: one forces x5, the other is not scanned yet
         forcing = e.add_learned(((1, 7), (1, 5)), 1)
         assert e.propagate() is None
         assert e.reason[5] == forcing
-        queued = e.add_learned(((1, 6), (1, 7)), 1)
-        assert e.learned_level == [1, 2, 2] and e.dirty == [queued]
+        unscanned = e.add_learned(((1, 6), (1, 7)), 1)
+        assert e.learned_level == [1, 2, 2] and e.scan_from == unscanned
         assert e.occ_learned[lit_index(5)] == [(kept, 1, 1), (forcing, 1, 1)]
         e.check_integrity(expect_quiescent=False)
         e.backjump_to(1)
         # both leave every per-constraint list and every occurrence list
         assert [c.body() for c in e.constraints[first:]] == [(((1, 5), (1, 6)), 1)]
-        assert len(e.slack) == len(e.in_dirty) == first + 1
-        assert e.learned_level == [1] and e.dirty == []
+        assert len(e.slack) == e.scan_from == first + 1
+        assert e.learned_level == [1]
         occ = e.occ_learned
         assert occ[lit_index(5)] == occ[lit_index(6)] == [(kept, 1, 1)]
         assert occ[lit_index(7)] == []
