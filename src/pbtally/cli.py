@@ -212,10 +212,6 @@ def _cmd_verify(args) -> int:
             _report({"status": "timeout", "command": "verify",
                      "file": args.file, "error": str(exc)})
             return EXIT_TIMEOUT
-        except MemoryBudgetExceeded as exc:
-            _report({"status": "memout", "command": "verify",
-                     "file": args.file, "error": str(exc)})
-            return EXIT_MEMOUT
         counts[label] = result.count
     counts["exhaustive"] = brute_count(formula).count
 

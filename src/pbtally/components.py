@@ -336,8 +336,7 @@ def _raise_mass(src, raises, gaps, dst, spare):
 
 
 def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[int] = None,
-                  poll: Optional[Callable[[], None]] = None,
-                  vectors: Optional[MassVectors] = None):
+                  poll: Optional[Callable[[], None]] = None):
     """Models of a component over its own variables, by dynamic programming.
 
     Same precondition as :func:`count_component`. The table has one axis
@@ -357,17 +356,11 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     int64, past :data:`GAP_TABLE_CELLS` cells, or when the three int64
     tables would take more than ``max_bytes``. ``poll`` is called before
     each variable is taken, and may raise to stop the count.
-
-    With ``vectors`` K's mass is one more axis, capped at K's degree, and
-    the result is the component's int64 vector (see :mod:`pbtally.mass`):
-    the row of the table where every other mass has reached its gap.
     """
     var_ids = comp.var_ids
     if len(var_ids) > INT64_VARS:
         return None
     gaps = [gapv[cid] for cid in comp.cstr_ids]
-    if vectors is not None:
-        gaps.append(vectors.degree)
     cells = 1
     for g in gaps:
         cells *= g + 1
@@ -384,14 +377,6 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
                     ups[lit].append((axis, min(a, g)))
             elif val[-lit] == UNASSIGNED:
                 downs[-lit].append((axis, min(a, g)))
-    if vectors is not None:
-        axis = len(comp.cstr_ids)
-        for v in var_ids:
-            a = vectors.signed[v]
-            if a > 0:
-                ups[v].append((axis, a))
-            elif a < 0:
-                downs[v].append((axis, -a))
     shape = tuple(g + 1 for g in gaps)
     tables = [np.zeros(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
               np.empty(shape, dtype=np.int64)]
@@ -407,8 +392,6 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
             false = _raise_mass(cur, downs[v], gaps, two if true is one else one, cur)
         np.add(true, false, out=true)
         tables = [true] + [t for t in tables if t is not true]
-    if vectors is not None:
-        return tables[0][tuple(gaps[:-1])].copy()
     return int(tables[0][tuple(gaps)])
 
 

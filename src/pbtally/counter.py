@@ -10,12 +10,13 @@ frame reports models(branch true) + models(branch false), multiplied into
 its parent, and unconstrained variables contribute a power of two
 directly.
 
-When one constraint K holds every variable beside narrower ones, K
-leaves the engine, the split and the cache keys, and every count above
-becomes a vector over K's weight (:mod:`pbtally.mass`): components
-multiply by convolution, branches add, a free variable is a factor
-``1 + z**a``, and a branch is shifted by the K weight of the literals set
-at its level. The count is the root vector's entry at K's degree.
+When exactly one constraint K holds every variable beside narrower
+ones, K leaves the engine, the split and the cache keys, no gap table is
+built, and every other count above becomes a vector over K's weight
+(:mod:`pbtally.mass`): components multiply by convolution, branches add,
+a free variable is a factor ``1 + z**a``, and a branch is shifted by the
+K weight of the literals set at its level. The count is the root
+vector's entry at K's degree.
 
 Conflicts are analyzed into learned constraints as in a clause-learning
 satisfiability search; each one is dropped when the search backjumps
@@ -78,11 +79,12 @@ class CounterConfig:
     counter counts by enumeration instead of search, in cells: its
     constraints times 2 to the power of its variables. A component all of
     whose constraints span its block is also counted without search, by
-    :func:`count_by_gaps`, when its table fits. A constraint over every
-    variable, beside a narrower one, whose degree is below ``leaf_cells``
-    becomes the counter's K (:attr:`ModelCounter.mass`): it is counted by
-    weight vectors instead of searched. 0 turns all three off, so every
-    component is searched with every constraint in the engine.
+    :func:`count_by_gaps`, when its table fits. The only constraint over
+    every variable, beside a narrower one, becomes the counter's K
+    (:attr:`ModelCounter.mass`) when its degree is below ``leaf_cells``:
+    it is counted by weight vectors instead of searched, and then no gap
+    table is built. 0 turns all three off, so every component is searched
+    with every constraint in the engine.
 
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, with ``lit`` in
@@ -300,12 +302,14 @@ class ModelCounter:
         self._stack = []
         #: per searched constraint, whether it holds every variable of its
         #: block, the component holding it on the empty trail; only picks
-        #: the gap table for a component (see _count_without_search)
+        #: the gap table for a component (see _count_without_search). With
+        #: K every flag stays False, so no table is built
         self._spans_block = [False] * len(searched.constraints)
-        for block in self._split_scope(range(1, n + 1))[0]:
-            for ci in block.cstr_ids:
-                self._spans_block[ci] = (len(self.engine.constraints[ci].terms)
-                                         == len(block.var_ids))
+        if self.mass is None:
+            for block in self._split_scope(range(1, n + 1))[0]:
+                for ci in block.cstr_ids:
+                    self._spans_block[ci] = (len(self.engine.constraints[ci].terms)
+                                             == len(block.var_ids))
 
     # ----- pieces ---------------------------------------------------------
 
@@ -440,7 +444,8 @@ class ModelCounter:
         power of their number. The table is exact for any component, so
         the flags only choose where it is worth building. It must fit in
         what ``max_memory_bytes`` leaves free, and the deadline is checked
-        as it fills. With K, either gives the component's vector.
+        as it fills. With K no flag is set, and enumeration gives the
+        component's vector.
         """
         cfg = self.config
         engine = self.engine
@@ -461,8 +466,7 @@ class ModelCounter:
         if room is not None:
             room -= self._accounted_bytes()
         n = count_by_gaps(comp, engine.constraints, engine.gapv, engine.val, room,
-                          None if self._deadline is None else self._check_deadline,
-                          self._vectors)
+                          None if self._deadline is None else self._check_deadline)
         if n is not None:
             self.stats.gap_counts += 1
         return n

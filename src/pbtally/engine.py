@@ -247,12 +247,7 @@ class Engine:
         s = self.slack[ci]
         if s < 0:
             return ci
-        if ci < self.first_learned:
-            if self.gapv[ci] <= 0:
-                return None
-            scoped = 0
-        else:
-            scoped = self.scope_current
+        scoped = 0 if ci < self.first_learned else self.scope_current
         val = self.val
         stamp = self.scope_stamp
         for coeff, lit in self.constraints[ci].terms:

@@ -39,26 +39,26 @@ INT64_VARS = 62
 def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBConstraint]:
     """K for :class:`MassVectors`, or None when the formula has none.
 
-    K is a constraint over every referenced variable of ``formula`` whose
-    degree is below ``leaf_cells``, in a formula where some other
-    constraint is narrower; of several, the one of least degree, then the
-    first. When every constraint holds every variable, as in a knapsack,
-    nothing would split without K either, and the table over the gaps
-    counts such a formula at the root. ``leaf_cells=0`` chooses none.
+    K is the one constraint over every referenced variable of ``formula``,
+    beside at least one other, when its degree is below ``leaf_cells``.
+    A second constraint over every variable keeps the search connected
+    with K or without it, so then none is chosen; an ``=`` over every
+    variable normalizes into two. Such a formula, a knapsack among them,
+    is left to the table over the gaps, which never carries K.
+    ``leaf_cells=0`` chooses none.
     """
     constraints = formula.constraints
     sizes = [len(c.terms) for c in constraints]
     widest = max(sizes, default=0)
-    if min(sizes, default=0) == widest:
+    if len(sizes) < 2 or sizes.count(widest) > 1:
         return None
+    mass = constraints[sizes.index(widest)]
     # a constraint over all num_vars variables holds every referenced one
     if widest < formula.num_vars:
-        held = {abs(lit) for _, lit in constraints[sizes.index(widest)].terms}
+        held = {abs(lit) for _, lit in mass.terms}
         if any(abs(lit) not in held for c in constraints for _, lit in c.terms):
             return None
-    spanning = [c for c, size in zip(constraints, sizes)
-                if size == widest and c.degree < leaf_cells]
-    return min(spanning, key=lambda c: c.degree, default=None)
+    return mass if mass.degree < leaf_cells else None
 
 
 def vector_bytes(p: np.ndarray) -> int:
@@ -125,12 +125,11 @@ class MassVectors:
         if not w:
             return p
         d = self.degree
+        # past the degree, every model reaches the lump
+        w = min(w, d)
         q = np.zeros_like(p)
-        if w < d:
-            q[w:d] = p[:d - w]
-            q[d] = p[d - w:].sum()
-        else:
-            q[d] = p.sum()
+        q[w:d] = p[:d - w]
+        q[d] = p[d - w:].sum()
         return q
 
     def mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:

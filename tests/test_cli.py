@@ -11,8 +11,8 @@ import pytest
 import pbtally
 from _helpers import disjoint_union, load_report
 import pbtally.cli
-from pbtally import (ModelCounter, brute_count, count_models, emit_opb, gen_auction,
-                     gen_knapsack, parse_opb, parse_opb_file)
+from pbtally import (ModelCounter, SolveTimeout, brute_count, count_models, emit_opb,
+                     gen_auction, gen_knapsack, parse_opb, parse_opb_file)
 from pbtally.cli import _decimal_digits, main
 
 SMALL = "* #variable= 3 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+2 x2 +1 x3 <= 2 ;\n"
@@ -254,6 +254,27 @@ class TestVerify:
         code, _, err = run_cli(["verify", path], capsys)
         assert code == 2
         assert load_report(err)["status"] == "error"
+
+    def test_parse_error_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.opb", "+1 x1 frog 1 ;\n")
+        code, out, err = run_cli(["verify", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert load_report(err)["status"] == "error"
+
+    def test_timeout_exits_10(self, tmp_path, capsys, monkeypatch):
+        # every run times out at once, so no count depends on the clock
+        def out_of_time(self):
+            raise SolveTimeout("timed out after 1.000s")
+
+        monkeypatch.setattr(ModelCounter, "run", out_of_time)
+        path = write(tmp_path, "small.opb", SMALL)
+        code, out, err = run_cli(["verify", "--timeout", "1", path], capsys)
+        assert code == 10
+        assert out == ""
+        payload = load_report(err)
+        assert payload["status"] == "timeout"
+        assert payload["error"] == "timed out after 1.000s"
 
 
 class TestGenerate:

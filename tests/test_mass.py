@@ -90,7 +90,8 @@ class TestVectorHelpers:
 def _formula_with_mass(rng: random.Random, max_vars: int = 15):
     """One mixed-sign constraint over every variable, of any operator, and
     one to eight narrower ones; every written constraint binds, so each
-    stays after normalization."""
+    stays after normalization, and an ``=`` over every variable becomes
+    two constraints over every variable."""
     n = rng.randint(2, max_vars)
 
     def binding(terms, op):
@@ -119,19 +120,25 @@ def _formula_with_mass(rng: random.Random, max_vars: int = 15):
 
 class TestCountsByWeight:
     def test_random_formulas_match_the_oracle_and_the_search(self):
+        # K is chosen exactly when one constraint holds every variable
         rng = random.Random(1801)
-        checked = 0
+        checked = with_mass = 0
         for _ in range(320):
             f = _formula_with_mass(rng)
             if f.unsat_at_load:
                 continue
             mc = ModelCounter(f, CounterConfig())
-            assert mc.mass is not None and len(mc.mass.terms) == f.num_vars
+            spanning = [c for c in mc.formula.constraints if len(c.terms) == f.num_vars]
+            if len(spanning) == 1:
+                assert mc.mass is spanning[0]
+                with_mass += 1
+            else:
+                assert mc.mass is None
             want = brute_count(f).count
             assert mc.run().count == want
             assert count_models(f, CounterConfig(leaf_cells=0)).count == want
             checked += 1
-        assert checked >= 300
+        assert checked >= 300 and with_mass > 200
 
     def test_debug_checks_stay_silent_with_mass(self):
         rng = random.Random(1802)
@@ -160,6 +167,34 @@ class TestCountsByWeight:
             assert ModelCounter(f).mass is None
         assert ModelCounter(build_formula(3, [([(1, 1), (1, 2), (1, 3)], ">=", 1)])).mass is None
 
+    def test_not_chosen_when_two_constraints_hold_every_variable(self):
+        # a second constraint over every variable keeps the search connected
+        # with K or without it: a knapsack's three rows beside two clauses,
+        # counted by four gap tables below six decisions, and an "=" over
+        # every variable, which normalizes into two
+        f = parse_opb(gen_knapsack(items=24, dims=3, seed=0)
+                      + "+1 x1 +1 x2 >= 1 ;\n+1 ~x3 +1 ~x4 >= 1 ;\n")
+        mc = ModelCounter(f)
+        assert mc.mass is None
+        res = mc.run()
+        assert res.count == 3280328 == count_models(f, CounterConfig(leaf_cells=0)).count
+        assert res.stats.decisions == 6 and res.stats.gap_counts == 4
+        rng = random.Random(1805)
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            wide = [(rng.randint(1, 7), v if rng.random() < 0.5 else -v)
+                    for v in range(1, n + 1)]
+            rows = [(wide, "=", rng.randint(1, sum(a for a, _ in wide) - 1))]
+            rows += [([(1, v), (1, -(v % n + 1))], ">=", 1)
+                     for v in rng.sample(range(1, n + 1), 2)]
+            f = build_formula(n, rows)
+            mc = ModelCounter(f)
+            assert sum(len(c.terms) == n for c in mc.formula.constraints) == 2
+            assert mc.mass is None
+            want = brute_count(f).count
+            assert mc.run().count == want
+            assert count_models(f, CounterConfig(leaf_cells=0)).count == want
+
     def test_degree_must_stay_below_leaf_cells(self):
         f = build_formula(4, [([(3, 1), (3, 2), (3, 3), (3, 4)], ">=", 6),
                               ([(1, 1), (1, 2)], ">=", 1)])
@@ -177,7 +212,7 @@ class TestCountsByWeight:
         monkeypatch.setattr(pbtally.counter, "count_component", lambda *args: None)
         rng = random.Random(1804)
         logged = with_mass = 0
-        for _ in range(150):
+        for _ in range(250):
             base = _helpers.tight_formula(rng, max_vars=8)
             n = base.num_vars
             wide = tuple((rng.randint(1, 4), v if rng.random() < 0.5 else -v)
