@@ -28,9 +28,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .engine import UNASSIGNED
-from .mass import INT64_VARS
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
-from .mass import MassVectors, vector_bytes
+from .mass import MassVectors
 
 
 class Component:
@@ -243,7 +242,7 @@ def count_component(comp: Component, constraints, gapv, val,
     leaving the component to the search, when some constraint's open
     coefficient mass reaches :data:`LEAF_MASS_LIMIT`.
 
-    With ``vectors`` the result is the component's int64 vector (see
+    With ``vectors`` the result is the component's vector (see
     :mod:`pbtally.mass`): the satisfying assignments counted by their K
     weight, capped at K's degree. K's coefficients are one more row of
     the half tables, each half's weight capped before the two are added.
@@ -303,7 +302,7 @@ def count_component(comp: Component, constraints, gapv, val,
     weight = (np.minimum(low[m] + bases[0], d).astype(small)
               + np.minimum(-need[m], d).astype(small)[:, None])
     np.minimum(weight, d, out=weight)
-    return np.bincount(weight[ok], minlength=d + 1)
+    return vectors.pack(np.bincount(weight[ok], minlength=d + 1))
 
 
 #: the largest table :func:`count_by_gaps` builds, in cells: the product of
@@ -311,6 +310,10 @@ def count_component(comp: Component, constraints, gapv, val,
 #: cells at the root. With a bound of 2**20 it took 764 decisions and 368
 #: tables just under the bound, 35 s against 0.3 s (2-vCPU VM)
 GAP_TABLE_CELLS = 1 << 22
+
+#: the most variables :func:`count_by_gaps` takes: each table entry counts
+#: assignments of its variables, so it stays at or below 2**62 in int64
+INT64_VARS = 62
 
 
 def _raise_mass(src, raises, gaps, dst, spare):
@@ -352,7 +355,7 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     constraints -- revisited" (SAT 2011).
 
     Returns None, leaving the component to the search, past
-    :data:`~pbtally.mass.INT64_VARS` variables, where a count could leave
+    :data:`INT64_VARS` variables, where a count could leave
     int64, past :data:`GAP_TABLE_CELLS` cells, or when the three int64
     tables would take more than ``max_bytes``. ``poll`` is called before
     each variable is taken, and may raise to stop the count.
@@ -426,6 +429,11 @@ def decode_component(data: bytes, constraints):
     return Component(var_ids, cstr_ids), tuple(gaps)
 
 
+def count_bytes(count: int) -> int:
+    """The bytes of a count or of a vector (see :mod:`pbtally.mass`), both ints."""
+    return max(1, (count.bit_length() + 7) // 8)
+
+
 class CountCache:
     """Byte-key to model-count store, evicted oldest first.
 
@@ -463,12 +471,8 @@ class CountCache:
         return len(self._store)
 
     @staticmethod
-    def _entry_bytes(key: bytes, count) -> int:
-        if type(count) is int:
-            size = max(1, (count.bit_length() + 7) // 8)
-        else:
-            size = vector_bytes(count)
-        return len(key) + size + CountCache.ENTRY_OVERHEAD
+    def _entry_bytes(key: bytes, count: int) -> int:
+        return len(key) + count_bytes(count) + CountCache.ENTRY_OVERHEAD
 
     def log_position(self) -> int:
         """Position the next store gets; feed to :meth:`purge_from`."""
@@ -482,8 +486,8 @@ class CountCache:
         self.hits += 1
         return count
 
-    def store(self, key: bytes, count):
-        """Store ``count``, an int or a vector (see :mod:`pbtally.mass`), under
+    def store(self, key: bytes, count: int):
+        """Store ``count``, a count or a vector (see :mod:`pbtally.mass`), under
         ``key``, which is not held.
 
         The search never stores a held key. A component counted without

@@ -13,7 +13,7 @@ directly.
 When exactly one constraint K holds every variable beside narrower
 ones, K leaves the engine, the split and the cache keys, no gap table is
 built, and every other count above becomes a vector over K's weight
-(:mod:`pbtally.mass`): components multiply by convolution, branches add,
+(:mod:`pbtally.mass`): components multiply as polynomials, branches add,
 a free variable is a factor ``1 + z**a``, and a branch is shifted by the
 K weight of the literals set at its level. The count is the root
 vector's entry at K's degree.
@@ -36,16 +36,17 @@ import operator
 import time
 from typing import Callable, Optional
 
-from .components import (Component, CountCache, count_by_gaps, count_component,
-                         encode_component)
+from .components import (Component, CountCache, count_by_gaps, count_bytes,
+                         count_component, encode_component)
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
-from .mass import INT64_VARS, MassVectors, choose_mass_constraint, vector_bytes
+from .mass import MassVectors, choose_mass_constraint
 
 #: the memory budget, which walks the open frames, is checked every 256
 #: decisions, conflicts and counts without search; the deadline is checked
-#: at each of them and at every cache hit, as one product of vectors of
-#: thousands of Python ints takes up to a second
+#: at each of them and at every cache hit. Between two checks the slowest
+#: work is a product of vectors per frame left: 0.011 s for two dense ones
+#: of 4,097 slots of 64 bits, 0.036 s at 128 bits (2-vCPU VM)
 _BUDGET_CHECK_MASK = (1 << 8) - 1
 
 
@@ -430,7 +431,7 @@ class ModelCounter:
             for frame in self._stack:
                 for p in (frame.prod, frame.branch_sum):
                     if p is not None:
-                        used += vector_bytes(p)
+                        used += count_bytes(p)
         return used
 
     def _count_without_search(self, comp: Component):
@@ -518,17 +519,16 @@ class ModelCounter:
         stats.cache_entries = len(cache)
         stats.cache_bytes_peak = cache.bytes_peak
 
-    def _level_vector(self, frame: _Frame, free):
+    def _level_vector(self, free):
         """With K, a split branch's vector before its components multiply in.
 
         The free variables' factor, shifted by the K weight of the literals
-        set at the frame's level: its decision and what that propagated.
+        set at the current level: the frame's decision and what that propagated.
         """
         engine = self.engine
         lim = engine.trail_lim
-        wide = (engine.num_vars if frame.comp is None else len(frame.comp.var_ids)) > INT64_VARS
         vectors = self._vectors
-        return vectors.shift(vectors.free(free, wide),
+        return vectors.shift(vectors.free(free),
                              vectors.weight(engine.trail[lim[-1] if lim else 0:]))
 
     def run(self) -> CountResult:
@@ -556,6 +556,10 @@ class ModelCounter:
 
         while True:
             frame = stack[-1]
+            if cfg.debug_checks and vectors is not None:
+                # no vector sets a bit past its last slot, so no slot carried
+                assert all(vectors.fits(p) for fr in stack for p in (fr.prod, fr.branch_sum)
+                           if p is not None)
             if frame.pending is None:
                 if frame.comp is None:
                     engine.clear_scope()
@@ -579,7 +583,7 @@ class ModelCounter:
                 if vectors is None:
                     frame.prod = 1 << len(free)
                 else:
-                    frame.prod = self._level_vector(frame, free)
+                    frame.prod = self._level_vector(free)
                 frame.pending = comps
                 self._open_pending += len(comps)
                 open_comps = self._open_pending + len(stack) - 1

@@ -19,21 +19,27 @@ decision add, and a variable in no open constraint contributes
 ``1 + z**a`` for its K coefficient ``a``. Lumping is exact because every
 K coefficient is positive after normalization, so a weight only grows:
 lumped products are products modulo ``z**(d+1) - z**d``.
+
+A vector is one Python int: ``p[m]`` sits in slot ``m``, bits ``m*B`` up
+to ``(m+1)*B``, which is the polynomial at ``z = 2**B`` (Kronecker
+substitution: Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 2009). An entry counts
+assignments of at most ``n`` variables, so it stays at or below
+``2**n``, and ``B``, the smallest multiple of 64 of at least ``n + 2``,
+leaves no carry between slots. Two vectors add with ``+``, and their
+product is one integer multiplication, done in C. The sum of a vector's
+entries is also at most ``2**n``, below ``2**B - 1``, so the lump, the
+sum of the slots from ``d`` up, is that part of the int modulo
+``2**B - 1``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 import numpy as np
 
 from .formula import PBConstraint, PBFormula
-
-#: a vector over at most this many variables is int64: each entry counts
-#: assignments of its variables, so it stays at or below 2**62. Vectors
-#: over more variables hold Python ints
-INT64_VARS = 62
 
 
 def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBConstraint]:
@@ -61,27 +67,30 @@ def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBCo
     return mass if mass.degree < leaf_cells else None
 
 
-def vector_bytes(p: np.ndarray) -> int:
-    """The bytes a vector takes: its array, and the ints of a Python-int one."""
-    size = sys.getsizeof(p)
-    if p.dtype == object:
-        size += sum(map(sys.getsizeof, p))
-    return size
-
-
 class MassVectors:
-    """The vector helpers for one K: free factor, shift, multiply and final.
+    """The vector helpers for one K: free factor, shift, multiply, pack and final.
 
-    Vectors are numpy arrays of ``degree + 1`` entries, int64 for at most
-    :data:`INT64_VARS` variables and ``object`` (Python ints) above; two
-    of them add with ``+``. No helper changes a vector it is given, so one
-    vector may sit in the cache and in any number of products.
+    A vector is an int of ``degree + 1`` slots of :attr:`slot_bits` bits
+    (see the module docstring). Every helper returns one whose slots above
+    the degree are lumped into slot ``degree``, and two of them add with
+    ``+``.
     """
 
-    __slots__ = ("degree", "signed", "_lit_weight")
+    __slots__ = ("degree", "signed", "slot_bits", "_lit_weight", "_lump_at", "_end",
+                 "_below", "_ones")
 
     def __init__(self, mass: PBConstraint, num_vars: int):
         d = self.degree = mass.degree
+        #: B, the bits of one slot: the smallest multiple of 64 of at least
+        #: num_vars + 2, so no entry or sum of entries reaches a slot's top
+        self.slot_bits = b = -(-(num_vars + 2) // 64) * 64
+        #: the first bit of slot d and the first past it, a mask of the
+        #: slots below d, and 2**B - 1, modulo which an int is congruent to
+        #: the sum of its slots
+        self._lump_at = d * b
+        self._end = (d + 1) * b
+        self._below = (1 << d * b) - 1
+        self._ones = (1 << b) - 1
         #: per variable, its K coefficient capped at the degree, negative
         #: when K holds its negation
         self.signed = signed = [0] * (num_vars + 1)
@@ -102,62 +111,52 @@ class MassVectors:
         """The K weight of the true literals ``lits``."""
         return sum(map(self._lit_weight.__getitem__, lits))
 
-    def free(self, variables, wide: bool = False) -> np.ndarray:
+    def fits(self, p: int) -> bool:
+        """Whether ``p`` sets no bit above slot ``degree``: nothing is left to lump."""
+        return p.bit_length() <= self._end
+
+    def _lump(self, r: int) -> int:
+        """``r`` with its slots from the degree up summed into slot ``degree``."""
+        if self.fits(r):
+            return r
+        at = self._lump_at
+        return (r & self._below) | (((r >> at) % self._ones) << at)
+
+    def free(self, variables) -> int:
         """The product of ``1 + z**a`` over ``variables``, ``a`` each one's K coefficient.
 
-        No variables give the unit vector. A variable outside K has
-        ``a = 0`` and doubles the vector. ``wide`` asks for Python ints.
+        No variables give the unit vector, 1. A variable outside K has
+        ``a = 0`` and doubles the vector, a shift by one bit.
         """
-        d = self.degree
-        p = np.zeros(d + 1, dtype=object if wide else np.int64)
-        p[0] = 1
+        b = self.slot_bits
         signed = self.signed
+        p = 1
+        doubled = 0
         for v in variables:
-            a = abs(signed[v])
-            # the entries from d - a up all reach the lump
-            top = p[d - a:].sum()
-            p[a:d] += p[:d - a]
-            p[d] += top
-        return p
+            a = signed[v]
+            if a:
+                p = self._lump(p + (p << abs(a) * b))
+            else:
+                doubled += 1
+        return p << doubled
 
-    def shift(self, p: np.ndarray, w: int) -> np.ndarray:
+    def shift(self, p: int, w: int) -> int:
         """``p`` times ``z**w``: every model gains weight ``w``."""
         if not w:
             return p
-        d = self.degree
         # past the degree, every model reaches the lump
-        w = min(w, d)
-        q = np.zeros_like(p)
-        q[w:d] = p[:d - w]
-        q[d] = p[d - w:].sum()
-        return q
+        return self._lump(p << min(w, self.degree) * self.slot_bits)
 
-    def mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The vector of two components over disjoint variables: the lumped convolution.
+    def mul(self, p: int, q: int) -> int:
+        """The vector of two components over disjoint variables: their lumped product."""
+        return self._lump(p * q)
 
-        Two int64 vectors convolve in numpy. Over Python ints every product
-        is a Python operation either way, so each nonzero entry of the
-        sparser vector adds a scaled shift of the other: never more
-        products than the convolution, and far fewer when one vector holds
-        a few weights, as a small component's does beside a wide frame's.
-        """
-        d = self.degree
-        if p.dtype == q.dtype != object:
-            r = np.convolve(p, q)
-            r[d] = r[d:].sum()
-            return r[:d + 1].copy()
-        p_at = p.nonzero()[0]
-        q_at = q.nonzero()[0]
-        if len(q_at) < len(p_at):
-            p, q, p_at = q, p, q_at
-        q = q.astype(object, copy=False)
-        r = np.zeros(d + 1, dtype=object)
-        for j in p_at.tolist():
-            a = int(p[j])
-            r[d] += a * q[d - j:].sum()
-            r[j:d] += a * q[:d - j]
-        return r
+    def pack(self, counts: np.ndarray) -> int:
+        """The vector whose entries are ``counts``, ``degree + 1`` of them below ``2**63``."""
+        slots = np.zeros((self.degree + 1, self.slot_bits // 64), dtype="<i8")
+        slots[:, 0] = counts
+        return int.from_bytes(slots.tobytes(), "little")
 
-    def final(self, p: np.ndarray) -> int:
+    def final(self, p: int) -> int:
         """The models that reach K's degree: the count."""
-        return int(p[self.degree])
+        return p >> self._lump_at

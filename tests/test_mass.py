@@ -15,7 +15,7 @@ from pbtally import (CounterConfig, MemoryBudgetExceeded, ModelCounter, PBFormul
                      decode_component, gen_auction, gen_knapsack, parse_opb)
 from pbtally.components import CountCache
 from pbtally.formula import PBConstraint
-from pbtally.mass import INT64_VARS, MassVectors
+from pbtally.mass import MassVectors
 
 
 def _by_weight(weights, d):
@@ -33,58 +33,80 @@ def _weights(mass, variables, models):
             for m in models]
 
 
+def _entries(vectors, p):
+    """The entries of the packed vector ``p``, one per slot up to the degree."""
+    assert vectors.fits(p)
+    b = vectors.slot_bits
+    return [(p >> m * b) & ((1 << b) - 1) for m in range(vectors.degree + 1)]
+
+
 class TestVectorHelpers:
     @pytest.mark.parametrize("d", [1, 7, 40, 300])
     def test_helpers_match_brute_force_by_weight(self, d):
-        # variables 1..10 are in K, with coefficients up to past the
-        # degree, and 11 is not; a vector is checked against the models it
+        # over 11 variables a slot is 64 bits, over 70 it is 128. Variables
+        # 1..n-1 are in K, with coefficients up to past the degree, and n
+        # is not; a vector over 11 of them is checked against the models it
         # stands for, counted by their lumped weights
         rng = random.Random(d)
-        for _ in range(40):
-            terms = [(rng.randint(1, d + 3), v if rng.random() < 0.5 else -v)
-                     for v in range(1, 11)]
-            mass = PBConstraint(0, terms, d)
-            vectors = MassVectors(mass, 11)
-            order = list(range(1, 12))
-            rng.shuffle(order)
-            left, right = sorted(order[:5]), sorted(order[5:9])
-            all_left = list(itertools.product((False, True), repeat=len(left)))
-            all_right = list(itertools.product((False, True), repeat=len(right)))
-            some_left = [m for m in all_left if rng.random() < 0.4]
-            some_right = [m for m in all_right if rng.random() < 0.6]
-            vec_left = np.array(_by_weight(_weights(mass, left, some_left), d))
-            vec_right = np.array(_by_weight(_weights(mass, right, some_right), d))
+        for n, slot_bits in ((11, 64), (70, 128)):
+            for _ in range(20):
+                terms = [(rng.randint(1, d + 3), v if rng.random() < 0.5 else -v)
+                         for v in range(1, n)]
+                mass = PBConstraint(0, terms, d)
+                vectors = MassVectors(mass, n)
+                assert vectors.slot_bits == slot_bits
+                order = rng.sample(range(1, n), 10) + [n]
+                rng.shuffle(order)
+                left, right = sorted(order[:5]), sorted(order[5:9])
+                all_left = list(itertools.product((False, True), repeat=len(left)))
+                all_right = list(itertools.product((False, True), repeat=len(right)))
+                some_left = [m for m in all_left if rng.random() < 0.4]
+                some_right = [m for m in all_right if rng.random() < 0.6]
+                vec_left = vectors.pack(np.array(_by_weight(_weights(mass, left, some_left), d)))
+                vec_right = vectors.pack(np.array(_by_weight(_weights(mass, right, some_right),
+                                                             d)))
+                assert _entries(vectors, vec_left) == _by_weight(
+                    _weights(mass, left, some_left), d)
 
-            assert vectors.free(left).tolist() == _by_weight(
-                _weights(mass, left, all_left), d)
-            w = rng.randint(0, d + 2)
-            assert vectors.shift(vec_left, w).tolist() == _by_weight(
-                [x + w for x in _weights(mass, left, some_left)], d)
-            product = [a + b for a in _weights(mass, left, some_left)
-                       for b in _weights(mass, right, some_right)]
-            assert vectors.mul(vec_left, vec_right).tolist() == _by_weight(product, d)
-            monomial = vectors.shift(3 * vectors.free([]), w)
-            assert vectors.mul(monomial, vec_right).tolist() == _by_weight(
-                [b + w for b in _weights(mass, right, some_right)] * 3, d)
-            rest = [m for m in all_left if m not in some_left]
-            assert (vec_left + np.array(_by_weight(_weights(mass, left, rest), d))).tolist() \
-                == vectors.free(left).tolist()
-            assert vectors.final(vec_left) == sum(
-                1 for x in _weights(mass, left, some_left) if x >= d)
-            # Python ints, alone and beside int64, give the same vectors
-            wide = vectors.free(left, wide=True)
-            assert wide.dtype == object and wide.tolist() == vectors.free(left).tolist()
-            for p, q in ((wide, vec_right), (vec_right, wide)):
-                got = vectors.mul(p, q)
-                assert got.dtype == object
-                assert got.tolist() == vectors.mul(vectors.free(left), vec_right).tolist()
+                assert _entries(vectors, vectors.free(left)) == _by_weight(
+                    _weights(mass, left, all_left), d)
+                w = rng.randint(0, d + 2)
+                assert _entries(vectors, vectors.shift(vec_left, w)) == _by_weight(
+                    [x + w for x in _weights(mass, left, some_left)], d)
+                product = [a + b for a in _weights(mass, left, some_left)
+                           for b in _weights(mass, right, some_right)]
+                assert _entries(vectors, vectors.mul(vec_left, vec_right)) == _by_weight(
+                    product, d)
+                monomial = vectors.shift(3 * vectors.free([]), w)
+                assert _entries(vectors, vectors.mul(monomial, vec_right)) == _by_weight(
+                    [b + w for b in _weights(mass, right, some_right)] * 3, d)
+                rest = [m for m in all_left if m not in some_left]
+                vec_rest = vectors.pack(np.array(_by_weight(_weights(mass, left, rest), d)))
+                assert vec_left + vec_rest == vectors.free(left)
+                assert vectors.final(vec_left) == sum(
+                    1 for x in _weights(mass, left, some_left) if x >= d)
 
     def test_free_variables_outside_the_constraint_double_the_vector(self):
         vectors = MassVectors(PBConstraint(0, [(2, 1), (1, -2)], 2), 4)
-        assert vectors.free([]).tolist() == [1, 0, 0]
-        assert vectors.free([3, 4]).tolist() == [4, 0, 0]
-        assert vectors.free([1, 2, 3]).tolist() == [2, 2, 4]
+        assert _entries(vectors, vectors.free([])) == [1, 0, 0]
+        assert _entries(vectors, vectors.free([3, 4])) == [4, 0, 0]
+        assert _entries(vectors, vectors.free([1, 2, 3])) == [2, 2, 4]
         assert vectors.weight([1, -2, 3]) == 3 and vectors.weight([-1, 2, -3]) == 0
+
+    @pytest.mark.parametrize("n, slot_bits", [(62, 64), (63, 128), (126, 128), (127, 192)])
+    def test_a_slot_holds_every_assignment_of_its_variables(self, n, slot_bits):
+        # K of degree 1 over n variables, the most a slot of its width
+        # takes and one more: the 2**n - 1 assignments with a true literal
+        # all reach slot 1, alone and as the product of two halves, whose
+        # lump sums two slots
+        vectors = MassVectors(PBConstraint(0, [(1, v) for v in range(1, n + 1)], 1), n)
+        assert vectors.slot_bits == slot_bits
+        p = vectors.free(range(1, n + 1))
+        assert _entries(vectors, p) == [1, 2**n - 1]
+        assert vectors.final(p) == 2**n - 1
+        half = n // 2
+        assert vectors.mul(vectors.free(range(1, half + 1)),
+                           vectors.free(range(half + 1, n + 1))) == p
 
 
 def _formula_with_mass(rng: random.Random, max_vars: int = 15):
@@ -261,12 +283,13 @@ class TestCountsByWeight:
         res = mc.run()
         assert res.count == want
         assert res.stats.decisions > 0
-        # a stored vector holds Python ints exactly when its component has
-        # more than 62 variables, as the chain's own frame does
-        widths = [(len(decode_component(key, mc.engine.constraints)[0].var_ids),
-                   vec.dtype == object) for key, vec in res.cache._store.items()]
-        assert all(wide == (width > INT64_VARS) for width, wide in widths)
-        assert (chain, True) in widths
+        # over 100 variables a slot is 128 bits wide, and every stored
+        # vector fits in d + 1 of them, the chain's own frame among them
+        vectors = mc._vectors
+        assert vectors.slot_bits == 128
+        assert all(vectors.fits(vec) for vec in res.cache._store.values())
+        assert chain in [len(decode_component(key, mc.engine.constraints)[0].var_ids)
+                         for key in res.cache._store]
 
 
 def _fibonacci(k):
@@ -311,7 +334,8 @@ class TestBudgetsWithMass:
         cache = res.cache
         assert cache.bytes_used == sum(CountCache._entry_bytes(k, c)
                                        for k, c in cache._store.items())
-        assert all(CountCache._entry_bytes(k, c) > c.nbytes for k, c in cache._store.items())
+        assert all(CountCache._entry_bytes(k, c) > c.bit_length() // 8
+                   for k, c in cache._store.items())
         with pytest.raises(MemoryBudgetExceeded):
             count_models(f, CounterConfig(max_memory_bytes=4096))
 
@@ -325,25 +349,27 @@ class TestBudgetsWithMass:
 
     def test_memory_budget_counts_the_open_frames_vectors(self):
         # the cache holds nothing and the search learns nothing, so only
-        # the vectors of 2,901 entries on the open frames can pass the
-        # budget; the timeout ends the count if they are not counted
+        # the vectors of up to 2,901 slots on the open frames can pass the
+        # budget; they take about 60,000 bytes at the first check, and the
+        # count finishes in about 1,650 steps if they are not counted
         f = self._ring_with_mass(30, 100, 2900)
-        mc = ModelCounter(f, CounterConfig(max_cache_bytes=0, max_memory_bytes=200_000,
+        mc = ModelCounter(f, CounterConfig(max_cache_bytes=0, max_memory_bytes=50_000,
                                            timeout_s=60.0))
         assert mc.mass is not None and mc.mass.degree == 2900
         with pytest.raises(MemoryBudgetExceeded):
             mc.run()
         assert mc.cache.bytes_used == 0 and mc.engine.learned_bytes == 0
-        assert len(mc._stack) > 5 and mc._accounted_bytes() > 200_000
+        assert len(mc._stack) > 5 and mc._accounted_bytes() > 50_000
 
     def test_timeout_overshoot_is_bounded_with_wide_vectors(self):
-        # 70 variables, so the root's vectors hold Python ints, and each
-        # product of two vectors of 3,001 entries takes tens of
-        # milliseconds; the count takes about 6 s on a 2-vCPU VM in fewer
-        # than 256 steps, so the deadline is polled at every step
-        f = self._ring_with_mass(70, 60, 3000)
+        # 64 variables, so a slot is 128 bits, and K of degree 2,626: a
+        # vector takes up to 42 KB and its products are the longest steps,
+        # up to about 0.02 s between two polls of the deadline; the count
+        # takes 4.6-6 s on a 2-vCPU VM
+        f = parse_opb(gen_auction(bids=64, items=32, max_price=500, revenue_fraction=0.15,
+                                  seed=0))
         mc = ModelCounter(f, CounterConfig(timeout_s=0.5))
-        assert mc.mass is not None
+        assert mc.mass is not None and mc._vectors.slot_bits == 128
         started = time.monotonic()
         with pytest.raises(SolveTimeout):
             mc.run()
