@@ -9,8 +9,9 @@ residual subproblem, reached anywhere else in the search tree, be
 answered from the cache instead of being recounted.
 
 A small component can also be counted directly, by enumerating its
-assignments in numpy tables, and one whose gaps are small by a dynamic
-program over them.
+assignments as the bits of one int, with numpy tables for the rows of
+unequal coefficients, and one whose gaps are small by a dynamic program
+over them.
 
 Cache entries are logged in insertion order. Over its byte budget the
 cache evicts the oldest entries first. The search can purge every entry
@@ -205,7 +206,9 @@ def encode_component(comp: Component, constraints, gapv, val,
 
 
 #: an open coefficient mass from here on could leave int64 in the sum
-#: tables, so :func:`count_component` leaves the component to the search
+#: tables, so :func:`count_component` leaves a component with such a row
+#: of unequal coefficients to the search; a row of equal coefficients is
+#: counted on bitsets, where no sum is taken
 LEAF_MASS_LIMIT = 1 << 60
 
 
@@ -222,6 +225,22 @@ def _subset_bits(h: int) -> np.ndarray:
     return bits
 
 
+@lru_cache(maxsize=None)
+def _assignment_masks(k: int) -> tuple:
+    """``(full, true, false)``: the sets of the ``2**k`` assignments of ``k``
+    variables, each an int whose bit ``s`` is assignment ``s``.
+
+    ``full`` holds every assignment, ``true[j]`` those that set bit ``j`` of
+    ``s`` and ``false[j]`` the others. Bit ``j`` is set in runs of ``2**j``
+    bits, every ``2**(j+1)``: one such period, times the int whose bits
+    start each period, which is ``full`` divided by a period of ones.
+    """
+    full = (1 << (1 << k)) - 1
+    true = tuple(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+                 for j in range(k))
+    return full, true, tuple(full ^ m for m in true)
+
+
 def count_component(comp: Component, constraints, gapv, val,
                     vectors: Optional[MassVectors] = None):
     """Models of a component over its own variables, by enumeration.
@@ -229,18 +248,30 @@ def count_component(comp: Component, constraints, gapv, val,
     Same precondition as :func:`encode_component`: the trail is the one
     ``comp`` was split under, so ``gapv`` holds each listed constraint's
     gap and its open terms are those whose variable is unassigned in
-    ``val``. Bit ``j`` of an assignment sets ``var_ids[j]``. A negative
-    literal adds its coefficient when its bit is 0, so it enters the sums
-    as minus its coefficient with the coefficient taken off the gap.
+    ``val``. Bit ``j`` of an assignment ``s`` sets ``var_ids[j]``.
 
-    Each constraint's sums come from two int64 half tables, one over the
-    low bits and one over the high bits, and one comparison of the two
-    gives its bool mask over all assignments. The masks are ANDed one
-    constraint at a time into a single mask: comparing all constraints at
-    once is faster, but numpy then buffers 16 bytes per cell, which
-    raised the peak heap of a benchmark count by 6%. Returns None,
-    leaving the component to the search, when some constraint's open
-    coefficient mass reaches :data:`LEAF_MASS_LIMIT`.
+    The assignments that satisfy every constraint so far are one int,
+    ``ok``, whose bit ``s`` is assignment ``s`` (:func:`_assignment_masks`).
+    A constraint whose open coefficients all equal ``a`` holds where at
+    least ``t = ceil(gap / a)`` of its open literals are true: for ``t = 1``
+    the OR of their masks, else a counter that raises ``reach[c]``, the
+    assignments with ``c`` true literals so far, one literal at a time.
+    That is the smallest case of a PB constraint's BDD (Abio et al., "BDDs
+    for pseudo-Boolean constraints -- revisited", SAT 2011), evaluated on
+    every assignment at once. With no other constraint and no K the count
+    is the bits of ``ok``, and no numpy call is made.
+
+    A constraint with unequal open coefficients takes two int64 half
+    tables of sums, one over the low bits and one over the high bits, and
+    one comparison of the two gives its bool mask over all assignments. A
+    negative literal adds its coefficient when its bit is 0, so it enters
+    the sums as minus its coefficient with the coefficient taken off the
+    gap. The masks are ANDed, one constraint at a time, into ``ok``
+    unpacked to one bool per assignment: comparing all constraints at once
+    is faster, but numpy then buffers 16 bytes per cell, which raised the
+    peak heap of a benchmark count by 6%. Returns None, leaving the
+    component to the search, when such a constraint's open coefficient
+    mass reaches :data:`LEAF_MASS_LIMIT`.
 
     With ``vectors`` the result is the component's vector (see
     :mod:`pbtally.mass`): the satisfying assignments counted by their K
@@ -249,48 +280,74 @@ def count_component(comp: Component, constraints, gapv, val,
     """
     var_ids = comp.var_ids
     k = len(var_ids)
-    n_low = (k + 1) >> 1
+    ok, true, false = _assignment_masks(k)
     bit = {v: j for j, v in enumerate(var_ids)}
-    # one row per constraint: its signed open coefficients, then its gap
+    # one row per constraint of unequal open coefficients: its signed open
+    # coefficients, then its gap
     width = k + 1
-    m = len(comp.cstr_ids)
-    rows = [0] * ((m + (vectors is not None)) * width)
-    row = 0
+    rows = []
     for cid in comp.cstr_ids:
         gap = gapv[cid]
-        mass = 0
-        for a, lit in constraints[cid].terms:
-            v = lit if lit > 0 else -lit
-            if val[v] != UNASSIGNED:
-                continue
-            mass += a
-            if lit > 0:
-                rows[row + bit[v]] = a
-            else:
-                rows[row + bit[v]] = -a
-                gap -= a
-        if mass >= LEAF_MASS_LIMIT:
-            return None
-        rows[row + k] = gap
-        row += width
+        terms = [(a, lit) for a, lit in constraints[cid].terms
+                 if val[lit if lit > 0 else -lit] == UNASSIGNED]
+        # terms run largest coefficient first
+        a = terms[0][0]
+        if terms[-1][0] != a:
+            row = [0] * width
+            mass = 0
+            for a, lit in terms:
+                mass += a
+                if lit > 0:
+                    row[bit[lit]] = a
+                else:
+                    row[bit[-lit]] = -a
+                    gap -= a
+            if mass >= LEAF_MASS_LIMIT:
+                return None
+            row[k] = gap
+            rows += row
+            continue
+        t = -(-gap // a)
+        if t > len(terms):
+            # not every open literal together reaches the gap
+            return 0
+        if t == 1:
+            holds = 0
+            for _, lit in terms:
+                holds |= true[bit[lit]] if lit > 0 else false[bit[-lit]]
+        else:
+            reach = [ok] + [0] * t
+            for _, lit in terms:
+                lit_true = true[bit[lit]] if lit > 0 else false[bit[-lit]]
+                for c in range(t, 0, -1):
+                    reach[c] |= reach[c - 1] & lit_true
+            holds = reach[t]
+        ok &= holds
+    m = len(rows) // width
+    if not m and vectors is None:
+        return ok.bit_count()
+    n_low = (k + 1) >> 1
     if vectors is not None:
         # K's row last. A negated K literal weighs its coefficient when its
         # bit is 0, so it enters as minus its coefficient over a base that
         # holds it, one base per half; the high one goes in the gap column
         bases = [0, 0]
         for j, v in enumerate(var_ids):
-            a = rows[row + j] = vectors.signed[v]
+            a = vectors.signed[v]
+            rows.append(a)
             if a < 0:
                 bases[j >= n_low] -= a
-        rows[row + k] = -bases[1]
+        rows.append(-bases[1])
     table = np.array(rows, dtype=np.int64).reshape(-1, width)
     low = table[:, :n_low] @ _subset_bits(n_low)
     # a constraint holds where its low sum reaches its gap minus its high sum
     need = table[:, k:] - table[:, n_low:k] @ _subset_bits(k - n_low)
-    ok = low[0] >= need[0][:, None]
-    if m > 1:
+    # assignment s = high * 2**n_low + low, so ok's bits in order, one row per high half
+    ok = np.unpackbits(np.frombuffer(ok.to_bytes(((1 << k) + 7) >> 3, "little"), np.uint8),
+                       count=1 << k, bitorder="little").view(bool).reshape(-1, 1 << n_low)
+    if m:
         holds = np.empty_like(ok)
-        for i in range(1, m):
+        for i in range(m):
             np.greater_equal(low[i], need[i][:, None], out=holds)
             ok &= holds
     if vectors is None:

@@ -437,16 +437,18 @@ class ModelCounter:
     def _count_without_search(self, comp: Component):
         """The component's count by enumeration or by its gaps, or None to search it.
 
-        Enumeration takes a component of at most ``leaf_cells`` cells. The
-        gap table takes one whose constraints are all flagged in
-        ``_spans_block``: each holds every variable of its block, so of the
-        component too, and the table holds about as many states as the
-        search would reach, while over many clauses it grows as 2 to the
-        power of their number. The table is exact for any component, so
-        the flags only choose where it is worth building. It must fit in
-        what ``max_memory_bytes`` leaves free, and the deadline is checked
-        as it fills. With K no flag is set, and enumeration gives the
-        component's vector.
+        Enumeration takes a component of at most ``leaf_cells`` cells. It
+        evaluates clauses and cardinality rows on bitsets, with no numpy
+        call, and rows of unequal coefficients, and K, in numpy tables
+        (:func:`count_component`). The gap table takes one whose constraints
+        are all flagged in ``_spans_block``: each holds every variable of
+        its block, so of the component too, and the table holds about as
+        many states as the search would reach, while over many clauses it
+        grows as 2 to the power of their number. The table is exact for any
+        component, so the flags only choose where it is worth building. It
+        must fit in what ``max_memory_bytes`` leaves free, and the deadline
+        is checked as it fills. With K no flag is set, and enumeration gives
+        the component's vector.
         """
         cfg = self.config
         engine = self.engine

@@ -13,6 +13,7 @@ from pbtally.components import (GAP_TABLE_CELLS, LEAF_MASS_LIMIT, count_by_gaps,
                                 count_component)
 from pbtally.engine import UNASSIGNED
 from pbtally.formula import PBConstraint, PBFormula, constraint_gap, lit_var
+from pbtally.mass import MassVectors
 
 import _helpers
 
@@ -206,14 +207,94 @@ class TestCountComponent:
 
     def test_open_mass_at_the_int64_margin_is_left_to_the_search(self):
         half = LEAF_MASS_LIMIT >> 1
+        # equal coefficients take no sum, so their mass has no margin:
+        # x1 true, or x1 false and x2 false
         comp = Component((1, 2), (0,))
-        at_limit = [PBConstraint(0, [(half, 1), (half, -2)], half)]
+        equal = [PBConstraint(0, [(half, 1), (half, -2)], half)]
+        gapv, val = _hand_arrays(equal, comp, [half])
+        assert count_component(comp, equal, gapv, val) == 3
+        comp = Component((1, 2, 3), (0,))
+        at_limit = [PBConstraint(0, [(half, 1), (half - 1, -2), (1, 3)], half)]
         gapv, val = _hand_arrays(at_limit, comp, [half])
         assert count_component(comp, at_limit, gapv, val) is None
-        # one less is enumerated: x1 true, or x1 false and x2 false
-        below = [PBConstraint(0, [(half, 1), (half - 1, -2)], half - 1)]
+        # one less is enumerated: x1 true, or x1 false, x2 false and x3 true
+        below = [PBConstraint(0, [(half, 1), (half - 2, -2), (1, 3)], half - 1)]
         gapv, val = _hand_arrays(below, comp, [half - 1])
-        assert count_component(comp, below, gapv, val) == 3
+        assert count_component(comp, below, gapv, val) == 5
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rows_match_brute_force_by_assignment_and_by_weight(self, k):
+        # rows of equal coefficients, counted on bitsets, beside rows of
+        # unequal ones, counted in half tables; with K, every entry of the
+        # vector against the assignments' K weights, one by one
+        rng = random.Random(2011 + k)
+        val = [0] + [UNASSIGNED] * k
+        seen = dict.fromkeys(("negative", "at_least_2", "saturated", "huge", "unequal",
+                              "mixed", "k"), 0)
+        for trial in range(24):
+            cons = []
+            for cid in range(rng.randint(1, 4)):
+                lits = [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, k + 1), rng.randint(1, k))]
+                kind = rng.choice(("clause", "cardinality", "saturated", "huge", "unequal"))
+                if kind == "unequal" and len(lits) > 1:
+                    terms = [(rng.randint(1, 9), lit) for lit in lits]
+                    terms[0] = (10, lits[0])
+                    gap = rng.randint(1, sum(a for a, _ in terms))
+                else:
+                    a = {"clause": 1, "cardinality": rng.randint(1, 5), "saturated": 7,
+                         "huge": (1 << 61) + 3}.get(kind, 1)
+                    terms = [(a, lit) for lit in lits]
+                    gap = {"clause": 1, "saturated": rng.randint(1, 6)}.get(
+                        kind, rng.randint(1, a * len(lits)))
+                    seen["at_least_2"] += -(-gap // a) >= 2
+                    seen["saturated"] += gap < a
+                    seen["huge"] += a > LEAF_MASS_LIMIT
+                seen["negative"] += any(lit < 0 for lit in lits)
+                cons.append(PBConstraint(cid, terms, gap))
+            unequal = [c.terms[0][0] != c.terms[-1][0] for c in cons]
+            seen["unequal"] += any(unequal)
+            seen["mixed"] += any(unequal) and not all(unequal)
+            part = Component(range(1, k + 1), range(len(cons)))
+            gapv = [c.degree for c in cons]
+            models = [s for s in range(1 << k)
+                      if all(sum(a for a, lit in c.terms if (lit > 0) == bool(s >> abs(lit) - 1 & 1))
+                             >= c.degree for c in cons)]
+            assert count_component(part, cons, gapv, val) == len(models)
+            if trial % 2:
+                # K over the variables of nonzero weight, each weight up to twice
+                # its degree
+                d = rng.randint(1, 3 * k)
+                weights = [rng.randint(0, 2 * d) for _ in range(k)]
+                mass = PBConstraint(len(cons), [(a, v if rng.random() < 0.5 else -v)
+                                                for v, a in enumerate(weights, 1) if a], d)
+                vectors = MassVectors(mass, k)
+                want = [0] * (d + 1)
+                for s in models:
+                    w = sum(min(a, d) for a, lit in mass.terms
+                            if (lit > 0) == bool(s >> abs(lit) - 1 & 1))
+                    want[min(w, d)] += 1
+                p = count_component(part, cons, gapv, val, vectors)
+                assert vectors.fits(p)
+                b = vectors.slot_bits
+                assert [(p >> m * b) & ((1 << b) - 1) for m in range(d + 1)] == want
+                seen["k"] += 1
+        if k == 1:
+            # one variable: every row has equal coefficients and one literal
+            del seen["at_least_2"], seen["unequal"], seen["mixed"]
+        assert min(seen.values()) >= 2, seen
+
+    def test_rows_of_equal_coefficients_make_no_numpy_call(self, monkeypatch):
+        # two clauses and an at-least-2 over four variables, with no K:
+        # x1 or ~x2, x3 or x4, and two of x1, ~x3, ~x4
+        cons = [PBConstraint(0, [(1, 1), (1, -2)], 1), PBConstraint(1, [(1, 3), (1, 4)], 1),
+                PBConstraint(2, [(3, 1), (3, -3), (3, -4)], 4)]
+        comp = Component((1, 2, 3, 4), (0, 1, 2))
+        gapv, val = _hand_arrays(cons, comp, [1, 1, 4])
+        want = brute_count(_helpers.component_subformula(cons_formula(cons), comp,
+                                                         [1, 1, 4])).count
+        monkeypatch.setattr(pbtally.components, "np", None)
+        assert count_component(comp, cons, gapv, val) == want == 4
 
 
 class TestCountByGaps:
