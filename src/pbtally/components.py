@@ -9,9 +9,8 @@ residual subproblem, reached anywhere else in the search tree, be
 answered from the cache instead of being recounted.
 
 A small component can also be counted directly, by enumerating its
-assignments as the bits of one int, with numpy tables for the rows of
-unequal coefficients, and one whose gaps are small by a dynamic program
-over them.
+assignments as the bits of one int, and one whose gaps are small by a
+dynamic program over them.
 
 Cache entries are logged in insertion order. Over its byte budget the
 cache evicts the oldest entries first. The search can purge every entry
@@ -30,7 +29,7 @@ import numpy as np
 
 from .engine import UNASSIGNED
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
-from .mass import MassVectors
+from .mass import PlainCounts, masks_by_mass
 
 
 class Component:
@@ -205,26 +204,6 @@ def encode_component(comp: Component, constraints, gapv, val,
     return bytes(out)
 
 
-#: an open coefficient mass from here on could leave int64 in the sum
-#: tables, so :func:`count_component` leaves a component with such a row
-#: of unequal coefficients to the search; a row of equal coefficients is
-#: counted on bitsets, where no sum is taken
-LEAF_MASS_LIMIT = 1 << 60
-
-
-@lru_cache(maxsize=None)
-def _subset_bits(h: int) -> np.ndarray:
-    """The read-only ``h x 2**h`` int64 table whose entry ``[j, s]`` is bit ``j`` of ``s``.
-
-    An ``m x h`` coefficient array times this table is each row's sum over
-    every subset of its columns: one call, where doubling the table column
-    by column takes one per bit and six times as long.
-    """
-    bits = (np.arange(1 << h, dtype=np.int64) >> np.arange(h)[:, None]) & 1
-    bits.flags.writeable = False
-    return bits
-
-
 @lru_cache(maxsize=None)
 def _assignment_masks(k: int) -> tuple:
     """``(full, true, false)``: the sets of the ``2**k`` assignments of ``k``
@@ -241,8 +220,7 @@ def _assignment_masks(k: int) -> tuple:
     return full, true, tuple(full ^ m for m in true)
 
 
-def count_component(comp: Component, constraints, gapv, val,
-                    vectors: Optional[MassVectors] = None):
+def count_component(comp: Component, constraints, gapv, val, counts=PlainCounts()):
     """Models of a component over its own variables, by enumeration.
 
     Same precondition as :func:`encode_component`: the trail is the one
@@ -256,36 +234,22 @@ def count_component(comp: Component, constraints, gapv, val,
     least ``t = ceil(gap / a)`` of its open literals are true: for ``t = 1``
     the OR of their masks, else a counter that raises ``reach[c]``, the
     assignments with ``c`` true literals so far, one literal at a time.
-    That is the smallest case of a PB constraint's BDD (Abio et al., "BDDs
-    for pseudo-Boolean constraints -- revisited", SAT 2011), evaluated on
-    every assignment at once. With no other constraint and no K the count
-    is the bits of ``ok``, and no numpy call is made.
+    A constraint with unequal open coefficients holds on the assignments
+    whose true open literals reach its gap: the mask at the gap in
+    :func:`~pbtally.mass.masks_by_mass`, with masses capped there. Both
+    are a PB constraint's BDD (Abio et al., "BDDs for pseudo-Boolean
+    constraints -- revisited", SAT 2011), evaluated on every assignment at
+    once, in Python ints of any size, so no component is declined and no
+    numpy call is made.
 
-    A constraint with unequal open coefficients takes two int64 half
-    tables of sums, one over the low bits and one over the high bits, and
-    one comparison of the two gives its bool mask over all assignments. A
-    negative literal adds its coefficient when its bit is 0, so it enters
-    the sums as minus its coefficient with the coefficient taken off the
-    gap. The masks are ANDed, one constraint at a time, into ``ok``
-    unpacked to one bool per assignment: comparing all constraints at once
-    is faster, but numpy then buffers 16 bytes per cell, which raised the
-    peak heap of a benchmark count by 6%. Returns None, leaving the
-    component to the search, when such a constraint's open coefficient
-    mass reaches :data:`LEAF_MASS_LIMIT`.
-
-    With ``vectors`` the result is the component's vector (see
-    :mod:`pbtally.mass`): the satisfying assignments counted by their K
-    weight, capped at K's degree. K's coefficients are one more row of
-    the half tables, each half's weight capped before the two are added.
+    The result is ``counts.leaf`` of ``ok``: its bits for plain counts,
+    and with a :class:`~pbtally.mass.MassVectors` the component's vector,
+    the satisfying assignments counted by their K weight, capped at K's
+    degree.
     """
     var_ids = comp.var_ids
-    k = len(var_ids)
-    ok, true, false = _assignment_masks(k)
+    ok, true, false = _assignment_masks(len(var_ids))
     bit = {v: j for j, v in enumerate(var_ids)}
-    # one row per constraint of unequal open coefficients: its signed open
-    # coefficients, then its gap
-    width = k + 1
-    rows = []
     for cid in comp.cstr_ids:
         gap = gapv[cid]
         terms = [(a, lit) for a, lit in constraints[cid].terms
@@ -293,19 +257,8 @@ def count_component(comp: Component, constraints, gapv, val,
         # terms run largest coefficient first
         a = terms[0][0]
         if terms[-1][0] != a:
-            row = [0] * width
-            mass = 0
-            for a, lit in terms:
-                mass += a
-                if lit > 0:
-                    row[bit[lit]] = a
-                else:
-                    row[bit[-lit]] = -a
-                    gap -= a
-            if mass >= LEAF_MASS_LIMIT:
-                return None
-            row[k] = gap
-            rows += row
+            ok = masks_by_mass(ok, [(a, true[bit[lit]] if lit > 0 else false[bit[-lit]])
+                                    for a, lit in terms], gap).get(gap, 0)
             continue
         t = -(-gap // a)
         if t > len(terms):
@@ -323,43 +276,7 @@ def count_component(comp: Component, constraints, gapv, val,
                     reach[c] |= reach[c - 1] & lit_true
             holds = reach[t]
         ok &= holds
-    m = len(rows) // width
-    if not m and vectors is None:
-        return ok.bit_count()
-    n_low = (k + 1) >> 1
-    if vectors is not None:
-        # K's row last. A negated K literal weighs its coefficient when its
-        # bit is 0, so it enters as minus its coefficient over a base that
-        # holds it, one base per half; the high one goes in the gap column
-        bases = [0, 0]
-        for j, v in enumerate(var_ids):
-            a = vectors.signed[v]
-            rows.append(a)
-            if a < 0:
-                bases[j >= n_low] -= a
-        rows.append(-bases[1])
-    table = np.array(rows, dtype=np.int64).reshape(-1, width)
-    low = table[:, :n_low] @ _subset_bits(n_low)
-    # a constraint holds where its low sum reaches its gap minus its high sum
-    need = table[:, k:] - table[:, n_low:k] @ _subset_bits(k - n_low)
-    # assignment s = high * 2**n_low + low, so ok's bits in order, one row per high half
-    ok = np.unpackbits(np.frombuffer(ok.to_bytes(((1 << k) + 7) >> 3, "little"), np.uint8),
-                       count=1 << k, bitorder="little").view(bool).reshape(-1, 1 << n_low)
-    if m:
-        holds = np.empty_like(ok)
-        for i in range(m):
-            np.greater_equal(low[i], need[i][:, None], out=holds)
-            ok &= holds
-    if vectors is None:
-        return int(np.count_nonzero(ok))
-    # the K weight of each half, capped at d; the capped halves sum to at
-    # most 2 * d, which the small type holds
-    d = vectors.degree
-    small = np.min_scalar_type(2 * d)
-    weight = (np.minimum(low[m] + bases[0], d).astype(small)
-              + np.minimum(-need[m], d).astype(small)[:, None])
-    np.minimum(weight, d, out=weight)
-    return vectors.pack(np.bincount(weight[ok], minlength=d + 1))
+    return counts.leaf(ok, var_ids, true, false)
 
 
 #: the largest table :func:`count_by_gaps` builds, in cells: the product of
@@ -519,7 +436,9 @@ class CountCache:
         self.stores = 0
         self.evictions = 0
         self.purged = 0
-        #: test hook: the Nth successful store writes a wrong count
+        #: test hook: the Nth successful store writes a wrong count.
+        #: ``perfbench/selftest.py`` sets it to check that a benchmark run
+        #: with a wrong count fails; the tests subclass ``store`` instead
         self.debug_corrupt_after: Optional[int] = None
         self._store = {}
         self._log = deque()

@@ -16,7 +16,10 @@ built, and every other count above becomes a vector over K's weight
 (:mod:`pbtally.mass`): components multiply as polynomials, branches add,
 a free variable is a factor ``1 + z**a``, and a branch is shifted by the
 K weight of the literals set at its level. The count is the root
-vector's entry at K's degree.
+vector's entry at K's degree. The search does not tell the two apart:
+it multiplies, starts a branch, counts a leaf and reads the result
+through a :class:`~pbtally.mass.MassVectors` or a
+:class:`~pbtally.mass.PlainCounts`.
 
 Conflicts are analyzed into learned constraints as in a clause-learning
 satisfiability search; each one is dropped when the search backjumps
@@ -32,7 +35,6 @@ which keeps independently-multiplied components actually independent.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from typing import Callable, Optional
 
@@ -40,7 +42,7 @@ from .components import (Component, CountCache, count_by_gaps, count_bytes,
                          count_component, encode_component)
 from .engine import Engine, UNASSIGNED
 from .formula import PBFormula, lit_var
-from .mass import MassVectors, choose_mass_constraint
+from .mass import MassVectors, PlainCounts, choose_mass_constraint
 
 #: the memory budget, which walks the open frames, is checked every 256
 #: decisions, conflicts and counts without search; the deadline is checked
@@ -55,7 +57,7 @@ class SolveTimeout(Exception):
 
 
 class MemoryBudgetExceeded(Exception):
-    """Accounted cache, learned-constraint and weight-vector bytes left the budget."""
+    """Accounted cache, learned-constraint and open-frame count bytes left the budget."""
 
 
 class CounterConfig:
@@ -70,7 +72,8 @@ class CounterConfig:
 
     ``max_cache_bytes`` bounds the count cache, which evicts its oldest
     entries first; ``max_memory_bytes`` bounds the cache plus the learned
-    constraints, plus with K the weight vectors of the open search frames.
+    constraints plus the counts, or with K the weight vectors, of the open
+    search frames.
     Both are ints of at least 0 (None lifts the second), and
     ``timeout_s`` is a positive, finite int or float; no ``bool`` passes.
     The learned constraints take no bound of their own: each lives only
@@ -78,7 +81,9 @@ class CounterConfig:
 
     ``leaf_cells``, an int of at least 0, is the largest component the
     counter counts by enumeration instead of search, in cells: its
-    constraints times 2 to the power of its variables. A component all of
+    constraints times 2 to the power of its variables; one enumeration
+    takes up to about ``leaf_cells**2 // 4`` bytes, outside
+    ``max_memory_bytes`` (README, Install). A component all of
     whose constraints span its block is also counted without search, by
     :func:`count_by_gaps`, when its table fits. The only constraint over
     every variable, beside a narrower one, becomes the counter's K
@@ -277,7 +282,8 @@ class ModelCounter:
         #: the search (see :mod:`pbtally.mass`), or None
         self.mass = choose_mass_constraint(self.formula, self.config.leaf_cells)
         searched = self.formula
-        self._vectors = None
+        #: what a count is: a weight vector with K, else a plain int
+        self._vectors = PlainCounts()
         if self.mass is not None:
             searched = self.formula.without(self.mass)
             self._vectors = MassVectors(self.mass, n)
@@ -425,30 +431,29 @@ class ModelCounter:
 
     def _accounted_bytes(self) -> int:
         """The bytes ``max_memory_bytes`` bounds: the cache's, the learned
-        constraints', and with K the vectors the open frames hold."""
+        constraints', and the counts the open frames hold."""
         used = self.cache.bytes_used + self.engine.learned_bytes
-        if self._vectors is not None:
-            for frame in self._stack:
-                for p in (frame.prod, frame.branch_sum):
-                    if p is not None:
-                        used += count_bytes(p)
+        for frame in self._stack:
+            for p in (frame.prod, frame.branch_sum):
+                if p is not None:
+                    used += count_bytes(p)
         return used
 
     def _count_without_search(self, comp: Component):
         """The component's count by enumeration or by its gaps, or None to search it.
 
-        Enumeration takes a component of at most ``leaf_cells`` cells. It
-        evaluates clauses and cardinality rows on bitsets, with no numpy
-        call, and rows of unequal coefficients, and K, in numpy tables
-        (:func:`count_component`). The gap table takes one whose constraints
-        are all flagged in ``_spans_block``: each holds every variable of
-        its block, so of the component too, and the table holds about as
-        many states as the search would reach, while over many clauses it
-        grows as 2 to the power of their number. The table is exact for any
+        Enumeration takes every component of at most ``leaf_cells`` cells,
+        on bitsets (:func:`count_component`), and gives its count or, with
+        K, its vector. Its result is tested for None only because tests
+        replace it by a function that declines every component, to force
+        the search. The gap table takes one whose constraints are all
+        flagged in ``_spans_block``: each holds every variable of its
+        block, so of the component too, and the table holds about as many
+        states as the search would reach, while over many clauses it grows
+        as 2 to the power of their number. The table is exact for any
         component, so the flags only choose where it is worth building. It
         must fit in what ``max_memory_bytes`` leaves free, and the deadline
-        is checked as it fills. With K no flag is set, and enumeration gives
-        the component's vector.
+        is checked as it fills. With K no flag is set.
         """
         cfg = self.config
         engine = self.engine
@@ -521,18 +526,6 @@ class ModelCounter:
         stats.cache_entries = len(cache)
         stats.cache_bytes_peak = cache.bytes_peak
 
-    def _level_vector(self, free):
-        """With K, a split branch's vector before its components multiply in.
-
-        The free variables' factor, shifted by the K weight of the literals
-        set at the current level: the frame's decision and what that propagated.
-        """
-        engine = self.engine
-        lim = engine.trail_lim
-        vectors = self._vectors
-        return vectors.shift(vectors.free(free),
-                             vectors.weight(engine.trail[lim[-1] if lim else 0:]))
-
     def run(self) -> CountResult:
         if self.config.timeout_s is not None:
             self._deadline = time.monotonic() + self.config.timeout_s
@@ -550,7 +543,7 @@ class ModelCounter:
         engine = self.engine
         cache = self.cache
         vectors = self._vectors
-        mul = operator.mul if vectors is None else vectors.mul
+        mul = vectors.mul
         stack = self._stack
         stack.append(_Frame(None, None, 0, 0))
         stats.peak_depth = 1
@@ -558,7 +551,7 @@ class ModelCounter:
 
         while True:
             frame = stack[-1]
-            if cfg.debug_checks and vectors is not None:
+            if cfg.debug_checks:
                 # no vector sets a bit past its last slot, so no slot carried
                 assert all(vectors.fits(p) for fr in stack for p in (fr.prod, fr.branch_sum)
                            if p is not None)
@@ -582,10 +575,7 @@ class ModelCounter:
                 comps, free = self._split_scope(scope)
                 if cfg.debug_checks:
                     split_gaps[len(stack)] = engine.gapv[:]
-                if vectors is None:
-                    frame.prod = 1 << len(free)
-                else:
-                    frame.prod = self._level_vector(free)
+                frame.prod = vectors.branch(free, engine.trail, engine.trail_lim)
                 frame.pending = comps
                 self._open_pending += len(comps)
                 open_comps = self._open_pending + len(stack) - 1
@@ -617,7 +607,7 @@ class ModelCounter:
                 engine.decide(lit)
                 self._note_decision(lit)
             elif len(stack) == 1:
-                return frame.prod if vectors is None else vectors.final(frame.prod)
+                return vectors.final(frame.prod)
             else:
                 engine.backjump_to(len(stack) - 2)
                 if frame.phase == 0:

@@ -31,13 +31,15 @@ product is one integer multiplication, done in C. The sum of a vector's
 entries is also at most ``2**n``, below ``2**B - 1``, so the lump, the
 sum of the slots from ``d`` up, is that part of the int modulo
 ``2**B - 1``.
+
+Without K a count is a plain int, and :class:`PlainCounts` gives it the
+same interface, so the search has one code path for both.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
-
-import numpy as np
 
 from .formula import PBConstraint, PBFormula
 
@@ -67,13 +69,73 @@ def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBCo
     return mass if mass.degree < leaf_cells else None
 
 
+def masks_by_mass(ok: int, lits, cap: int) -> dict:
+    """The assignments in ``ok`` by the mass of their true literals, capped at ``cap``.
+
+    An assignment set is an int whose bit ``s`` is assignment ``s`` (see
+    :func:`pbtally.components.count_component`), and ``lits`` holds one
+    ``(a, mask)`` per literal: its coefficient and the assignments that
+    make it true. The map starts as ``{0: ok}``, and each literal moves
+    the assignments that make it true up by its coefficient. Returns a
+    dict from each mass reached to the assignments that reach it, none of
+    them empty. This is the layered construction of Abio et al., "BDDs for
+    pseudo-Boolean constraints -- revisited" (SAT 2011), on every
+    assignment at once.
+    """
+    by_mass = {0: ok}
+    for a, lit in lits:
+        moved = {}
+        for m, s in by_mass.items():
+            up = s & lit
+            if up:
+                s ^= up
+                u = m + a if m + a < cap else cap
+                moved[u] = moved.get(u, 0) | up
+            if s:
+                moved[m] = moved.get(m, 0) | s
+        by_mass = moved
+    return by_mass
+
+
+class PlainCounts:
+    """Plain counts, with the interface of :class:`MassVectors`.
+
+    Without K a count is an int: components multiply, each free variable
+    doubles it, a leaf counts its satisfying assignments, and the count is
+    the root's. It holds no state.
+    """
+
+    __slots__ = ()
+
+    mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def branch(free, trail, trail_lim) -> int:
+        """A split branch's count before its components multiply in."""
+        return 1 << len(free)
+
+    @staticmethod
+    def leaf(ok: int, var_ids, true, false) -> int:
+        """The count of a leaf whose satisfying assignments are the bits of ``ok``."""
+        return ok.bit_count()
+
+    @staticmethod
+    def final(p: int) -> int:
+        return p
+
+    @staticmethod
+    def fits(p: int) -> bool:
+        return True
+
+
 class MassVectors:
-    """The vector helpers for one K: free factor, shift, multiply, pack and final.
+    """The vector helpers for one K: free factor, shift, multiply, leaf and final.
 
     A vector is an int of ``degree + 1`` slots of :attr:`slot_bits` bits
     (see the module docstring). Every helper returns one whose slots above
     the degree are lumped into slot ``degree``, and two of them add with
-    ``+``.
+    ``+``. The methods that :class:`PlainCounts` shares take the same
+    arguments.
     """
 
     __slots__ = ("degree", "signed", "slot_bits", "_lit_weight", "_lump_at", "_end",
@@ -151,11 +213,29 @@ class MassVectors:
         """The vector of two components over disjoint variables: their lumped product."""
         return self._lump(p * q)
 
-    def pack(self, counts: np.ndarray) -> int:
-        """The vector whose entries are ``counts``, ``degree + 1`` of them below ``2**63``."""
-        slots = np.zeros((self.degree + 1, self.slot_bits // 64), dtype="<i8")
-        slots[:, 0] = counts
-        return int.from_bytes(slots.tobytes(), "little")
+    def branch(self, free, trail, trail_lim) -> int:
+        """A split branch's vector before its components multiply in.
+
+        The free variables' factor, shifted by the K weight of the literals
+        set at the current level: the frame's decision and what that
+        propagated, the engine's ``trail`` from the last of ``trail_lim`` on.
+        """
+        return self.shift(self.free(free),
+                          self.weight(trail[trail_lim[-1] if trail_lim else 0:]))
+
+    def leaf(self, ok: int, var_ids, true, false) -> int:
+        """The vector of a leaf whose satisfying assignments are the bits of ``ok``.
+
+        ``true[j]`` and ``false[j]`` are the assignments that set
+        ``var_ids[j]`` true and false. Each K weight's slot holds the
+        popcount of its mask in :func:`masks_by_mass`.
+        """
+        signed = self.signed
+        lits = [(a, true[j]) if a > 0 else (-a, false[j])
+                for j, a in enumerate(map(signed.__getitem__, var_ids)) if a]
+        b = self.slot_bits
+        return sum(s.bit_count() << m * b
+                   for m, s in masks_by_mass(ok, lits, self.degree).items())
 
     def final(self, p: int) -> int:
         """The models that reach K's degree: the count."""

@@ -11,8 +11,8 @@ import pytest
 import pbtally
 from _helpers import disjoint_union, load_report
 import pbtally.cli
-from pbtally import (ModelCounter, SolveTimeout, brute_count, count_models, emit_opb,
-                     gen_auction, gen_knapsack, parse_opb, parse_opb_file)
+from pbtally import (CountCache, ModelCounter, SolveTimeout, brute_count, count_models,
+                     emit_opb, gen_auction, gen_knapsack, parse_opb, parse_opb_file)
 from pbtally.cli import _decimal_digits, main
 
 SMALL = "* #variable= 3 #constraint= 2\n+1 x1 +1 x2 >= 1 ;\n+2 x2 +1 x3 <= 2 ;\n"
@@ -30,6 +30,16 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+class FirstStoreCorrupting(CountCache):
+    """A cache whose first store writes a count one too high; ``store``
+    returns it, so the search multiplies it in."""
+
+    __slots__ = ()
+
+    def store(self, key, count):
+        return super().store(key, count + (self.stores == 0))
+
+
 def corrupt_first_run(monkeypatch):
     """Make the first counter ``verify`` builds write a wrong count on its
     first cache store, which the search multiplies into that run's count."""
@@ -40,7 +50,7 @@ def corrupt_first_run(monkeypatch):
             nonlocal first
             super().__init__(*args, **kwargs)
             if first:
-                self.cache.debug_corrupt_after = 0
+                self.cache = FirstStoreCorrupting(self.config.max_cache_bytes)
                 first = False
 
     monkeypatch.setattr(pbtally.cli, "ModelCounter", CorruptingCounter)

@@ -9,8 +9,7 @@ from pbtally import (Component, CountCache, brute_count, brute_residual_count,
                      build_formula, decode_component, encode_component,
                      residual_components, saturate_gap)
 import pbtally.components
-from pbtally.components import (GAP_TABLE_CELLS, LEAF_MASS_LIMIT, count_by_gaps,
-                                count_component)
+from pbtally.components import GAP_TABLE_CELLS, count_by_gaps, count_component
 from pbtally.engine import UNASSIGNED
 from pbtally.formula import PBConstraint, PBFormula, constraint_gap, lit_var
 from pbtally.mass import MassVectors
@@ -205,27 +204,26 @@ class TestCountComponent:
         gapv, val = _hand_arrays(cons, comp, [3])
         assert count_component(comp, cons, gapv, val) == 2
 
-    def test_open_mass_at_the_int64_margin_is_left_to_the_search(self):
-        half = LEAF_MASS_LIMIT >> 1
-        # equal coefficients take no sum, so their mass has no margin:
-        # x1 true, or x1 false and x2 false
-        comp = Component((1, 2), (0,))
-        equal = [PBConstraint(0, [(half, 1), (half, -2)], half)]
-        gapv, val = _hand_arrays(equal, comp, [half])
-        assert count_component(comp, equal, gapv, val) == 3
-        comp = Component((1, 2, 3), (0,))
-        at_limit = [PBConstraint(0, [(half, 1), (half - 1, -2), (1, 3)], half)]
-        gapv, val = _hand_arrays(at_limit, comp, [half])
-        assert count_component(comp, at_limit, gapv, val) is None
-        # one less is enumerated: x1 true, or x1 false, x2 false and x3 true
-        below = [PBConstraint(0, [(half, 1), (half - 2, -2), (1, 3)], half - 1)]
-        gapv, val = _hand_arrays(below, comp, [half - 1])
-        assert count_component(comp, below, gapv, val) == 5
+    def test_open_mass_past_the_int64_margin_is_enumerated(self):
+        # masses are Python ints, so no open mass is too large: equal
+        # coefficients, and unequal ones summing to 2**60 and just below
+        half = 1 << 59
+        for terms, gap, want in (
+                # x1 true, or x1 false and x2 false
+                (((half, 1), (half, -2)), half, 3),
+                # x1 true, or x1 false, x2 false and x3 true
+                (((half, 1), (half - 1, -2), (1, 3)), half, 5),
+                (((half, 1), (half - 2, -2), (1, 3)), half - 1, 5)):
+            cons = [PBConstraint(0, terms, gap)]
+            comp = Component(range(1, len(terms) + 1), (0,))
+            gapv, val = _hand_arrays(cons, comp, [gap])
+            assert count_component(comp, cons, gapv, val) == want == brute_count(
+                _helpers.component_subformula(cons_formula(cons), comp, [gap])).count
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_rows_match_brute_force_by_assignment_and_by_weight(self, k):
-        # rows of equal coefficients, counted on bitsets, beside rows of
-        # unequal ones, counted in half tables; with K, every entry of the
+        # rows of equal coefficients, counted as at-least-t rows, beside rows
+        # of unequal ones, counted by their masses; with K, every entry of the
         # vector against the assignments' K weights, one by one
         rng = random.Random(2011 + k)
         val = [0] + [UNASSIGNED] * k
@@ -249,7 +247,7 @@ class TestCountComponent:
                         kind, rng.randint(1, a * len(lits)))
                     seen["at_least_2"] += -(-gap // a) >= 2
                     seen["saturated"] += gap < a
-                    seen["huge"] += a > LEAF_MASS_LIMIT
+                    seen["huge"] += a > 1 << 60
                 seen["negative"] += any(lit < 0 for lit in lits)
                 cons.append(PBConstraint(cid, terms, gap))
             unequal = [c.terms[0][0] != c.terms[-1][0] for c in cons]
@@ -295,6 +293,19 @@ class TestCountComponent:
                                                          [1, 1, 4])).count
         monkeypatch.setattr(pbtally.components, "np", None)
         assert count_component(comp, cons, gapv, val) == want == 4
+        # nor do unequal rows or K: 3 x1 + 2 ~x2 + 2 x3 + x4 >= 4 beside the
+        # clause x2 or x4 has six models. Under K, 2 x1 + ~x3 + 3 x4 >= 5, the
+        # true ones of x1 x2 x3 weigh 2, of x3 x4 weigh 3, and of the other
+        # four 5 or more
+        cons = [PBConstraint(0, [(3, 1), (2, -2), (2, 3), (1, 4)], 4),
+                PBConstraint(1, [(1, 2), (1, 4)], 1)]
+        comp = Component((1, 2, 3, 4), (0, 1))
+        gapv, val = _hand_arrays(cons, comp, [4, 1])
+        assert count_component(comp, cons, gapv, val) == 6
+        vectors = MassVectors(PBConstraint(2, [(2, 1), (1, -3), (3, 4)], 5), 4)
+        p = count_component(comp, cons, gapv, val, vectors)
+        b = vectors.slot_bits
+        assert [(p >> m * b) & ((1 << b) - 1) for m in range(6)] == [0, 0, 1, 1, 0, 4]
 
 
 class TestCountByGaps:

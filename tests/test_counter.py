@@ -316,26 +316,16 @@ class TestCountMatchesOracle:
             conflicts += res.stats.conflicts
         assert keys > 2000 and conflicts > 300
 
-    def test_component_past_the_int64_margin_is_searched(self, monkeypatch):
-        # the root component's open mass is 3 * 2**59 + 1, so enumeration
-        # declines it and the search branches; two decisions down it
-        # falls under the margin and is enumerated
-        count = pbtally.counter.count_component
-        declined = 0
-
-        def watched(*args):
-            nonlocal declined
-            n = count(*args)
-            declined += n is None
-            return n
-
-        monkeypatch.setattr(pbtally.counter, "count_component", watched)
+    def test_component_past_the_int64_margin_is_enumerated(self):
+        # the root component's open mass is 3 * 2**59 + 1, past int64 in any
+        # sum; enumeration holds masses in Python ints, so it counts the
+        # root with no decision
         big = 1 << 59
         f = build_formula(4, [([(big, 1), (big, 2), (big, 3), (1, 4)], ">=", big + 1),
                               ([(1, -1), (1, 4)], ">=", 1)])
         res = count_models(f)
         assert res.count == brute_count(f).count
-        assert declined > 0 and res.stats.decisions > 0 and res.stats.leaf_counts > 0
+        assert res.stats.decisions == 0 and res.stats.leaf_counts == 1
 
     def test_unconstrained_variables_double_the_count(self):
         f = build_formula(10, [([(1, 1), (1, 2)], ">=", 1)])
@@ -662,18 +652,29 @@ class TestGapCounts:
         assert mc.stats.decisions == 0 and mc.stats.gap_counts == 0
 
     def test_table_over_the_memory_budget_is_searched(self):
-        # the root table takes three times 8 bytes per cell, more than the
-        # budget, so the search branches and the count is unchanged
+        # the root table takes three times 8 bytes per cell beside what is
+        # accounted at the root, the root frame's count among it; one byte
+        # less than both, and the search branches with the count unchanged
         f = parse_opb(gen_knapsack(items=14, dims=3, seed=0))
         mc = ModelCounter(f)
         assert mc.engine.gapv == [45, 40, 43]
         table_bytes = 24 * 46 * 41 * 44
-        budget = CounterConfig(max_memory_bytes=table_bytes - 1)
+        at_root = []
+        count_without_search = mc._count_without_search
+
+        def watched(comp):
+            at_root.append(mc._accounted_bytes())
+            return count_without_search(comp)
+
+        mc._count_without_search = watched
+        count = mc.run().count
+        assert mc.stats.decisions == 0 and at_root[0] > 0
+        budget = CounterConfig(max_memory_bytes=table_bytes + at_root[0] - 1)
         res = count_models(f, budget)
-        assert res.count == mc.run().count
-        assert mc.stats.decisions == 0
+        assert res.count == count
         assert res.stats.decisions > 0
-        assert count_models(f, CounterConfig(max_memory_bytes=table_bytes)).stats.decisions == 0
+        exact = CounterConfig(max_memory_bytes=table_bytes + at_root[0])
+        assert count_models(f, exact).stats.decisions == 0
 
     def test_search_past_the_table_variable_bound_matches_a_dp(self):
         # 70 variables are past the table's 62, so the root is searched

@@ -5,7 +5,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 import _helpers
@@ -31,6 +30,11 @@ def _weights(mass, variables, models):
     coeff = {abs(lit): (a, lit > 0) for a, lit in mass.terms}
     return [sum(coeff[v][0] for v, b in zip(variables, m) if v in coeff and b == coeff[v][1])
             for m in models]
+
+
+def _pack(vectors, entries):
+    """The vector whose slots hold ``entries``, one per weight up to the degree."""
+    return sum(c << m * vectors.slot_bits for m, c in enumerate(entries))
 
 
 def _entries(vectors, p):
@@ -62,9 +66,8 @@ class TestVectorHelpers:
                 all_right = list(itertools.product((False, True), repeat=len(right)))
                 some_left = [m for m in all_left if rng.random() < 0.4]
                 some_right = [m for m in all_right if rng.random() < 0.6]
-                vec_left = vectors.pack(np.array(_by_weight(_weights(mass, left, some_left), d)))
-                vec_right = vectors.pack(np.array(_by_weight(_weights(mass, right, some_right),
-                                                             d)))
+                vec_left = _pack(vectors, _by_weight(_weights(mass, left, some_left), d))
+                vec_right = _pack(vectors, _by_weight(_weights(mass, right, some_right), d))
                 assert _entries(vectors, vec_left) == _by_weight(
                     _weights(mass, left, some_left), d)
 
@@ -81,7 +84,7 @@ class TestVectorHelpers:
                 assert _entries(vectors, vectors.mul(monomial, vec_right)) == _by_weight(
                     [b + w for b in _weights(mass, right, some_right)] * 3, d)
                 rest = [m for m in all_left if m not in some_left]
-                vec_rest = vectors.pack(np.array(_by_weight(_weights(mass, left, rest), d)))
+                vec_rest = _pack(vectors, _by_weight(_weights(mass, left, rest), d))
                 assert vec_left + vec_rest == vectors.free(left)
                 assert vectors.final(vec_left) == sum(
                     1 for x in _weights(mass, left, some_left) if x >= d)
