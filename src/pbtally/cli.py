@@ -115,8 +115,9 @@ def _mb_to_bytes(mb: float) -> int:
     return int(nbytes)
 
 
-def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
-    # verify passes both; only count has the flags they would come from
+def _build_config(args, saturate_keys=None, heuristic=None,
+                  search_only=False) -> CounterConfig:
+    # verify passes all three; only count has the flags the first two come from
     if heuristic is None:
         heuristic = _env_override(args.heuristic, "PBTALLY_HEURISTIC", _heuristic) or "vcis"
     if saturate_keys is None:
@@ -132,6 +133,7 @@ def _build_config(args, saturate_keys=None, heuristic=None) -> CounterConfig:
         max_cache_bytes=_mb_to_bytes(cache_mb),
         max_memory_bytes=None if memory_mb is None else _mb_to_bytes(memory_mb),
         timeout_s=timeout,
+        search_only=search_only,
     )
 
 
@@ -201,9 +203,8 @@ def _cmd_verify(args) -> int:
     runs = [("%s_%s" % (heuristic, "saturated" if saturate else "raw"),
              _build_config(args, saturate_keys=saturate, heuristic=heuristic))
             for heuristic in HEURISTICS for saturate in (True, False)]
-    search_only = _build_config(args, saturate_keys=True, heuristic="vcis")
-    search_only.leaf_cells = 0
-    runs.append(("search_only", search_only))
+    runs.append(("search_only", _build_config(args, saturate_keys=True, heuristic="vcis",
+                                              search_only=True)))
     counts = {}
     for label, config in runs:
         try:

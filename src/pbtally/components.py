@@ -261,9 +261,6 @@ def count_component(comp: Component, constraints, gapv, val, counts=PlainCounts(
                                     for a, lit in terms], gap).get(gap, 0)
             continue
         t = -(-gap // a)
-        if t > len(terms):
-            # not every open literal together reaches the gap
-            return 0
         if t == 1:
             holds = 0
             for _, lit in terms:

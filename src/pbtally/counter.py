@@ -4,7 +4,7 @@ The search keeps a stack of frames, one per subproblem being counted.
 A frame owns a branching literal; each branch is propagated, split into
 variable-disjoint residual components, and every component is answered
 from the cache, counted by enumerating its assignments when it is small
-(``CounterConfig.leaf_cells``), counted by a table over its gaps when its
+(:data:`LEAF_CELLS`), counted by a table over its gaps when its
 constraints all span its block, or pushed as a child frame. A finished
 frame reports models(branch true) + models(branch false), multiplied into
 its parent, and unconstrained variables contribute a power of two
@@ -51,6 +51,11 @@ from .mass import MassVectors, PlainCounts, choose_mass_constraint
 #: of 4,097 slots of 64 bits, 0.036 s at 128 bits (2-vCPU VM)
 _BUDGET_CHECK_MASK = (1 << 8) - 1
 
+#: the largest component counted by enumeration, in cells: its constraints
+#: times 2 to the power of its variables. One enumeration peaks at 2.4 MiB
+#: or less at this bound, outside ``max_memory_bytes`` (README, Install)
+LEAF_CELLS = 4096
+
 
 class SolveTimeout(Exception):
     """The count did not finish inside the configured wall-clock budget."""
@@ -79,18 +84,13 @@ class CounterConfig:
     The learned constraints take no bound of their own: each lives only
     until the search backjumps below the level it was learned at.
 
-    ``leaf_cells``, an int of at least 0, is the largest component the
-    counter counts by enumeration instead of search, in cells: its
-    constraints times 2 to the power of its variables; one enumeration
-    takes up to about ``leaf_cells**2 // 4`` bytes, outside
-    ``max_memory_bytes`` (README, Install). A component all of
-    whose constraints span its block is also counted without search, by
-    :func:`count_by_gaps`, when its table fits. The only constraint over
-    every variable, beside a narrower one, becomes the counter's K
-    (:attr:`ModelCounter.mass`) when its degree is below ``leaf_cells``:
-    it is counted by weight vectors instead of searched, and then no gap
-    table is built. 0 turns all three off, so every component is searched
-    with every constraint in the engine.
+    ``search_only``, a ``bool``, searches every component with every
+    constraint in the engine. Off, a component of at most :data:`LEAF_CELLS`
+    cells is enumerated, one whose constraints all span its block is
+    counted by :func:`count_by_gaps` when its table fits, and the only
+    constraint over every variable, beside a narrower one, becomes K
+    (:attr:`ModelCounter.mass`), counted by weight vectors and not
+    searched, when its degree is below :data:`~pbtally.mass.MAX_MASS_DEGREE`.
 
     ``on_event(kind, payload)``, when set, sees the search as it runs:
     ``("decision", (level, lit))`` after each decision, with ``lit`` in
@@ -102,13 +102,13 @@ class CounterConfig:
     """
 
     __slots__ = ("heuristic", "saturate_keys", "max_cache_bytes",
-                 "max_memory_bytes", "timeout_s", "leaf_cells",
+                 "max_memory_bytes", "timeout_s", "search_only",
                  "on_event", "debug_checks")
 
     def __init__(self, heuristic: str = "vcis", saturate_keys: bool = True,
                  max_cache_bytes: int = 256 << 20,
                  max_memory_bytes: Optional[int] = None,
-                 timeout_s: Optional[float] = None, leaf_cells: int = 4096,
+                 timeout_s: Optional[float] = None, search_only: bool = False,
                  on_event: Optional[Callable[[str, tuple], None]] = None,
                  debug_checks: bool = False):
         if heuristic not in ("vcis", "baseline"):
@@ -118,8 +118,10 @@ class CounterConfig:
                                       or not 0 < timeout_s < math.inf):
             raise ValueError("timeout_s must be positive and finite, got %r"
                              % (timeout_s,))
+        if type(search_only) is not bool:
+            raise ValueError("search_only must be a bool, got %r" % (search_only,))
         # checked here: a float or None would fail only deep inside a count
-        sizes = [("max_cache_bytes", max_cache_bytes), ("leaf_cells", leaf_cells)]
+        sizes = [("max_cache_bytes", max_cache_bytes)]
         if max_memory_bytes is not None:
             sizes.append(("max_memory_bytes", max_memory_bytes))
         for name, value in sizes:
@@ -131,7 +133,7 @@ class CounterConfig:
         self.max_cache_bytes = max_cache_bytes
         self.max_memory_bytes = max_memory_bytes
         self.timeout_s = timeout_s
-        self.leaf_cells = leaf_cells
+        self.search_only = search_only
         self.on_event = on_event
         self.debug_checks = debug_checks
 
@@ -280,7 +282,7 @@ class ModelCounter:
         n = self.formula.num_vars
         #: K, the constraint the counts carry as weight vectors instead of
         #: the search (see :mod:`pbtally.mass`), or None
-        self.mass = choose_mass_constraint(self.formula, self.config.leaf_cells)
+        self.mass = None if self.config.search_only else choose_mass_constraint(self.formula)
         searched = self.formula
         #: what a count is: a weight vector with K, else a plain int
         self._vectors = PlainCounts()
@@ -442,11 +444,10 @@ class ModelCounter:
     def _count_without_search(self, comp: Component):
         """The component's count by enumeration or by its gaps, or None to search it.
 
-        Enumeration takes every component of at most ``leaf_cells`` cells,
-        on bitsets (:func:`count_component`), and gives its count or, with
-        K, its vector. Its result is tested for None only because tests
-        replace it by a function that declines every component, to force
-        the search. The gap table takes one whose constraints are all
+        None at once under ``search_only``. Enumeration takes every
+        component of at most :data:`LEAF_CELLS` cells, on bitsets
+        (:func:`count_component`), and gives its count or, with K, its
+        vector. The gap table takes one whose constraints are all
         flagged in ``_spans_block``: each holds every variable of its
         block, so of the component too, and the table holds about as many
         states as the search would reach, while over many clauses it grows
@@ -455,22 +456,19 @@ class ModelCounter:
         must fit in what ``max_memory_bytes`` leaves free, and the deadline
         is checked as it fills. With K no flag is set.
         """
-        cfg = self.config
-        engine = self.engine
-        # cstrs << vars <= leaf_cells, without building 1 << vars
-        if len(comp.cstr_ids) <= cfg.leaf_cells >> len(comp.var_ids):
-            n = count_component(comp, engine.constraints, engine.gapv, engine.val,
-                                self._vectors)
-            if n is not None:
-                self.stats.leaf_counts += 1
-                return n
-        if not cfg.leaf_cells:
+        if self.config.search_only:
             return None
+        engine = self.engine
+        # cstrs << vars <= LEAF_CELLS, without building 1 << vars
+        if len(comp.cstr_ids) <= LEAF_CELLS >> len(comp.var_ids):
+            self.stats.leaf_counts += 1
+            return count_component(comp, engine.constraints, engine.gapv, engine.val,
+                                   self._vectors)
         spans = self._spans_block
         for ci in comp.cstr_ids:
             if not spans[ci]:
                 return None
-        room = cfg.max_memory_bytes
+        room = self.config.max_memory_bytes
         if room is not None:
             room -= self._accounted_bytes()
         n = count_by_gaps(comp, engine.constraints, engine.gapv, engine.val, room,

@@ -43,17 +43,21 @@ from typing import Optional
 
 from .formula import PBConstraint, PBFormula
 
+#: K's degree must stay below this. It is the enumerator's bound, not a
+#: measured crossover: ROADMAP item 2 measures where vectors win
+MAX_MASS_DEGREE = 4096
 
-def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBConstraint]:
+
+def choose_mass_constraint(formula: PBFormula) -> Optional[PBConstraint]:
     """K for :class:`MassVectors`, or None when the formula has none.
 
     K is the one constraint over every referenced variable of ``formula``,
-    beside at least one other, when its degree is below ``leaf_cells``.
-    A second constraint over every variable keeps the search connected
-    with K or without it, so then none is chosen; an ``=`` over every
-    variable normalizes into two. Such a formula, a knapsack among them,
-    is left to the table over the gaps, which never carries K.
-    ``leaf_cells=0`` chooses none.
+    beside at least one other, when its degree is below
+    :data:`MAX_MASS_DEGREE`. A second constraint over every variable keeps
+    the search connected with K or without it, so then none is chosen; an
+    ``=`` over every variable normalizes into two. Such a formula, a
+    knapsack among them, is left to the table over the gaps, which never
+    carries K.
     """
     constraints = formula.constraints
     sizes = [len(c.terms) for c in constraints]
@@ -66,7 +70,7 @@ def choose_mass_constraint(formula: PBFormula, leaf_cells: int) -> Optional[PBCo
         held = {abs(lit) for _, lit in mass.terms}
         if any(abs(lit) not in held for c in constraints for _, lit in c.terms):
             return None
-    return mass if mass.degree < leaf_cells else None
+    return mass if mass.degree < MAX_MASS_DEGREE else None
 
 
 def masks_by_mass(ok: int, lits, cap: int) -> dict:

@@ -305,10 +305,10 @@ def random_partial_assignment(rng: random.Random, num_vars: int, rate: float = 0
             if rng.random() < rate}
 
 
-def count_with_events(formula: PBFormula, leaf_cells: int = 0):
+def count_with_events(formula: PBFormula, search_only: bool = True):
     """Count through ``on_event`` and return ``(counter, result, decisions, learned)``.
 
-    By default enumeration is off, so every component is searched.
+    By default every component is searched (``search_only``).
 
     ``decisions`` are the ``(level, lit)`` payloads in order. ``learned``
     entries are ``(terms, degree, jump, asserting)``. ``asserting`` is read
@@ -330,7 +330,7 @@ def count_with_events(formula: PBFormula, leaf_cells: int = 0):
         forcing = any(lit_value(lit) is None and a > slack for a, lit in terms)
         learned.append((terms, degree, jump, slack >= 0 and forcing))
 
-    counter = ModelCounter(formula, CounterConfig(leaf_cells=leaf_cells, on_event=on_event))
+    counter = ModelCounter(formula, CounterConfig(search_only=search_only, on_event=on_event))
     result = counter.run()
     return counter, result, decisions, learned
 

@@ -36,7 +36,7 @@ def test_c1_counts_match_exhaustive_enumeration():
         f = _helpers.random_formula(rng, **C1_CORPUS)
         assert f.num_vars <= 15
         want = 0 if f.unsat_at_load else brute_count(f).count
-        assert count_models(f, CounterConfig(leaf_cells=0)).count == want
+        assert count_models(f, CounterConfig(search_only=True)).count == want
         checked += 1
     assert checked >= 1000
     assert time.monotonic() - started < 120.0
@@ -49,7 +49,7 @@ def test_c2_count_invariant_across_configurations():
     # already pinned the first pair to exhaustive enumeration on these
     # exact formulas
     rng = random.Random(101)
-    configs = [CounterConfig(heuristic=h, saturate_keys=s, leaf_cells=0)
+    configs = [CounterConfig(heuristic=h, saturate_keys=s, search_only=True)
                for h in ("vcis", "baseline") for s in (True, False)]
     configs.append(CounterConfig())
     instances = 0

@@ -204,6 +204,17 @@ class TestCountComponent:
         gapv, val = _hand_arrays(cons, comp, [3])
         assert count_component(comp, cons, gapv, val) == 2
 
+    def test_row_that_cannot_reach_its_gap_counts_zero(self):
+        # x1 or x3 has models, but x1 + ~x2 >= 3 needs three true literals
+        # of two: no assignment counts, as a plain count or under K, where
+        # every slot of the vector is 0
+        cons = [PBConstraint(0, [(1, 1), (1, 3)], 1), PBConstraint(1, [(1, 1), (1, -2)], 3)]
+        comp = Component((1, 2, 3), (0, 1))
+        gapv, val = _hand_arrays(cons, comp, [1, 3])
+        assert count_component(comp, cons, gapv, val) == 0
+        vectors = MassVectors(PBConstraint(2, [(1, 1), (2, 3)], 2), 3)
+        assert count_component(comp, cons, gapv, val, vectors) == 0
+
     def test_open_mass_past_the_int64_margin_is_enumerated(self):
         # masses are Python ints, so no open mass is too large: equal
         # coefficients, and unequal ones summing to 2**60 and just below

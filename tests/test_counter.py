@@ -64,8 +64,8 @@ def _two_row_count(f) -> int:
 
 
 def all_configs():
-    """Every heuristic x key-mode pair with enumeration off, then the default."""
-    return [CounterConfig(heuristic=h, saturate_keys=s, leaf_cells=0)
+    """Every heuristic x key-mode pair under search_only, then the default."""
+    return [CounterConfig(heuristic=h, saturate_keys=s, search_only=True)
             for h in ("vcis", "baseline") for s in (True, False)] + [CounterConfig()]
 
 
@@ -167,7 +167,7 @@ class TestCountMatchesOracle:
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
-            res = count_models(f, CounterConfig(leaf_cells=0))
+            res = count_models(f, CounterConfig(search_only=True))
             assert res.count == want
             conflicts += res.stats.conflicts
         assert conflicts > 100
@@ -184,7 +184,7 @@ class TestCountMatchesOracle:
             if f.unsat_at_load:
                 continue
             want = brute_count(f).count
-            cfg = CounterConfig(max_cache_bytes=256, leaf_cells=0, debug_checks=True)
+            cfg = CounterConfig(max_cache_bytes=256, search_only=True, debug_checks=True)
             res = count_models(f, cfg)
             assert res.count == want
             cache = res.cache
@@ -213,7 +213,7 @@ class TestCountMatchesOracle:
             return store(cache, key, count)
 
         monkeypatch.setattr(CountCache, "store", checked_store)
-        configs = [CounterConfig(max_cache_bytes=600, leaf_cells=0),
+        configs = [CounterConfig(max_cache_bytes=600, search_only=True),
                    CounterConfig(max_cache_bytes=600)]
         builders = [_helpers.random_formula, _helpers.tight_formula,
                     _helpers.covered_formula, _helpers.clause_heavy_formula]
@@ -243,7 +243,7 @@ class TestCountMatchesOracle:
             f = _helpers.random_formula(rng, max_vars=9)
             if f.unsat_at_load:
                 continue
-            cfg = CounterConfig(leaf_cells=0, debug_checks=True)
+            cfg = CounterConfig(search_only=True, debug_checks=True)
             assert count_models(f, cfg).count == brute_count(f).count
 
     def test_debug_checks_stay_silent_below_covers(self):
@@ -253,7 +253,7 @@ class TestCountMatchesOracle:
         rng = random.Random(6613)
         decisions = 0
         for f, want in _covered_formulas(rng, 100, 30):
-            res = count_models(f, CounterConfig(leaf_cells=0, debug_checks=True))
+            res = count_models(f, CounterConfig(search_only=True, debug_checks=True))
             assert res.count == want
             decisions += res.stats.decisions
         assert decisions > 400
@@ -268,7 +268,7 @@ class TestCountMatchesOracle:
             counts = set()
             for heuristic in ("vcis", "baseline"):
                 plain, checked = (count_models(f, CounterConfig(
-                    heuristic=heuristic, leaf_cells=0, debug_checks=debug))
+                    heuristic=heuristic, search_only=True, debug_checks=debug))
                     for debug in (False, True))
                 assert checked.count == plain.count
                 assert checked.stats.as_dict() == plain.stats.as_dict()
@@ -310,7 +310,7 @@ class TestCountMatchesOracle:
                 continue
             mc = ModelCounter(f, CounterConfig(saturate_keys=i % 2 == 0,
                                                max_cache_bytes=max_cache_bytes,
-                                               leaf_cells=0, debug_checks=True))
+                                               search_only=True, debug_checks=True))
             res = mc.run()
             assert res.count == brute_count(f).count
             conflicts += res.stats.conflicts
@@ -496,7 +496,7 @@ class TestBranchingScores:
                 cases.append((f, brute_count(f).count))
         for f, want in cases:
             for heuristic in ("vcis", "baseline"):
-                res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
+                res = count_models(f, CounterConfig(heuristic=heuristic, search_only=True))
                 assert res.count == want
         assert spanning_picks > 1000
 
@@ -563,12 +563,12 @@ class TestSplitScopeMirror:
     def test_cover_fast_path_matches_pure_splitter(self):
         # one constraint over every variable of a block spans it; the
         # splits below it equal the pure splitter's while it is active and
-        # after it is satisfied. Without leaf_cells a formula's spanning
+        # after it is satisfied. Under search_only a formula's spanning
         # constraint is searched, not its K
         rng = random.Random(6612)
         below = after = 0
         for f, _ in _covered_formulas(rng, 300, 100):
-            mc = ModelCounter(f, CounterConfig(leaf_cells=0))
+            mc = ModelCounter(f, CounterConfig(search_only=True))
             n = mc.formula.num_vars
             e = mc.engine
             if e.propagate() is not None:
@@ -615,17 +615,16 @@ class TestGapCounts:
         # counted by its gaps and the count makes no decision
         for f, blocks in self._knapsacks():
             default = count_models(f)
-            assert default.count == count_models(f, CounterConfig(leaf_cells=0)).count
+            assert default.count == count_models(f, CounterConfig(search_only=True)).count
             assert default.stats.decisions == 0
             assert default.stats.gap_counts == blocks
             assert default.stats.leaf_counts == 0
 
     def test_counts_match_the_oracle_where_every_table_is_used(self, monkeypatch):
-        # with enumeration declining everything, each component whose
-        # constraints all span its block is counted by its gaps, below the
-        # root too, and never where the formula has a K; the debug checks
-        # run at every node
-        monkeypatch.setattr(pbtally.counter, "count_component", lambda *args: None)
+        # with enumeration off, each component whose constraints all span
+        # its block is counted by its gaps, below the root too, and never
+        # where the formula has a K; the debug checks run at every node
+        monkeypatch.setattr(pbtally.counter, "LEAF_CELLS", 0)
         rng = random.Random(6617)
         builders = (_helpers.random_formula, _helpers.tight_formula,
                     _helpers.covered_formula, _helpers.clause_heavy_formula)
@@ -706,11 +705,11 @@ class TestBudgets:
         f = parse_opb(gen_auction(bids=50, items=20, revenue_fraction=0.15, seed=5))
         started = time.monotonic()
         with pytest.raises(SolveTimeout):
-            count_models(f, CounterConfig(timeout_s=0.5, leaf_cells=0))
+            count_models(f, CounterConfig(timeout_s=0.5, search_only=True))
         assert time.monotonic() - started < 2.5
 
-    @pytest.mark.parametrize("leaf_cells", [0, CounterConfig().leaf_cells])
-    def test_deadline_is_polled_at_every_decision(self, leaf_cells):
+    @pytest.mark.parametrize("search_only", [True, False])
+    def test_deadline_is_polled_at_every_decision(self, search_only):
         # the first decision sleeps past the budget, so the next one stops
         # the count, with the revenue floor chosen as K or searched
         f = parse_opb(gen_auction(bids=50, items=20, revenue_fraction=0.15, seed=5))
@@ -719,9 +718,9 @@ class TestBudgets:
             if kind == "decision" and mc.stats.decisions == 1:
                 time.sleep(0.1)
 
-        mc = ModelCounter(f, CounterConfig(timeout_s=0.05, leaf_cells=leaf_cells,
+        mc = ModelCounter(f, CounterConfig(timeout_s=0.05, search_only=search_only,
                                            on_event=on_event))
-        assert (mc.mass is not None) == (leaf_cells > 0)
+        assert (mc.mass is None) == search_only
         with pytest.raises(SolveTimeout):
             mc.run()
         assert mc.stats.decisions <= 2
@@ -800,8 +799,7 @@ class TestBudgets:
         {"max_cache_bytes": None}, {"max_memory_bytes": "10"}, {"timeout_s": "1"},
         {"max_cache_bytes": 2.5}, {"max_memory_bytes": 2.5}, {"timeout_s": True},
         {"max_cache_bytes": True},
-        {"leaf_cells": -1}, {"leaf_cells": 2.5}, {"leaf_cells": True},
-        {"leaf_cells": None}, {"leaf_cells": "4096"},
+        {"search_only": 1}, {"search_only": None}, {"search_only": "yes"},
     ])
     def test_out_of_range_budgets_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -809,10 +807,10 @@ class TestBudgets:
 
     def test_smallest_budgets_accepted(self):
         cfg = CounterConfig(timeout_s=1e-6, max_cache_bytes=0, max_memory_bytes=0,
-                            leaf_cells=0)
+                            search_only=True)
         assert cfg.timeout_s == 1e-6
         assert cfg.max_cache_bytes == 0 and cfg.max_memory_bytes == 0
-        assert cfg.leaf_cells == 0
+        assert cfg.search_only is True
 
     def test_generous_budgets_do_not_interfere(self):
         f = build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)])
@@ -858,7 +856,7 @@ class TestLogsAndStats:
         peaks = []
         conflicts = 0
         for f in _pinned_formulas()[:18]:
-            stats = count_models(f, CounterConfig(leaf_cells=0)).stats
+            stats = count_models(f, CounterConfig(search_only=True)).stats
             peaks.append(stats.peak_open_components)
             conflicts += stats.conflicts
         assert conflicts > 50
@@ -871,7 +869,7 @@ class TestLogsAndStats:
         assert SearchStats.__slots__ == _STAT_FIELDS
         got = []
         for f in _pinned_formulas():
-            res = count_models(f, CounterConfig(heuristic=heuristic, leaf_cells=0))
+            res = count_models(f, CounterConfig(heuristic=heuristic, search_only=True))
             got.append((res.count, tuple(res.stats.as_dict().values())))
         assert got == _PINNED_STATS[heuristic]
 

@@ -466,7 +466,7 @@ class TestAnalyzeMatchesReference:
         conflicts = 0
         for seed in (17, 18):
             f = parse_opb(gen_auction(bids=40, items=20, revenue_fraction=0.15, seed=seed))
-            counter = ModelCounter(f, CounterConfig(leaf_cells=0))
+            counter = ModelCounter(f, CounterConfig(search_only=True))
             counter.run()
             conflicts += counter.stats.conflicts
         assert len(seen) == conflicts >= 300

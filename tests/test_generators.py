@@ -6,7 +6,7 @@ from pbtally import (CounterConfig, brute_count, count_models, gen_auction,
                      gen_knapsack, gen_sensor, parse_opb)
 
 #: the search alone, and the default, which counts small components by enumeration
-CONFIGS = (CounterConfig(leaf_cells=0), CounterConfig())
+CONFIGS = (CounterConfig(search_only=True), CounterConfig())
 
 
 def body_lines(text):

@@ -9,6 +9,7 @@ import pytest
 
 import _helpers
 import pbtally.counter
+import pbtally.mass
 from pbtally import (CounterConfig, MemoryBudgetExceeded, ModelCounter, PBFormula,
                      SolveTimeout, brute_count, build_formula, count_models,
                      decode_component, gen_auction, gen_knapsack, parse_opb)
@@ -161,7 +162,7 @@ class TestCountsByWeight:
                 assert mc.mass is None
             want = brute_count(f).count
             assert mc.run().count == want
-            assert count_models(f, CounterConfig(leaf_cells=0)).count == want
+            assert count_models(f, CounterConfig(search_only=True)).count == want
             checked += 1
         assert checked >= 300 and with_mass > 200
 
@@ -181,7 +182,7 @@ class TestCountsByWeight:
             f = parse_opb(gen_knapsack(items=items, dims=dims, seed=seed))
             mc = ModelCounter(f)
             assert mc.mass is None
-            assert mc.run().count == count_models(f, CounterConfig(leaf_cells=0)).count
+            assert mc.run().count == count_models(f, CounterConfig(search_only=True)).count
         rng = random.Random(1803)
         for _ in range(40):
             n = rng.randint(2, 9)
@@ -202,7 +203,7 @@ class TestCountsByWeight:
         mc = ModelCounter(f)
         assert mc.mass is None
         res = mc.run()
-        assert res.count == 3280328 == count_models(f, CounterConfig(leaf_cells=0)).count
+        assert res.count == 3280328 == count_models(f, CounterConfig(search_only=True)).count
         assert res.stats.decisions == 6 and res.stats.gap_counts == 4
         rng = random.Random(1805)
         for _ in range(20):
@@ -218,23 +219,36 @@ class TestCountsByWeight:
             assert mc.mass is None
             want = brute_count(f).count
             assert mc.run().count == want
-            assert count_models(f, CounterConfig(leaf_cells=0)).count == want
+            assert count_models(f, CounterConfig(search_only=True)).count == want
 
-    def test_degree_must_stay_below_leaf_cells(self):
+    def test_degree_must_stay_below_max_mass_degree(self, monkeypatch):
         f = build_formula(4, [([(3, 1), (3, 2), (3, 3), (3, 4)], ">=", 6),
                               ([(1, 1), (1, 2)], ">=", 1)])
-        assert ModelCounter(f, CounterConfig(leaf_cells=7)).mass.degree == 6
-        assert ModelCounter(f, CounterConfig(leaf_cells=6)).mass is None
-        assert ModelCounter(f, CounterConfig(leaf_cells=0)).mass is None
-        for cells in (7, 6, 0):
-            assert count_models(f, CounterConfig(leaf_cells=cells)).count == \
-                brute_count(f).count
+        want = brute_count(f).count
+        monkeypatch.setattr(pbtally.mass, "MAX_MASS_DEGREE", 7)
+        assert ModelCounter(f).mass.degree == 6
+        assert count_models(f).count == want
+        assert ModelCounter(f, CounterConfig(search_only=True)).mass is None
+        assert count_models(f, CounterConfig(search_only=True)).count == want
+        monkeypatch.setattr(pbtally.mass, "MAX_MASS_DEGREE", 6)
+        assert ModelCounter(f).mass is None
+        assert count_models(f).count == want
+
+    @pytest.mark.parametrize("d, degree", [(4095, 4095), (4096, None)])
+    def test_degree_bound_at_its_value(self, d, degree):
+        # d x1 + d x2 + d x3 >= d beside x1 + x2 >= 1 on both sides of
+        # MAX_MASS_DEGREE: K just below it, none at it, six models either way
+        f = build_formula(3, [([(d, 1), (d, 2), (d, 3)], ">=", d),
+                              ([(1, 1), (1, 2)], ">=", 1)])
+        mc = ModelCounter(f)
+        assert (None if mc.mass is None else mc.mass.degree) == degree
+        assert mc.run().count == 6 == brute_count(f).count
 
     def test_learned_constraints_are_implied_and_asserting_with_mass(self, monkeypatch):
-        # enumeration declines everything, so the search learns; each
-        # learned constraint is implied by the formula without K, which
-        # the engine searches
-        monkeypatch.setattr(pbtally.counter, "count_component", lambda *args: None)
+        # enumeration is off, so the search learns; each learned
+        # constraint is implied by the formula without K, which the engine
+        # searches
+        monkeypatch.setattr(pbtally.counter, "LEAF_CELLS", 0)
         rng = random.Random(1804)
         logged = with_mass = 0
         for _ in range(250):
@@ -244,7 +258,7 @@ class TestCountsByWeight:
                          for v in range(1, n + 1))
             f = PBFormula(n, [c.body() for c in base.constraints]
                           + [(wide, rng.randint(1, sum(a for a, _ in wide)))])
-            mc, res, _, learned = _helpers.count_with_events(f, leaf_cells=4096)
+            mc, res, _, learned = _helpers.count_with_events(f, search_only=False)
             assert res.count == brute_count(f).count
             if mc.mass is None:
                 continue
