@@ -4,11 +4,11 @@ The search keeps a stack of frames, one per subproblem being counted.
 A frame owns a branching literal; each branch is propagated, split into
 variable-disjoint residual components, and every component is answered
 from the cache, counted by enumerating its assignments when it is small
-(:data:`LEAF_CELLS`), counted by a table over its gaps when its
-constraints all span its block, or pushed as a child frame. A finished
-frame reports models(branch true) + models(branch false), multiplied into
-its parent, and unconstrained variables contribute a power of two
-directly.
+(:data:`LEAF_CELLS` cells, or :data:`LEAF_BITS` bits of masks), counted
+by a table over its gaps when its constraints all span its block, or
+pushed as a child frame. A finished frame reports models(branch true) +
+models(branch false), multiplied into its parent, and unconstrained
+variables contribute a power of two directly.
 
 When exactly one constraint K holds every variable beside narrower
 ones, K leaves the engine, the split and the cache keys, no gap table is
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .components import (Component, CountCache, count_by_gaps, count_bytes,
@@ -55,6 +56,31 @@ _BUDGET_CHECK_MASK = (1 << 8) - 1
 #: times 2 to the power of its variables. One enumeration peaks at 2.4 MiB
 #: or less at this bound, outside ``max_memory_bytes`` (README, Install)
 LEAF_CELLS = 4096
+
+#: a component of k variables past LEAF_CELLS is enumerated too while the
+#: mask bits it holds at once, ``(2 * min(held, 2**k) + 2) << k``, stay
+#: within this bound: ``held`` is the most masks one row or K keeps, its
+#: gap or K's degree, in two maps while a literal is taken. It admits 14
+#: variables under clauses and no K, and 9 at the ``auction`` degrees of
+#: 39-55; such a call peaks below 100 KiB (README, Install)
+LEAF_BITS = 1 << 16
+
+
+def _leaf_bits(held: int, k: int) -> int:
+    """The mask bits enumeration holds at most on ``k`` variables when one
+    row or K keeps at most ``held`` masks: two maps of at most
+    ``min(held, 2**k)`` masks, two more, ``2**k`` bits each."""
+    return (2 * min(held, 1 << k) + 2) << k
+
+
+@lru_cache(maxsize=None)
+def _leaf_bits_vars(held: int, leaf_bits: int) -> int:
+    """The most variables ``k`` with ``_leaf_bits(held, k) <= leaf_bits``,
+    or 0; cached, so that building a counter takes no loop."""
+    k = 0
+    while _leaf_bits(held, k + 1) <= leaf_bits:
+        k += 1
+    return k
 
 
 class SolveTimeout(Exception):
@@ -86,8 +112,9 @@ class CounterConfig:
 
     ``search_only``, a ``bool``, searches every component with every
     constraint in the engine. Off, a component of at most :data:`LEAF_CELLS`
-    cells is enumerated, one whose constraints all span its block is
-    counted by :func:`count_by_gaps` when its table fits, and the only
+    cells, or whose enumeration holds at most :data:`LEAF_BITS` bits of
+    masks at once, is enumerated, one whose constraints all span its block
+    is counted by :func:`count_by_gaps` when its table fits, and the only
     constraint over every variable, beside a narrower one, becomes K
     (:attr:`ModelCounter.mass`), counted by weight vectors and not
     searched, when its degree is below :data:`~pbtally.mass.MAX_MASS_DEGREE`.
@@ -286,9 +313,14 @@ class ModelCounter:
         searched = self.formula
         #: what a count is: a weight vector with K, else a plain int
         self._vectors = PlainCounts()
+        #: the fewest masks a leaf's rows and K keep, 1 or K's degree, and so
+        #: the most variables of a leaf the bits test admits: 14 without K
+        self._least_held = 1
         if self.mass is not None:
             searched = self.formula.without(self.mass)
             self._vectors = MassVectors(self.mass, n)
+            self._least_held = self.mass.degree
+        self._leaf_bits_vars = _leaf_bits_vars(self._least_held, LEAF_BITS)
         #: propagates, learns from and splits the formula without K
         self.engine = Engine(searched)
         self.cache = CountCache(max_bytes=self.config.max_cache_bytes)
@@ -444,23 +476,35 @@ class ModelCounter:
     def _count_without_search(self, comp: Component):
         """The component's count by enumeration or by its gaps, or None to search it.
 
-        None at once under ``search_only``. Enumeration takes every
-        component of at most :data:`LEAF_CELLS` cells, on bitsets
-        (:func:`count_component`), and gives its count or, with K, its
-        vector. The gap table takes one whose constraints are all
-        flagged in ``_spans_block``: each holds every variable of its
-        block, so of the component too, and the table holds about as many
-        states as the search would reach, while over many clauses it grows
-        as 2 to the power of their number. The table is exact for any
-        component, so the flags only choose where it is worth building. It
-        must fit in what ``max_memory_bytes`` leaves free, and the deadline
-        is checked as it fills. With K no flag is set.
+        None at once under ``search_only``. Enumeration, on bitsets
+        (:func:`count_component`), gives the count or, with K, the vector
+        of every component of at most :data:`LEAF_CELLS` cells, and of
+        every other one whose masks held at once fit in :data:`LEAF_BITS`.
+        The cells test keeps the few-variable leaves whose rows reach many
+        masses, which the bits test declines; the bits test adds leaves of
+        up to 14 variables under clauses, which cost less to enumerate than
+        to search. Only a component within ``_leaf_bits_vars`` variables
+        reads its gaps for the bits test.
+
+        The gap table takes one whose constraints are all flagged in
+        ``_spans_block``: each holds every variable of its block, so of
+        the component too, and the table holds about as many states as the
+        search would reach, while over many clauses it grows as 2 to the
+        power of their number. The table is exact for any component, so
+        the flags only choose where it is worth building. It must fit in
+        what ``max_memory_bytes`` leaves free, and the deadline is checked
+        as it fills. With K no flag is set.
         """
         if self.config.search_only:
             return None
         engine = self.engine
+        k = len(comp.var_ids)
         # cstrs << vars <= LEAF_CELLS, without building 1 << vars
-        if len(comp.cstr_ids) <= LEAF_CELLS >> len(comp.var_ids):
+        leaf = len(comp.cstr_ids) <= LEAF_CELLS >> k
+        if not leaf and k <= self._leaf_bits_vars:
+            held = max(self._least_held, max(map(engine.gapv.__getitem__, comp.cstr_ids)))
+            leaf = _leaf_bits(held, k) <= LEAF_BITS
+        if leaf:
             self.stats.leaf_counts += 1
             return count_component(comp, engine.constraints, engine.gapv, engine.val,
                                    self._vectors)

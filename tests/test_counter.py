@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from pbtally import (CounterConfig, MemoryBudgetExceeded,
                      ModelCounter, PBFormula, SearchStats, SolveTimeout,
                      brute_count, build_formula, compute_vcis_scores,
                      count_models, residual_components)
-from pbtally.components import CountCache
+from pbtally.components import CountCache, _assignment_masks, count_component
 from pbtally.counter import dedup_constraints
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import constraint_gap, lit_var, parse_opb
@@ -598,6 +599,84 @@ class TestSplitScopeMirror:
         assert below > 100 and after > 50
 
 
+def _chain(n: int, *rows) -> PBFormula:
+    """The clauses x_i or x_i+1 for i < n, one connected component of n
+    variables, and ``rows``."""
+    return build_formula(n, [([(1, i), (1, i + 1)], ">=", 1) for i in range(1, n)]
+                         + list(rows))
+
+
+#: past LEAF_CELLS, each component the bits test admits or declines at its
+#: edge, with the bits it holds: (2 * held + 2) << k at these sizes. The rows
+#: over x1..x9 beside x10 have unequal coefficients and are no K; K is over
+#: every variable and all gaps are 1, so its degree alone is held. No
+#: variable is forced at the root
+_BITS_EDGES = {
+    "14-variable chain": (_chain(14), 4 << 14),
+    "15-variable chain": (_chain(15), 4 << 15),
+    "row of gap 31 on 10 variables": (
+        _chain(10, ([(v, v) for v in range(1, 10)], ">=", 31)), 64 << 10),
+    "row of gap 32 on 10 variables": (
+        _chain(10, ([(v, v) for v in range(1, 10)], ">=", 32)), 66 << 10),
+    "K of degree 31 on 10 variables": (
+        _chain(10, ([(4, i) for i in range(1, 11)], ">=", 31)), 64 << 10),
+    "K of degree 32 on 10 variables": (
+        _chain(10, ([(4, i) for i in range(1, 11)], ">=", 32)), 66 << 10),
+}
+
+
+class TestLeafBounds:
+    @pytest.mark.parametrize("name", _BITS_EDGES)
+    @pytest.mark.parametrize("leaf_bits", ["real", "at", "below"])
+    def test_bits_test_at_its_edge(self, monkeypatch, name, leaf_bits):
+        # each root component fails the cells test, so it is one leaf with
+        # no decision exactly when its bits fit in LEAF_BITS: the real
+        # constant, patched to its bits, or patched to one less
+        f, bits = _BITS_EDGES[name]
+        if leaf_bits != "real":
+            monkeypatch.setattr(pbtally.counter, "LEAF_BITS", bits - (leaf_bits == "below"))
+        mc = ModelCounter(f)
+        assert (mc.mass is not None) == name.startswith("K")
+        [comp], _ = mc._split_scope(range(1, f.num_vars + 1))
+        assert len(comp.var_ids) == f.num_vars
+        assert len(comp.cstr_ids) << f.num_vars > pbtally.counter.LEAF_CELLS
+        res = mc.run()
+        assert res.count == brute_count(f).count
+        if bits <= pbtally.counter.LEAF_BITS:
+            assert res.stats.decisions == 0 and res.stats.leaf_counts == 1
+        else:
+            assert res.stats.decisions > 0
+
+    def test_bits_test_admits_14_variables_and_9_at_auction_degrees(self):
+        # with K, held is at least its degree, which caps the variables of
+        # every leaf the bits test admits
+        assert ModelCounter(_chain(3))._leaf_bits_vars == 14
+        f = parse_opb(gen_auction(bids=29, items=20, revenue_fraction=0.15, seed=0))
+        mc = ModelCounter(f)
+        assert mc.mass.degree == 55 and mc._leaf_bits_vars == 9
+
+    @pytest.mark.parametrize("name", ["14-variable chain", "row of gap 31 on 10 variables",
+                                      "K of degree 31 on 10 variables"])
+    def test_enumeration_peak_at_the_bits_bound(self, name):
+        # the largest components only the bits test admits peak well below
+        # the cells test's worst case of 2.4 MiB: 71 KiB for the chain with
+        # the first build of its masks, cleared here, 10 KiB for the row and
+        # 7 KiB for K (Python 3.11)
+        f, _ = _BITS_EDGES[name]
+        mc = ModelCounter(f)
+        [comp], _ = mc._split_scope(range(1, f.num_vars + 1))
+        e = mc.engine
+        _assignment_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            n = count_component(comp, e.constraints, e.gapv, e.val, mc._vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc._vectors.final(n) == brute_count(f).count
+        assert peak < 256 << 10
+
+
 class TestGapCounts:
     @staticmethod
     def _knapsacks():
@@ -625,6 +704,7 @@ class TestGapCounts:
         # its block is counted by its gaps, below the root too, and never
         # where the formula has a K; the debug checks run at every node
         monkeypatch.setattr(pbtally.counter, "LEAF_CELLS", 0)
+        monkeypatch.setattr(pbtally.counter, "LEAF_BITS", 0)
         rng = random.Random(6617)
         builders = (_helpers.random_formula, _helpers.tight_formula,
                     _helpers.covered_formula, _helpers.clause_heavy_formula)
@@ -876,8 +956,10 @@ class TestLogsAndStats:
     def test_stats_are_coherent(self):
         rng = random.Random(6611)
         res = None
+        # up to 16 variables: LEAF_BITS enumerates most root components of
+        # 10 variables at these gaps, so such a formula seldom decides
         for _ in range(30):
-            f = _helpers.tight_formula(rng, max_vars=10)
+            f = _helpers.tight_formula(rng, max_vars=16)
             if f.unsat_at_load:
                 continue
             res = count_models(f)

@@ -249,6 +249,7 @@ class TestCountsByWeight:
         # constraint is implied by the formula without K, which the engine
         # searches
         monkeypatch.setattr(pbtally.counter, "LEAF_CELLS", 0)
+        monkeypatch.setattr(pbtally.counter, "LEAF_BITS", 0)
         rng = random.Random(1804)
         logged = with_mass = 0
         for _ in range(250):
