@@ -199,16 +199,15 @@ class CountResult:
 def dedup_constraints(formula: PBFormula) -> PBFormula:
     """Drop normalized constraints whose body already appeared; if none did, return ``formula``."""
     seen = set()
-    bodies = []
+    kept = []
     for c in formula.constraints:
         body = c.body()
-        if body in seen:
-            continue
-        seen.add(body)
-        bodies.append(body)
-    if len(bodies) == len(formula.constraints):
+        if body not in seen:
+            seen.add(body)
+            kept.append(c)
+    if len(kept) == len(formula.constraints):
         return formula
-    return PBFormula(formula.num_vars, bodies, formula.unsat_at_load)
+    return formula.kept(kept)
 
 
 def compact_variables(formula: PBFormula):
@@ -216,21 +215,19 @@ def compact_variables(formula: PBFormula):
 
     Returns ``(compact, input_ids)``, where ``input_ids[v]`` is the input
     id of compact variable ``v``; slot 0 is unused. The order is kept, so
-    a tie broken by the smallest id breaks the same way in both. Each
-    input variable in no constraint doubles the count, and is left to the
-    caller. When at least half of the variables are referenced,
-    ``formula`` itself comes back: its per-variable lists are at most
-    twice as long as needed, the search counts its unreferenced variables
-    as free, and no rebuild slows the load.
+    a tie broken by the smallest id breaks the same way in both, and no
+    term is sorted again. Each input variable in no constraint doubles the
+    count, and is left to the caller. When at least half of the variables
+    are referenced, ``formula`` itself comes back: its per-variable lists
+    are at most twice as long as needed, the search counts its
+    unreferenced variables as free, and no rebuild slows the load.
     """
     used = {lit if lit > 0 else -lit for c in formula.constraints for _, lit in c.terms}
     if 2 * len(used) >= formula.num_vars:
         return formula, range(formula.num_vars + 1)
     used = sorted(used)
     new_id = {v: i for i, v in enumerate(used, 1)}
-    bodies = [(tuple((a, new_id[lit] if lit > 0 else -new_id[-lit]) for a, lit in c.terms),
-               c.degree) for c in formula.constraints]
-    return PBFormula(len(used), bodies, formula.unsat_at_load), [0] + used
+    return formula.kept(formula.constraints, new_id), [0] + used
 
 
 def compute_vcis_scores(formula: PBFormula):

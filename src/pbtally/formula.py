@@ -14,9 +14,10 @@ built. Model counts themselves are unbounded Python integers.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 I64_MAX = (1 << 63) - 1
+I64_MIN = -I64_MAX - 1
 
 #: a numeric OPB token with more digits is out of the 64-bit range; it is
 #: rejected before ``int()``, which refuses more than a few thousand digits
@@ -88,11 +89,16 @@ class PBConstraint:
     def coef_sum(self) -> int:
         return sum(c for c, _ in self.terms)
 
-    def renumbered(self, cid: int) -> "PBConstraint":
-        """The same constraint under id ``cid``, its terms not sorted again."""
+    def renumbered(self, cid: int, terms: Optional[tuple] = None) -> "PBConstraint":
+        """The same constraint under id ``cid``, its terms not sorted again.
+
+        ``terms``, when given, replaces the terms: they must be these terms
+        with their variables renamed by an increasing map, which keeps
+        their order.
+        """
         c = PBConstraint.__new__(PBConstraint)
         c.cid = cid
-        c.terms = self.terms
+        c.terms = self.terms if terms is None else terms
         c.degree = self.degree
         c.clausal = self.clausal
         return c
@@ -133,20 +139,35 @@ class PBFormula:
                     raise ValueError("constraint %d references x%d outside 1..%d"
                                      % (c.cid, abs(lit), num_vars))
 
-    def without(self, dropped: PBConstraint) -> "PBFormula":
-        """The formula less its constraint ``dropped``, the later ones renumbered.
+    def kept(self, constraints: Sequence[PBConstraint], new_id=None) -> "PBFormula":
+        """A formula of some of these constraints, in the given order, renumbered.
 
-        The constraints before ``dropped`` keep their ids and are shared.
-        All are already normalized, ordered and in range, so none is
-        checked again: rebuilding the formula from its bodies sorts every
-        term again, which adds 5% to the setup of an auction instance
-        (2-vCPU VM).
+        Each constraint takes its position as its id; one whose id already
+        matches is shared. With ``new_id``, an increasing map from every
+        referenced variable to ``1..len(new_id)``, the variables are renamed
+        too. All constraints are already normalized, ordered and in range,
+        and an increasing map keeps the order, so none is sorted or checked
+        again: rebuilding the formula from its bodies sorts every term
+        again, which adds 5% to the setup of an auction instance (2-vCPU VM).
         """
-        cut = dropped.cid
-        rest = PBFormula(self.num_vars, (), self.unsat_at_load)
-        rest.constraints = self.constraints[:cut] + tuple(
-            c.renumbered(cid) for cid, c in enumerate(self.constraints[cut + 1:], cut))
+        rest = PBFormula.__new__(PBFormula)
+        rest.unsat_at_load = self.unsat_at_load
+        if new_id is None:
+            rest.num_vars = self.num_vars
+            rest.constraints = tuple(c if c.cid == cid else c.renumbered(cid)
+                                     for cid, c in enumerate(constraints))
+        else:
+            rest.num_vars = len(new_id)
+            rest.constraints = tuple(
+                c.renumbered(cid, tuple((a, new_id[l] if l > 0 else -new_id[-l])
+                                        for a, l in c.terms))
+                for cid, c in enumerate(constraints))
         return rest
+
+    def without(self, dropped: PBConstraint) -> "PBFormula":
+        """The formula less its constraint ``dropped``, the later ones renumbered."""
+        cut = dropped.cid
+        return self.kept(self.constraints[:cut] + self.constraints[cut + 1:])
 
     def __repr__(self) -> str:
         return "PBFormula(num_vars=%d, constraints=%d%s)" % (
@@ -154,10 +175,9 @@ class PBFormula:
             ", unsat_at_load" if self.unsat_at_load else "")
 
 
-def _check_i64(value: int, what: str) -> int:
-    if value > I64_MAX or value < -I64_MAX - 1:
+def _check_i64(value: int, what: str) -> None:
+    if not I64_MIN <= value <= I64_MAX:
         raise CoefficientOverflowError("%s exceeds the 64-bit range" % what)
-    return value
 
 
 def _normalize_geq(raw_terms: Iterable[RawTerm], degree: int):
@@ -166,39 +186,45 @@ def _normalize_geq(raw_terms: Iterable[RawTerm], degree: int):
     Returns ``("ok", terms, degree)``, ``("trivial",)`` for a constraint no
     assignment can violate, or ``("unsat",)`` for one no assignment can
     satisfy. Duplicate variables are merged; a literal and its negation
-    cancel through x + ~x = 1.
+    cancel through x + ~x = 1. Each 64-bit check is a chained comparison
+    in line, and ``_check_i64`` is called only to raise.
     """
     net: dict = {}
-    rhs = _check_i64(degree, "degree")
+    rhs = degree
+    if not I64_MIN <= rhs <= I64_MAX:
+        _check_i64(rhs, "degree")
     for coeff, lit in raw_terms:
-        _check_i64(coeff, "coefficient")
-        v = lit_var(lit)
-        if v < 1:
-            raise ValueError("variable ids must be >= 1")
+        if not I64_MIN <= coeff <= I64_MAX:
+            _check_i64(coeff, "coefficient")
         if lit > 0:
-            net[v] = net.get(v, 0) + coeff
-        else:
+            c = net[lit] = net.get(lit, 0) + coeff
+        elif lit < 0:
             # a * ~x  ==  a - a*x
-            net[v] = net.get(v, 0) - coeff
+            c = net[-lit] = net.get(-lit, 0) - coeff
             rhs -= coeff
-        _check_i64(net[v], "merged coefficient")
-        _check_i64(rhs, "adjusted degree")
+        else:
+            raise ValueError("variable ids must be >= 1")
+        if not I64_MIN <= c <= I64_MAX:
+            _check_i64(c, "merged coefficient")
+        if not I64_MIN <= rhs <= I64_MAX:
+            _check_i64(rhs, "adjusted degree")
     terms = []
     for v, c in net.items():
-        if c == 0:
-            continue
         if c > 0:
             terms.append((c, v))
-        else:
+        elif c < 0:
             # -a * x  ==  a * ~x - a
             terms.append((-c, -v))
-            rhs = _check_i64(rhs - c, "adjusted degree")
+            rhs -= c
+            if not I64_MIN <= rhs <= I64_MAX:
+                _check_i64(rhs, "adjusted degree")
     if rhs <= 0:
         return ("trivial",)
     # saturation: a coefficient above the degree acts exactly like the degree
-    terms = [(min(c, rhs), l) for c, l in terms]
+    terms = [(c if c < rhs else rhs, l) for c, l in terms]
     total = sum(c for c, _ in terms)
-    _check_i64(total, "coefficient sum")
+    if not I64_MIN <= total <= I64_MAX:
+        _check_i64(total, "coefficient sum")
     if total < rhs:
         return ("unsat",)
     return ("ok", tuple(terms), rhs)
@@ -270,7 +296,7 @@ def _parse_opb_int(token: str, line_no: int, what: str) -> int:
         raise OpbParseError(line_no, "%s of %d digits exceeds the 64-bit range"
                             % (what, len(text.lstrip("-"))))
     value = int(text)
-    if value > I64_MAX or value < -I64_MAX - 1:
+    if not I64_MIN <= value <= I64_MAX:
         raise OpbParseError(line_no, "%s %r exceeds the 64-bit range" % (what, token))
     return value
 
@@ -302,6 +328,13 @@ def parse_opb(source) -> PBFormula:
     free). Each constraint line is ``<coeff> <lit> ... <op> <degree> ;``
     with ``op`` among ``>=``, ``=``, ``<=``. Objective lines and nonlinear
     terms are rejected.
+
+    An instance spells its terms with few distinct tokens, so each is
+    checked once per text: ``numbers`` maps a numeric token (coefficient
+    or degree) to its value, ``literals`` a literal token to its signed
+    literal, and a later sighting is one lookup. Whether a token is valid never depends on its
+    line, and a token that fails is never stored, so the first bad token
+    raises with its own line as if every token were checked.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8", "replace")
@@ -311,7 +344,8 @@ def parse_opb(source) -> PBFormula:
         raise TypeError("parse_opb expects str or bytes")
 
     header_vars = None
-    max_var = 0
+    numbers: dict = {}
+    literals: dict = {}
     bodies = []
     unsat = False
     for line_no, raw_line in enumerate(text.splitlines(), 1):
@@ -341,26 +375,29 @@ def parse_opb(source) -> PBFormula:
         if not tokens:
             raise OpbParseError(line_no, "empty constraint")
 
-        op_positions = [i for i, t in enumerate(tokens) if t in RELATIONAL_OPS]
-        if len(op_positions) != 1:
+        if tokens.count(GE) + tokens.count(EQ) + tokens.count(LE) != 1:
             raise OpbParseError(line_no, "expected exactly one relational operator")
-        op_idx = op_positions[0]
-        if op_idx != len(tokens) - 2:
+        if len(tokens) < 2 or tokens[-2] not in RELATIONAL_OPS:
             raise OpbParseError(line_no, "expected a single degree after the operator")
-        op = tokens[op_idx]
-        degree = _parse_opb_int(tokens[-1], line_no, "degree")
+        op = tokens[-2]
+        degree = numbers.get(tokens[-1])
+        if degree is None:
+            degree = numbers[tokens[-1]] = _parse_opb_int(tokens[-1], line_no, "degree")
 
-        term_tokens = tokens[:op_idx]
-        if len(term_tokens) % 2 != 0:
+        # the terms hold all but the last two tokens
+        if len(tokens) % 2 != 0:
             raise OpbParseError(line_no, "malformed term list (odd token count)")
         raw_terms = []
-        for i in range(0, len(term_tokens), 2):
-            coeff_tok, lit_tok = term_tokens[i], term_tokens[i + 1]
-            if coeff_tok.startswith("x") or coeff_tok.startswith("~"):
-                raise OpbParseError(line_no, "nonlinear terms are not supported")
-            coeff = _parse_opb_int(coeff_tok, line_no, "coefficient")
-            lit = _parse_opb_literal(lit_tok, line_no)
-            max_var = max(max_var, lit_var(lit))
+        for i in range(0, len(tokens) - 2, 2):
+            coeff_tok, lit_tok = tokens[i], tokens[i + 1]
+            coeff = numbers.get(coeff_tok)
+            if coeff is None:
+                if coeff_tok.startswith("x") or coeff_tok.startswith("~"):
+                    raise OpbParseError(line_no, "nonlinear terms are not supported")
+                coeff = numbers[coeff_tok] = _parse_opb_int(coeff_tok, line_no, "coefficient")
+            lit = literals.get(lit_tok)
+            if lit is None:
+                lit = literals[lit_tok] = _parse_opb_literal(lit_tok, line_no)
             raw_terms.append((coeff, lit))
 
         try:
@@ -370,6 +407,7 @@ def parse_opb(source) -> PBFormula:
         bodies.extend(new_bodies)
         unsat = unsat or this_unsat
 
+    max_var = max(map(abs, literals.values()), default=0)
     num_vars = max_var if header_vars is None else max(header_vars, max_var)
     return PBFormula(num_vars, bodies, unsat)
 

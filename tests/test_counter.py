@@ -15,7 +15,7 @@ from pbtally import (CounterConfig, MemoryBudgetExceeded,
                      brute_count, build_formula, compute_vcis_scores,
                      count_models, residual_components)
 from pbtally.components import CountCache, _assignment_masks, count_component
-from pbtally.counter import dedup_constraints
+from pbtally.counter import compact_variables, dedup_constraints
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import constraint_gap, lit_var, parse_opb
 
@@ -380,6 +380,62 @@ class TestDedup:
             ([(1, 1), (1, 2)], ">=", 2),
         ])
         assert len(dedup_constraints(f).constraints) == 2
+
+
+def _shape(formula):
+    return (formula.num_vars, formula.unsat_at_load,
+            [(c.cid, c.terms, c.degree, c.clausal) for c in formula.constraints])
+
+
+def _repeating_formula(rng):
+    """A random formula with repeated constraints over a third of its variables."""
+    base = _helpers.random_formula(rng, max_vars=8)
+    bodies = [c.body() for c in base.constraints]
+    bodies += [rng.choice(bodies) for _ in range(rng.randint(0, 4)) if bodies]
+    rng.shuffle(bodies)
+    return PBFormula(3 * base.num_vars + rng.randint(0, 2), bodies, base.unsat_at_load)
+
+
+class TestRenumbering:
+    """Each formula kept without a rebuild equals the full rebuild from bodies."""
+
+    def test_dedup_equals_a_rebuild(self):
+        rng = random.Random(31)
+        repeated = 0
+        for _ in range(200):
+            f = _repeating_formula(rng)
+            unique = list(dict.fromkeys(c.body() for c in f.constraints))
+            repeated += len(unique) < len(f.constraints)
+            want = PBFormula(f.num_vars, unique, f.unsat_at_load)
+            assert _shape(dedup_constraints(f)) == _shape(want)
+        assert repeated > 50
+
+    def test_compact_equals_a_rebuild(self):
+        rng = random.Random(32)
+        renamed = 0
+        for _ in range(200):
+            f = _repeating_formula(rng)
+            used = sorted({abs(l) for c in f.constraints for _, l in c.terms})
+            new_id = {v: i for i, v in enumerate(used, 1)}
+            bodies = [(tuple((a, new_id[l] if l > 0 else -new_id[-l]) for a, l in c.terms),
+                       c.degree) for c in f.constraints]
+            got, input_ids = compact_variables(f)
+            if got is f:
+                assert 2 * len(used) >= f.num_vars
+                continue
+            renamed += 1
+            assert list(input_ids) == [0] + used
+            assert _shape(got) == _shape(PBFormula(len(used), bodies, f.unsat_at_load))
+        assert renamed > 50
+
+    def test_without_equals_a_rebuild(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            f = _repeating_formula(rng)
+            for c in f.constraints:
+                rest = [d.body() for d in f.constraints if d is not c]
+                want = PBFormula(f.num_vars, rest, f.unsat_at_load)
+                assert _shape(f.without(c)) == _shape(want)
 
 
 class TestBranchingScores:
