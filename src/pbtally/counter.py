@@ -276,16 +276,15 @@ class _Frame:
     components not yet counted, is None until the branch is split.
     """
 
-    __slots__ = ("comp", "key", "lit", "log_pos", "phase",
-                 "branch_sum", "prod", "pending")
+    __slots__ = ("comp", "key", "lit", "log_pos", "branch_sum", "prod", "pending")
 
     def __init__(self, comp, key, lit, log_pos: int):
         self.comp = comp
         self.key = key
         self.lit = lit
         self.log_pos = log_pos
-        self.phase = 0
-        #: the first branch's count, once it is done
+        #: the first branch's count, once it is done; set, the frame is in
+        #: its second branch
         self.branch_sum = None
         #: the current branch's count so far, set when it is split
         self.prod = None
@@ -649,9 +648,8 @@ class ModelCounter:
                 return vectors.final(frame.prod)
             else:
                 engine.backjump_to(len(stack) - 2)
-                if frame.phase == 0:
+                if frame.branch_sum is None:
                     frame.branch_sum = frame.prod
-                    frame.phase = 1
                     frame.lit = -frame.lit
                     frame.log_pos = cache.log_position()
                     frame.pending = None

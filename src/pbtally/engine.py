@@ -7,18 +7,21 @@ can satisfy it (a conflict), and any unassigned literal whose
 coefficient exceeds the slack must be true. Original constraints also
 carry a gap, the degree minus the coefficient mass of their true
 literals; at or below 0 the constraint is satisfied outright. Learned
-constraints keep no gap: each of their terms is filed under its own
-literal and visited only when that literal becomes false, and a
-satisfied constraint never forces anything, because its slack is at
-least the mass of its unassigned literals.
+constraints keep no gap, and are visited once: the learned store is a
+stack, so a learned constraint lives only while the trail below its
+level stands. Its one scan, when it joins, forces what it asserts;
+after that it is only the reason of those literals until the backjump
+that pops it, and its slack stays the value that scan read. Dropping
+its later scans forces fewer literals, which never drops a model: it
+is implied by the original constraints, which are always propagated.
 
 Propagation is two-phase: enqueueing a literal only records it, the
 arithmetic happens when the trail pointer reaches it, so a backjump can
-undo exactly the applied prefix. A constraint is scanned for forcing
-where its slack drops; the slack counts the applied prefix only, so a
-scan never forces too much, and what it misses is forced when a later
-literal lowers the slack again. A constraint that joined since the last
-propagation is scanned once when the next one starts.
+undo exactly the applied prefix. An original constraint is scanned for
+forcing where its slack drops; the slack counts the applied prefix
+only, so a scan never forces too much, and what it misses is forced
+when a later literal lowers the slack again. A learned constraint that
+joined since the last propagation is scanned when the next one starts.
 
 Conflicts are rewritten into learned constraints by cancelling the
 reason of the most recently falsified propagated literal into the
@@ -45,11 +48,6 @@ _ACTIVITY_DECAY = 0.98
 _ACTIVITY_CAP = 1e100
 
 
-def lit_index(lit: int) -> int:
-    """Slot of a literal in :attr:`Engine.occ_learned`."""
-    return 2 * lit if lit > 0 else 1 - 2 * lit
-
-
 class Engine:
     """Propagation and learning over one normalized formula.
 
@@ -59,16 +57,16 @@ class Engine:
     learned at, and a backjump below that level pops it. Ids are never
     renumbered: a learned constraint keeps its ``cid`` until it is popped.
     ``scan_from`` is the first id that has not been scanned for forcing
-    since it joined; :meth:`propagate` scans the ids from there on.
-    Terms run largest coefficient first (see :class:`PBConstraint`), so a
+    since it joined; :meth:`propagate` scans the ids from there on, and
+    that is the only scan a learned constraint gets.
+    Terms run greatest coefficient first (see :class:`PBConstraint`), so a
     forcing scan stops at the first coefficient within the slack.
 
-    ``slack`` covers every constraint, ``gapv`` the originals only.
-    ``occ_static[v]`` lists ``(cid, coeff, positive)`` for each original
-    term over variable ``v``. ``occ_learned[lit_index(lit)]`` lists
-    ``(cid, coeff, largest coefficient)`` for each learned term whose
-    literal is ``lit``; a slot no learned term has used yet is the shared
-    empty tuple.
+    ``slack`` covers every constraint, ``gapv`` the originals only; a
+    learned constraint's slack is the one its scan reads, taken from the
+    trail when it joined. ``occ_static[v]`` lists ``(cid, coeff,
+    positive)`` for each original term over variable ``v``, and the trail
+    is applied through it alone.
     """
 
     def __init__(self, formula: PBFormula):
@@ -90,7 +88,6 @@ class Engine:
         self.qhead = 0
 
         self.occ_static = [[] for _ in range(n + 1)]
-        self.occ_learned = [()] * (2 * n + 2)
         self.slack = []
         self.gapv = []
         for c in self.constraints:
@@ -102,8 +99,8 @@ class Engine:
         # the first constraint id not scanned since it joined
         self.scan_from = 0
 
-        # propagation scope: when nonzero, learned constraints may only
-        # force variables stamped with the current scope mark
+        # propagation scope: when nonzero, a learned constraint's scan may
+        # only force variables stamped with the current scope mark
         self.scope_stamp = [0] * (n + 1)
         self.scope_current = 0
         self._scope_seq = 0
@@ -135,7 +132,7 @@ class Engine:
     # ----- scope ---------------------------------------------------------
 
     def set_scope(self, var_ids) -> None:
-        """Restrict learned-constraint propagation to the given variables.
+        """Restrict the scans of learned constraints to the given variables.
 
         Original constraints need no restriction: each one always lies
         entirely inside the subproblem being worked on. Learned
@@ -175,7 +172,7 @@ class Engine:
         """Run to fixpoint. Returns a conflicting constraint id, or None.
 
         Scans the constraints from ``scan_from`` on, then applies the
-        trail, which scans each constraint whose slack it lowers.
+        trail, which scans each original constraint whose slack it lowers.
         """
         while self.scan_from < len(self.constraints):
             ci = self.scan_from
@@ -192,15 +189,12 @@ class Engine:
         return None
 
     def _apply(self, lit: int) -> Optional[int]:
-        """Fold one trail literal into every affected slack and gap.
+        """Fold one trail literal into the slacks and gaps of the originals.
 
-        Each constraint whose slack drops is scanned for forcing at once:
-        an original while its gap is above 0, a learned one, visited only
-        through the terms ``lit`` falsifies, when the new slack lies below
-        its largest coefficient, the only case in which one can force.
-        Always completes the full update so a later undo is exact; the
-        first conflict seen is reported after the loop, and no scan runs
-        after it.
+        Each constraint whose slack drops is scanned for forcing at once,
+        while its gap is above 0. Always completes the full update so a
+        later undo is exact; the first conflict seen is reported after the
+        loop, and no scan runs after it.
         """
         v = lit_var(lit)
         truth = lit > 0
@@ -218,15 +212,6 @@ class Engine:
                         confl = ci
                 elif confl is None and gapv[ci] > 0:
                     self._scan_forcing(ci)
-        # the slot of -lit: 2 * v + 1 for a true lit, 2 * v for a false one
-        for ci, coeff, largest in self.occ_learned[2 * v + truth]:
-            s = slack[ci] - coeff
-            slack[ci] = s
-            if s < 0:
-                if confl is None:
-                    confl = ci
-            elif confl is None and s < largest:
-                self._scan_forcing(ci)
         return confl
 
     def _undo_apply(self, lit: int) -> None:
@@ -239,8 +224,6 @@ class Engine:
                 gapv[ci] += coeff
             else:
                 slack[ci] += coeff
-        for ci, coeff, _ in self.occ_learned[2 * v + truth]:
-            slack[ci] += coeff
 
     def _scan_forcing(self, ci: int) -> Optional[int]:
         """Force every literal whose coefficient exceeds the slack."""
@@ -267,19 +250,14 @@ class Engine:
         assert 0 <= target_level <= len(self.trail_lim)
         if target_level == len(self.trail_lim):
             return
-        # newest first, so each popped constraint's entries are the last ones
-        # in their lists. It was learned at a level above the target, and
+        # each popped constraint was learned at a level above the target, and
         # everything it forced lies at that level or deeper, so no reason
         # left on the trail names it
         learned_level = self.learned_level
-        occ = self.occ_learned
         while learned_level and learned_level[-1] > target_level:
             learned_level.pop()
             self.slack.pop()
-            terms = self.constraints.pop().terms
-            for _, lit in terms:
-                occ[2 * lit if lit > 0 else 1 - 2 * lit].pop()
-            self.learned_bytes -= self._learned_cost(len(terms))
+            self.learned_bytes -= self._learned_cost(len(self.constraints.pop().terms))
         if self.scan_from > len(self.constraints):
             self.scan_from = len(self.constraints)
         target = self.trail_lim[target_level]
@@ -331,9 +309,9 @@ class Engine:
         the constraint holds only decisions, one per level at most.
 
         The coefficient sum of each level, and a bound from above on its
-        largest coefficient, live in lists indexed by level, and a step
+        greatest coefficient, live in lists indexed by level, and a step
         changes them only where it changes a coefficient. The bound never
-        drops, not even when a step removes the largest coefficient, so a
+        drops, not even when a step removes the greatest coefficient, so a
         cut it admits is confirmed against the exact coefficients before it
         is taken: one pass over the constraint per conflict in practice.
 
@@ -476,24 +454,18 @@ class Engine:
     def add_learned(self, terms, degree: int) -> int:
         """Push a learned constraint at the current level and return its id.
 
-        The next :meth:`propagate` scans it, under the scope set by then.
+        The next :meth:`propagate` scans it, under the scope set by then,
+        and the slack recorded here is the one that scan reads.
         """
         assert self.qhead == len(self.trail), "trail must be fully applied"
         cid = len(self.constraints)
         c = PBConstraint(cid, terms, degree)
         self.constraints.append(c)
-        occ = self.occ_learned
         val = self.val
-        largest = c.terms[0][0]
         s = 0
         for coeff, lit in c.terms:
             if val[lit if lit > 0 else -lit] != (lit < 0):
                 s += coeff
-            i = 2 * lit if lit > 0 else 1 - 2 * lit
-            if occ[i]:
-                occ[i].append((cid, coeff, largest))
-            else:
-                occ[i] = [(cid, coeff, largest)]
         self.slack.append(s - degree)
         self.learned_level.append(len(self.trail_lim))
         self.learned_total += 1
@@ -509,10 +481,10 @@ class Engine:
     def check_integrity(self, expect_quiescent: bool = True) -> None:
         """Recompute all incremental state from scratch and compare.
 
-        That is every constraint's slack, learned ones included, the gaps
-        of the original constraints (learned ones keep none), and the
-        learned occurrence lists, entry by entry and literal by literal, and
-        the levels of the learned stack. Slow; meant for tests. With
+        That is the slack and gap of every original constraint, the levels
+        of the learned stack and its byte count. A learned constraint's
+        slack is read once, by its scan when it joins, and its forcings are
+        checked by the replay below. Slow; meant for tests. With
         ``expect_quiescent`` the trail must be fully applied, every
         constraint scanned, and original constraints at their forcing
         fixpoint. Also checks the trail's shape, which conflict analysis
@@ -541,7 +513,7 @@ class Engine:
             if v not in assigned:
                 assert self.val[v] == UNASSIGNED, "stale value on x%d" % v
 
-        # slack, and the gaps of original constraints, reflect exactly the
+        # the slacks and gaps of original constraints reflect exactly the
         # applied prefix of the trail
         applied = {}
         for lit in self.trail[:self.qhead]:
@@ -551,6 +523,8 @@ class Engine:
             assert c.cid == ci, "constraint %d carries id %d" % (ci, c.cid)
             assert all(term_order(t) < term_order(u) for t, u in zip(c.terms, c.terms[1:])), \
                 "constraint %d holds its terms out of order" % ci
+            if ci >= self.first_learned:
+                continue
             s = -c.degree
             g = c.degree
             for coeff, lit in c.terms:
@@ -560,8 +534,7 @@ class Engine:
                 if truth is not None and truth == (lit > 0):
                     g -= coeff
             assert self.slack[ci] == s, "slack drift on constraint %d" % ci
-            if ci < self.first_learned:
-                assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
+            assert self.gapv[ci] == g, "gap drift on constraint %d" % ci
         assert len(self.slack) == m and len(self.gapv) == self.first_learned \
             and self.scan_from <= m, \
             "per-constraint lists out of step with the constraints"
@@ -574,18 +547,9 @@ class Engine:
         assert all(a <= b for a, b in zip(levels, levels[1:])), \
             "learned levels fall, or one lies above the current level"
 
-        # occ_learned holds exactly one entry per term of each learned
-        # constraint, filed under the term's literal and carrying the
-        # constraint's largest coefficient; learned_bytes is their summed cost
-        learned = self.constraints[self.first_learned:]
-        assert len(self.occ_learned) == 2 * n + 2
-        entries = [(ci, coeff, lit, largest) for lit in range(-n, n + 1) if lit
-                   for ci, coeff, largest in self.occ_learned[lit_index(lit)]]
-        assert sorted(entries) == sorted((c.cid, coeff, lit, c.terms[0][0]) for c in learned
-                                         for coeff, lit in c.terms), \
-            "learned occurrence lists disagree with the learned constraints"
         assert self.learned_bytes == sum(self._learned_cost(len(c.terms))
-                                         for c in learned), "learned_bytes drift"
+                                         for c in self.constraints[self.first_learned:]), \
+            "learned_bytes drift"
 
         # replay: each propagated literal had coefficient > slack when set
         replay = {}

@@ -286,16 +286,15 @@ def constraint_slack(c: PBConstraint, assignment: Assignment) -> int:
 
 
 def _parse_opb_int(token: str, line_no: int, what: str) -> int:
-    text = token
-    if text.startswith("+"):
-        text = text[1:]
+    # at most one sign, then digits: "+-5" is malformed
+    digits = token[1:] if token[:1] in ("+", "-") else token
     # ASCII only: str.isdigit() also accepts digits like '²' and '٣'
-    if not (text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit()))):
+    if not (digits.isascii() and digits.isdigit()):
         raise OpbParseError(line_no, "malformed %s token %r" % (what, token))
-    if len(text) > _MAX_TOKEN_DIGITS and len(text.lstrip("-")) > _MAX_TOKEN_DIGITS:
+    if len(digits) > _MAX_TOKEN_DIGITS:
         raise OpbParseError(line_no, "%s of %d digits exceeds the 64-bit range"
-                            % (what, len(text.lstrip("-"))))
-    value = int(text)
+                            % (what, len(digits)))
+    value = int(token)
     if not I64_MIN <= value <= I64_MAX:
         raise OpbParseError(line_no, "%s %r exceeds the 64-bit range" % (what, token))
     return value

@@ -8,7 +8,7 @@ import _helpers
 from pbtally import (CounterConfig, ModelCounter, PBFormula, brute_count, build_formula,
                      gen_auction, parse_opb)
 from pbtally.counter import dedup_constraints
-from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine, lit_index
+from pbtally.engine import _ACTIVITY_CAP, COEFF_GUARD, UNASSIGNED, Engine
 
 
 def implied_by(f, terms, degree):
@@ -160,35 +160,44 @@ class TestScope:
         assert e.propagate() is None
         return e
 
-    def _blocked_learned_clause(self):
-        """A learned x1 + x2 >= 1 whose slack drop by ~x1 cannot force x2."""
+    def _asserting_learned_clause(self):
+        """A learned x1 + x2 >= 1, added under ~x1: its join scan asserts x2."""
         e = self._loose_engine()
-        cid = e.add_learned(((1, 1), (1, 2)), 1)
-        e.set_scope([3])
-        assert e.propagate() is None
         e.decide(-1)
         assert e.propagate() is None
-        # x2 is outside the scope, so the learned clause must not fire
-        assert e.lit_value(2) is None
-        e.backjump_to(0)
+        cid = e.add_learned(((1, 1), (1, 2)), 1)
+        assert e.scan_from == cid
         return e, cid
 
     def test_learned_forcing_respects_scope(self):
-        e, cid = self._blocked_learned_clause()
-        # the same drop under a scope that holds x2 forces it
+        e, cid = self._asserting_learned_clause()
+        # x2 is outside the scope, so the join scan must not force it
+        e.set_scope([3])
+        assert e.propagate() is None
+        assert e.lit_value(2) is None and e.scan_from == cid + 1
+        # that scan was its only one: x2 stays open while it lives
         e.set_scope([1, 2])
+        e.decide(3)
+        assert e.propagate() is None
+        assert e.lit_value(2) is None
+        e.check_integrity()
+        # learned again, under a scope that holds x2, the join scan forces it
+        e.backjump_to(0)
         e.decide(-1)
         assert e.propagate() is None
-        assert e.lit_value(2) is True
-        assert e.reason[2] == cid
+        assert e.add_learned(((1, 1), (1, 2)), 1) == cid
+        assert e.propagate() is None
+        assert e.lit_value(2) is True and e.reason[2] == cid
+        e.check_integrity()
 
     def test_clear_scope_reenables_forcing(self):
-        e, cid = self._blocked_learned_clause()
+        e, cid = self._asserting_learned_clause()
+        e.set_scope([3])
         e.clear_scope()
-        e.decide(-1)
         assert e.propagate() is None
         assert e.lit_value(2) is True
         assert e.reason[2] == cid
+        e.check_integrity()
 
     def test_learned_constraint_is_scanned_under_the_next_scope(self):
         # the counter adds a learned constraint before it sets the scope of
@@ -484,52 +493,58 @@ class TestLearnedStore:
         # x1 false: slack 4 - 3; a learned constraint keeps no gap
         assert e.slack[cid] == 1
         assert len(e.gapv) == e.first_learned == cid
-        # each term is filed under its own literal with the largest coefficient
-        assert e.occ_learned[lit_index(2)] == [(cid, 3, 3)]
-        assert e.occ_learned[lit_index(1)] == [(cid, 2, 3)]
-        assert e.occ_learned[lit_index(3)] == [(cid, 1, 3)]
-        assert all(e.occ_learned[lit_index(-v)] == () for v in range(1, 5))
-        assert e.occ_learned[lit_index(4)] == ()
+        assert e.constraints[cid].terms == ((3, 2), (2, 1), (1, 3))
+        assert e.learned_level == [1] and e.scan_from == cid
+        assert e.learned_total == 1 and e.learned_bytes == e._learned_cost(3)
         assert e.propagate() is None
         # 3 exceeded the slack, so x2 was forced; turning true left the slack
         assert e.lit_value(2) is True
         assert e.reason[2] == cid
-        assert e.slack[cid] == 1
+        assert e.slack[cid] == 1 and e.scan_from == cid + 1
         e.check_integrity()
 
-    def test_learned_slack_moves_only_when_a_literal_turns_false(self):
+    def test_learned_slack_is_read_once_when_it_joins(self):
         f = build_formula(5, [([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)], ">=", 1)])
         e = Engine(f)
         assert e.propagate() is None
-        cid = e.add_learned(((1, 3), (3, 1), (1, 4), (2, 2)), 3)
-        assert e.propagate() is None
-        assert e.trail == [] and e.slack[cid] == 4
         scanned = []
         scan = e._scan_forcing
         e._scan_forcing = lambda ci: scanned.append(ci) or scan(ci)
-        # x1 turning true leaves the slack alone and queues no scan
+        cid = e.add_learned(((1, 3), (3, 1), (1, 4), (2, 2)), 3)
+        assert e.propagate() is None
+        # the join scan: slack 4 forces nothing
+        assert e.trail == [] and e.slack[cid] == 4 and scanned == [cid]
+        # literals turning true or false leave its slack, and scan it no more;
+        # the original, satisfied by x1, is not scanned either
         e.decide(1)
         assert e.propagate() is None
-        assert e.slack[cid] == 4 and scanned == []
-        e.check_integrity()
-        # satisfied by x1: -x2 takes the slack below the largest
-        # coefficient, so the constraint is scanned, but it forces nothing
         e.decide(-2)
         assert e.propagate() is None
-        assert e.slack[cid] == 2 and scanned == [cid]
-        assert e.trail == [1, -2]
+        e.decide(-3)
+        assert e.propagate() is None
+        assert e.slack[cid] == 4 and scanned == [cid]
+        assert e.trail == [1, -2, -3]
         e.check_integrity()
-        # unsatisfied, the same drop forces x1, and only x1, by this constraint;
-        # the original, whose gap is still above 0, is scanned first
-        e.backjump_to(0)
-        scanned.clear()
+
+    def test_literal_false_after_the_join_scan_forces_nothing(self):
+        # the original clause is over other variables, so only the learned
+        # constraint could force x1
+        f = build_formula(6, [([(1, 4), (1, 5), (1, 6)], ">=", 1)])
+        e = Engine(f)
+        assert e.propagate() is None
+        cid = e.add_learned(((2, 1), (1, 2), (1, 3)), 2)
+        assert e.propagate() is None
+        assert e.trail == [] and e.slack[cid] == 2
+        # ~x2 leaves slack 1 below x1's coefficient 2, but the constraint
+        # had its one scan when it joined
         e.decide(-2)
         assert e.propagate() is None
-        assert scanned == [0, cid]
-        assert e.trail == [-2, 1]
-        assert e.reason[1] == cid and e.level[1] == 1
-        assert e.lit_value(3) is None and e.lit_value(4) is None
-        assert e.slack[cid] == 2
+        assert e.lit_value(1) is None and e.slack[cid] == 2
+        e.check_integrity()
+        # ~x1 leaves only x3 open against degree 2, and no conflict is reported
+        e.decide(-1)
+        assert e.propagate() is None
+        assert e.trail == [-2, -1] and e.slack[cid] == 2
         e.check_integrity()
 
     def test_backjump_pops_constraints_learned_above_its_target(self):
@@ -549,30 +564,29 @@ class TestLearnedStore:
         assert e.reason[5] == forcing
         unscanned = e.add_learned(((1, 6), (1, 7)), 1)
         assert e.learned_level == [1, 2, 2] and e.scan_from == unscanned
-        assert e.occ_learned[lit_index(5)] == [(kept, 1, 1), (forcing, 1, 1)]
         e.check_integrity(expect_quiescent=False)
         e.backjump_to(1)
-        # both leave every per-constraint list and every occurrence list
+        # both leave every per-constraint list, and scan_from is clamped to
+        # the first free id
         assert [c.body() for c in e.constraints[first:]] == [(((1, 5), (1, 6)), 1)]
         assert len(e.slack) == e.scan_from == first + 1
         assert e.learned_level == [1]
-        occ = e.occ_learned
-        assert occ[lit_index(5)] == occ[lit_index(6)] == [(kept, 1, 1)]
-        assert occ[lit_index(7)] == []
         assert e.learned_bytes == e._learned_cost(2)
         assert e.trail == [-4] and e.reason[5] == -1
         e.check_integrity()
-        # the one learned at level 1 stays, and still forces
-        e.decide(-6)
-        assert e.propagate() is None
-        assert e.lit_value(5) is True and e.reason[5] == kept
-        e.check_integrity()
-        # ids are not renumbered: the next one takes the first popped id
+        # ids are not renumbered: the next one takes the first popped id,
+        # and is scanned when the next propagation starts
         assert e.add_learned(((1, 1), (1, 7)), 1) == forcing
+        assert e.scan_from == forcing
         e.check_integrity(expect_quiescent=False)
+        assert e.propagate() is None
+        assert e.scan_from == forcing + 1
+        e.check_integrity()
+        # a backjump to the root pops both, and the clamp takes scan_from
+        # back to the originals' end
         e.backjump_to(0)
-        assert len(e.constraints) == first and e.learned_level == []
-        assert sum(map(len, e.occ_learned)) == e.learned_bytes == 0
+        assert len(e.constraints) == e.scan_from == first and e.learned_level == []
+        assert len(e.slack) == first and e.learned_bytes == 0
         e.check_integrity()
 
     def test_integrity_checker_detects_corruption(self):
@@ -581,24 +595,29 @@ class TestLearnedStore:
         assert e.propagate() is None
         e.check_integrity()
         e.slack[0] += 1
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="slack drift"):
             e.check_integrity()
         e.slack[0] -= 1
+        e.gapv[0] -= 1
+        with pytest.raises(AssertionError, match="gap drift"):
+            e.check_integrity()
+        e.gapv[0] += 1
         e.decide(-2)
         assert e.propagate() is None
-        cid = e.add_learned(((1, 2), (2, 3)), 2)
+        e.add_learned(((1, 2), (2, 3)), 2)
         assert e.propagate() is None
         e.check_integrity()
-        e.slack[cid] -= 1
-        with pytest.raises(AssertionError):
+        for level, match in ((2, "lies above the current level"),
+                             (-1, "learned levels fall")):
+            e.learned_level[0] = level
+            with pytest.raises(AssertionError, match=match):
+                e.check_integrity()
+            e.learned_level[0] = 1
             e.check_integrity()
-        e.slack[cid] += 1
-        e.check_integrity()
-        # the entry of x3 moved to the list of -x3
-        entry = e.occ_learned[lit_index(3)].pop()
-        e.occ_learned[lit_index(-3)] = [entry]
-        with pytest.raises(AssertionError):
+        e.learned_bytes += 1
+        with pytest.raises(AssertionError, match="learned_bytes drift"):
             e.check_integrity()
+        e.learned_bytes -= 1
 
         # the trail's shape: two decisions, then x3 and x4 forced at level 2
         e = Engine(build_formula(4, [([(1, 1), (1, 2), (1, 3), (1, 4)], ">=", 2)]))

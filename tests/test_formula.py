@@ -233,6 +233,10 @@ _ERROR_CORPUS = [
     ("+1 x1 >= 1 ;\n+1 x1 ~x2 +1 >= 1 ;\n", 2, "nonlinear terms are not supported"),
     ("+1 x1 >= 1 ;\n1a x1 >= 1 ;\n", 2, "malformed coefficient token '1a'"),
     ("+1 x1 >= 1 ;\n-- x1 >= 1 ;\n", 2, "malformed coefficient token '--'"),
+    # a number takes at most one sign
+    ("+-5 x1 >= 1 ;\n", 1, "malformed coefficient token '+-5'"),
+    ("+1 x1 >= 1 ;\n-+5 x1 >= -3 ;\n", 2, "malformed coefficient token '-+5'"),
+    ("+1 x1 >= 1 ;\n+1 x1 >= +-3 ;\n", 2, "malformed degree token '+-3'"),
     ("+1 x1 >= 1 ;\n%s x1 >= 1 ;\n" % ("9" * 21), 2,
      "coefficient of 21 digits exceeds the 64-bit range"),
     ("+1 x1 >= 1 ;\n%d x1 >= 1 ;\n" % (_I64_MIN - 1), 2,
@@ -285,13 +289,6 @@ class TestParseErrorCorpus:
     def test_coefficient_and_literal_tokens_reused(self):
         f = parse_opb("+2 x1 +2 ~x2 >= 2 ;\n+2 ~x2 +2 x1 >= 2 ;\n+2 x1 >= 1 ;\n")
         assert bodies_of(f) == [(((2, 1), (2, -2)), 2)] * 2 + [(((1, 1),), 1)]
-
-    def test_plus_minus_coefficient_reads_as_negative(self):
-        # "+-5" is accepted as -5: the sign check strips one "+" first
-        f = parse_opb("+-5 x1 >= 1 ;\n")
-        assert bodies_of(f) == [] and f.unsat_at_load and f.num_vars == 1
-        f = parse_opb("+-5 x1 >= -3 ;\n")
-        assert bodies_of(f) == [(((2, -1),), 2)] and not f.unsat_at_load
 
 
 #: (raw terms, operator, degree, what) for every overflow in normalization
