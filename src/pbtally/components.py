@@ -25,11 +25,9 @@ from collections import deque
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from .engine import UNASSIGNED
 from .formula import Assignment, PBFormula, constraint_gap, lit_var
-from .mass import PlainCounts, masks_by_mass
+from .mass import PlainCounts
 
 
 class Component:
@@ -220,6 +218,41 @@ def _assignment_masks(k: int) -> tuple:
     return full, true, tuple(full ^ m for m in true)
 
 
+def mask_at_gap(ok: int, lits, gap: int) -> int:
+    """The assignments in ``ok`` whose true literals weigh ``gap`` or more.
+
+    ``lits`` is as in :func:`~pbtally.mass.masks_by_mass`, largest
+    coefficient first, and ``gap`` is at least 1, as an open row's is. The
+    assignments are held by the mass of their true literals so far; each
+    literal moves the ones that make it true up by its coefficient, into
+    one mask once they reach the gap. A mass is dropped once it plus the
+    coefficients still to come is below the gap, so a row of distinct
+    coefficients holds only the masses that can still reach its gap, not
+    every mass below it.
+    """
+    rest = sum(a for a, _ in lits)
+    if rest < gap:
+        return 0
+    reached = 0
+    by_mass = {0: ok}
+    for a, lit in lits:
+        rest -= a
+        moved = {}
+        for m, s in by_mass.items():
+            up = s & lit
+            if up:
+                s ^= up
+                if m + a >= gap:
+                    reached |= up
+                else:
+                    # m could reach the gap with a to come, so m + a still can
+                    moved[m + a] = moved.get(m + a, 0) | up
+            if s and m + rest >= gap:
+                moved[m] = moved.get(m, 0) | s
+        by_mass = moved
+    return reached
+
+
 def count_component(comp: Component, constraints, gapv, val, counts=PlainCounts()):
     """Models of a component over its own variables, by enumeration.
 
@@ -235,8 +268,7 @@ def count_component(comp: Component, constraints, gapv, val, counts=PlainCounts(
     the OR of their masks, else a counter that raises ``reach[c]``, the
     assignments with ``c`` true literals so far, one literal at a time.
     A constraint with unequal open coefficients holds on the assignments
-    whose true open literals reach its gap: the mask at the gap in
-    :func:`~pbtally.mass.masks_by_mass`, with masses capped there. Both
+    whose true open literals reach its gap, :func:`mask_at_gap`. Both
     are a PB constraint's BDD (Abio et al., "BDDs for pseudo-Boolean
     constraints -- revisited", SAT 2011), evaluated on every assignment at
     once, in Python ints of any size, so no component is declined and no
@@ -257,8 +289,8 @@ def count_component(comp: Component, constraints, gapv, val, counts=PlainCounts(
         # terms run largest coefficient first
         a = terms[0][0]
         if terms[-1][0] != a:
-            ok = masks_by_mass(ok, [(a, true[bit[lit]] if lit > 0 else false[bit[-lit]])
-                                    for a, lit in terms], gap).get(gap, 0)
+            ok = mask_at_gap(ok, [(a, true[bit[lit]] if lit > 0 else false[bit[-lit]])
+                                  for a, lit in terms], gap)
             continue
         t = -(-gap // a)
         if t == 1:
@@ -331,6 +363,9 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     tables would take more than ``max_bytes``. ``poll`` is called before
     each variable is taken, and may raise to stop the count.
     """
+    # imported here, so that a count that builds no table never loads numpy
+    import numpy as np
+
     var_ids = comp.var_ids
     if len(var_ids) > INT64_VARS:
         return None

@@ -27,9 +27,19 @@ below the level it was learned at. Because a conflict proves the current
 combination of assumptions impossible, every cache entry inserted after
 the backjump target's decision was made is purged: such entries were
 computed while an impossible sibling subproblem was still considered
-open and their values cannot be trusted. Learned constraints also only
-ever force variables inside the subproblem currently being counted,
-which keeps independently-multiplied components actually independent.
+open and their values cannot be trusted.
+
+A learned constraint forces only inside the component of the frame it
+joins at, so components multiplied as independent stay independent.
+Every literal of it was false at its conflict, so after the backjump to
+level ``jump`` its open literals were all set above ``jump``. Each of
+those lies in ``stack[jump].comp``: every frame's component is split
+from its parent's, and an original constraint forces only inside the
+active component that holds the literal that lowered its slack. The
+search names that component with :meth:`Engine.set_scope`, or calls
+:meth:`Engine.clear_scope` at the root, before the propagation that
+scans the learned constraint, and the engine asserts that the scan
+forces nothing outside it.
 """
 
 from __future__ import annotations

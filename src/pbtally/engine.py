@@ -15,6 +15,16 @@ that pops it, and its slack stays the value that scan read. Dropping
 its later scans forces fewer literals, which never drops a model: it
 is implied by the original constraints, which are always propagated.
 
+That scan forces only variables of the component of the frame at the
+backjump's level ``jump``, so components counted apart stay apart. Every
+literal of a learned constraint is false at its conflict: analysis keeps
+only false literals, and its fallback clause negates decisions. So its
+open literals after the backjump were set above ``jump``, all inside
+that component: each frame's component is split from its parent's, and
+an original constraint forces only inside the component that holds the
+literal that lowered its slack. :meth:`Engine.propagate` asserts this
+against the component named by :meth:`Engine.set_scope`.
+
 Propagation is two-phase: enqueueing a literal only records it, the
 arithmetic happens when the trail pointer reaches it, so a backjump can
 undo exactly the applied prefix. An original constraint is scanned for
@@ -98,12 +108,8 @@ class Engine:
 
         # the first constraint id not scanned since it joined
         self.scan_from = 0
-
-        # propagation scope: when nonzero, a learned constraint's scan may
-        # only force variables stamped with the current scope mark
-        self.scope_stamp = [0] * (n + 1)
-        self.scope_current = 0
-        self._scope_seq = 0
+        #: the variables a learned constraint's scan may force, or None for all
+        self.scope = None
 
         self.var_inc = 1.0
         self.learned_total = 0
@@ -132,24 +138,13 @@ class Engine:
     # ----- scope ---------------------------------------------------------
 
     def set_scope(self, var_ids) -> None:
-        """Restrict the scans of learned constraints to the given variables.
-
-        Original constraints need no restriction: each one always lies
-        entirely inside the subproblem being worked on. Learned
-        constraints can span unrelated subproblems, and letting them
-        force variables outside the current one would entangle counts
-        that must stay independent.
-        """
-        self._scope_seq += 1
-        mark = self._scope_seq
-        stamp = self.scope_stamp
-        for v in var_ids:
-            stamp[v] = mark
-        self.scope_current = mark
+        """Name the component being counted: :meth:`propagate` asserts that a
+        learned constraint's join scan forces nothing outside it."""
+        self.scope = var_ids
 
     def clear_scope(self) -> None:
-        """Allow learned constraints to force any variable."""
-        self.scope_current = 0
+        """No component is being counted: the root's scans may force anything."""
+        self.scope = None
 
     # ----- trail ---------------------------------------------------------
 
@@ -174,13 +169,17 @@ class Engine:
         Scans the constraints from ``scan_from`` on, then applies the
         trail, which scans each original constraint whose slack it lowers.
         """
+        trail = self.trail
         while self.scan_from < len(self.constraints):
             ci = self.scan_from
             self.scan_from = ci + 1
+            start = len(trail)
             confl = self._scan_forcing(ci)
             if confl is not None:
                 return confl
-        trail = self.trail
+            assert ci < self.first_learned or self.scope is None or not (
+                outside := [v for v in map(lit_var, trail[start:]) if v not in self.scope]), \
+                "learned constraint %d forces x%d outside its component" % (ci, outside[0])
         while self.qhead < len(trail):
             confl = self._apply(trail[self.qhead])
             self.qhead += 1
@@ -230,18 +229,12 @@ class Engine:
         s = self.slack[ci]
         if s < 0:
             return ci
-        scoped = 0 if ci < self.first_learned else self.scope_current
         val = self.val
-        stamp = self.scope_stamp
         for coeff, lit in self.constraints[ci].terms:
             if coeff <= s:
                 break
-            v = lit_var(lit)
-            if val[v] != UNASSIGNED:
-                continue
-            if scoped and stamp[v] != scoped:
-                continue
-            self._enqueue(lit, ci)
+            if val[lit_var(lit)] == UNASSIGNED:
+                self._enqueue(lit, ci)
         return None
 
     def backjump_to(self, target_level: int) -> None:
@@ -454,8 +447,8 @@ class Engine:
     def add_learned(self, terms, degree: int) -> int:
         """Push a learned constraint at the current level and return its id.
 
-        The next :meth:`propagate` scans it, under the scope set by then,
-        and the slack recorded here is the one that scan reads.
+        The next :meth:`propagate` scans it, and the slack recorded here is
+        the one that scan reads.
         """
         assert self.qhead == len(self.trail), "trail must be fully applied"
         cid = len(self.constraints)

@@ -44,7 +44,7 @@ from typing import Optional
 from .formula import PBConstraint, PBFormula
 
 #: K's degree must stay below this. It is the enumerator's bound, not a
-#: measured crossover: ROADMAP item 2 measures where vectors win
+#: measured crossover: ROADMAP item 3 measures where vectors win
 MAX_MASS_DEGREE = 4096
 
 

@@ -4,12 +4,11 @@ Enumerates every complete assignment in plain binary order (assignment
 ``m`` sets variable ``v`` true when bit ``v-1`` of ``m`` is set) and
 checks each constraint by direct summation. Nothing here is shared with
 the search-based counter beyond the formula types, so the two sides can
-check each other.
+check each other. Each function imports numpy when it runs, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .formula import Assignment, PBFormula, lit_is_true, lit_var
 
@@ -37,13 +36,15 @@ class OracleResult:
         return "OracleResult(count=%d, enumerated=%d)" % (self.count, self.enumerated)
 
 
-def constraint_sum_table(terms, bit_vars) -> np.ndarray:
+def constraint_sum_table(terms, bit_vars):
     """Left-hand-side value of one constraint for all 2**k assignments.
 
-    ``bit_vars[j]`` is the variable controlled by bit ``j`` of the
-    assignment index. Variables outside ``bit_vars`` contribute nothing;
-    callers fold those into the degree beforehand.
+    Returns a numpy array. ``bit_vars[j]`` is the variable controlled by
+    bit ``j`` of the assignment index. Variables outside ``bit_vars``
+    contribute nothing; callers fold those into the degree beforehand.
     """
+    import numpy as np
+
     by_var = {lit_var(lit): (coeff, lit > 0) for coeff, lit in terms}
     big = sum(abs(c) for c, _ in terms) >= _INT64_SAFE
     table = np.zeros(1, dtype=object if big else np.int64)
@@ -60,6 +61,8 @@ def constraint_sum_table(terms, bit_vars) -> np.ndarray:
 
 def brute_count(formula: PBFormula, limit_vars: int = ENUMERATION_LIMIT) -> OracleResult:
     """Exact model count by exhaustive enumeration of all assignments."""
+    import numpy as np
+
     n = formula.num_vars
     if n > limit_vars:
         raise OracleLimitError("brute_count limited to %d variables, got %d" % (limit_vars, n))
@@ -80,6 +83,8 @@ def brute_residual_count(formula: PBFormula, assignment: Assignment,
     Assigned variables are fixed; the remaining ones are enumerated
     exhaustively, again in plain binary order.
     """
+    import numpy as np
+
     unassigned = [v for v in range(1, formula.num_vars + 1) if v not in assignment]
     if len(unassigned) > limit_vars:
         raise OracleLimitError("brute_residual_count limited to %d free variables, got %d"

@@ -385,14 +385,19 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pbtally.__file__)))
 
 
-def run_module(args, extra_env=None, **kwargs):
-    """Run ``python -m pbtally ARGS`` in a child that imports this same
-    package, with ``extra_env`` added to this process's environment."""
+def run_python(args, extra_env=None, **kwargs):
+    """Run ``python ARGS`` in a child that imports this same package, with
+    ``extra_env`` added to this process's environment."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "pbtally", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, timeout=60, **kwargs)
+
+
+def run_module(args, extra_env=None, **kwargs):
+    """Run ``python -m pbtally ARGS`` as :func:`run_python` does."""
+    return run_python(["-m", "pbtally", *args], extra_env, **kwargs)
 
 
 class TestInstalledEntryPoint:
@@ -401,6 +406,16 @@ class TestInstalledEntryPoint:
         with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as handle:
             project = tomllib.load(handle)["project"]
         assert project["scripts"] == {"pbtally": "pbtally.cli:main"}
+
+    def test_import_and_a_count_without_a_table_leave_numpy_unloaded(self):
+        # numpy is imported only by the gap table and the oracle; a fresh
+        # child shows what the package's import and a clause count load
+        code = ("import sys, pbtally, pbtally.cli\n"
+                "assert pbtally.count_models(pbtally.parse_opb('+1 x1 +1 x2 >= 1 ;')).count == 3\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n")
+        run = run_python(["-c", code], text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
     def test_generate_pipe_count(self, tmp_path):
         gen = run_module(["generate", "knapsack", "--items", "10", "--seed", "3"],

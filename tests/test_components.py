@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,8 @@ from pbtally import (Component, CountCache, brute_count, brute_residual_count,
                      build_formula, decode_component, encode_component,
                      residual_components, saturate_gap)
 import pbtally.components
-from pbtally.components import GAP_TABLE_CELLS, count_by_gaps, count_component
+from pbtally.components import (GAP_TABLE_CELLS, _assignment_masks, count_by_gaps,
+                                 count_component, mask_at_gap)
 from pbtally.engine import UNASSIGNED
 from pbtally.formula import PBConstraint, PBFormula, constraint_gap, lit_var
 from pbtally.mass import MassVectors
@@ -293,6 +295,49 @@ class TestCountComponent:
             del seen["at_least_2"], seen["unequal"], seen["mixed"]
         assert min(seen.values()) >= 2, seen
 
+    @pytest.mark.parametrize("k", range(10, 15))
+    def test_rows_of_large_distinct_coefficients_match_brute_force(self, k):
+        # one or two rows over every variable, of coefficients 2**(j + s) + 1,
+        # beside a clause. Each gap is the mass of a random assignment, hit
+        # exactly or one off, so a row that misreads its gap by one miscounts
+        rng = random.Random(2604 + k)
+        for trial in range(10):
+            cons = []
+            for cid in range(rng.randint(1, 2)):
+                shift = rng.randint(0, 40)
+                lits = [v if rng.random() < 0.5 else -v for v in range(1, k + 1)]
+                rng.shuffle(lits)
+                terms = [((1 << j + shift) + 1, lit) for j, lit in enumerate(lits)]
+                hit = sum(a for a, _ in terms if rng.random() < 0.5) + rng.choice((-1, 0, 1))
+                cons.append(PBConstraint(cid, terms, min(max(hit, 1), sum(a for a, _ in terms))))
+            cons.append(PBConstraint(len(cons), [(1, v if rng.random() < 0.5 else -v)
+                                                 for v in rng.sample(range(1, k + 1), 3)], 1))
+            comp = Component(range(1, k + 1), range(len(cons)))
+            gaps = [c.degree for c in cons]
+            gapv, val = _hand_arrays(cons, comp, gaps)
+            want = brute_count(_helpers.component_subformula(cons_formula(cons), comp, gaps))
+            assert count_component(comp, cons, gapv, val) == want.count
+
+    def test_a_row_holds_only_the_masses_that_can_reach_its_gap(self):
+        # 14 coefficients 2**j + 1 whose gap is their sum: only the assignment
+        # that sets every literal true reaches it, so after each literal one
+        # mass can still reach the gap, and the row takes one mask of each
+        # literal. All 2**14 masses below the gap would take 16,383
+        taken = []
+
+        class TakenMask(int):
+            def __rand__(self, other):
+                taken.append(self)
+                return int(self) & other
+
+            __and__ = __rand__
+
+        k = 14
+        ok, true, _ = _assignment_masks(k)
+        lits = [((1 << j) + 1, TakenMask(true[j])) for j in reversed(range(k))]
+        assert mask_at_gap(ok, lits, sum(a for a, _ in lits)) == 1 << (1 << k) - 1
+        assert taken == [m for _, m in lits]
+
     def test_rows_of_equal_coefficients_make_no_numpy_call(self, monkeypatch):
         # two clauses and an at-least-2 over four variables, with no K:
         # x1 or ~x2, x3 or x4, and two of x1, ~x3, ~x4
@@ -302,7 +347,8 @@ class TestCountComponent:
         gapv, val = _hand_arrays(cons, comp, [1, 1, 4])
         want = brute_count(_helpers.component_subformula(cons_formula(cons), comp,
                                                          [1, 1, 4])).count
-        monkeypatch.setattr(pbtally.components, "np", None)
+        # with numpy out of sys.modules, importing it raises ImportError
+        monkeypatch.setitem(sys.modules, "numpy", None)
         assert count_component(comp, cons, gapv, val) == want == 4
         # nor do unequal rows or K: 3 x1 + 2 ~x2 + 2 x3 + x4 >= 4 beside the
         # clause x2 or x4 has six models. Under K, 2 x1 + ~x3 + 3 x4 >= 5, the

@@ -16,6 +16,7 @@ from pbtally import (CounterConfig, MemoryBudgetExceeded,
                      count_models, residual_components)
 from pbtally.components import CountCache, _assignment_masks, count_component
 from pbtally.counter import compact_variables, dedup_constraints
+from pbtally.engine import Engine
 from pbtally.generators import gen_auction, gen_knapsack, gen_sensor
 from pbtally.formula import constraint_gap, lit_var, parse_opb
 
@@ -277,6 +278,20 @@ class TestCountMatchesOracle:
                 conflicts += plain.stats.conflicts
             assert len(counts) == 1
         assert conflicts >= 250
+
+    def test_learned_join_scans_reach_the_scope_assertion(self, monkeypatch):
+        # every learned constraint of this union joins below the root, where
+        # the search names the backjump target's component as the scope; an
+        # empty scope named in its place trips the engine's assertion at the
+        # first join scan that forces, so real counts reach that assertion.
+        # Without the assertion, learned constraints that force nothing let
+        # the same conflict come back, and the budgets end that count
+        f = _helpers.disjoint_union([parse_opb(gen_sensor(sensors=40, targets=50, seed=s))
+                                     for s in (0, 1)])
+        set_scope = Engine.set_scope
+        monkeypatch.setattr(Engine, "set_scope", lambda engine, var_ids: set_scope(engine, ()))
+        with pytest.raises(AssertionError, match="forces x[0-9]+ outside its component"):
+            count_models(f, CounterConfig(timeout_s=10, max_memory_bytes=32 << 20))
 
     @pytest.mark.parametrize("max_cache_bytes", [1, 10000])
     def test_engine_keys_match_reference_on_search_states(self, monkeypatch,
