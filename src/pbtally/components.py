@@ -10,7 +10,9 @@ answered from the cache instead of being recounted.
 
 A small component can also be counted directly, by enumerating its
 assignments as the bits of one int, and one whose gaps are small by a
-dynamic program over them.
+dynamic program over them: a table whose cells count the assignments
+that reach each mass up to the gaps, raised by shifted copies, whose
+corner is the count.
 
 Cache entries are logged in insertion order. Over its byte budget the
 cache evicts the oldest entries first. The search can purge every entry
@@ -319,24 +321,26 @@ GAP_TABLE_CELLS = 1 << 22
 INT64_VARS = 62
 
 
-def _raise_mass(src, raises, gaps, dst, spare):
+def _raise_mass(src, raises, dst, spare):
     """``src`` with each ``(axis, coeff)`` of ``raises`` added to the mass on
-    its axis, capped at that axis's gap.
+    its axis, ``coeff`` already capped at that axis's gap.
 
-    Each raise writes a whole table: the first into ``dst``, the next into
-    ``spare``, and so on alternately. ``spare`` may be ``src``, which is
-    not read again after the first raise. Returns the table holding the
-    result, ``src`` itself when ``raises`` is empty.
+    In reach form, a cell ``i`` counts the assignments whose mass reaches
+    ``i``, so after a raise by ``c`` it holds what cell ``max(i - c, 0)``
+    held: the table shifted ``c`` up the axis, its top ``c`` cells
+    dropped, and its first ``c`` cells filled from the axis's first. A
+    table is given as the views of :func:`count_by_gaps`, view ``k``
+    putting axis ``k`` first. Each raise writes a whole table: the first
+    into ``dst``, the next into ``spare``, and so on alternately.
+    ``spare`` may be ``src``, which is not read again after the first
+    raise. Returns the table holding the result, ``src`` itself when
+    ``raises`` is empty.
     """
     for axis, coeff in raises:
-        head = (slice(None),) * axis
-        g = gaps[axis]
-        # masses from g - coeff up all reach the cap, written through a
-        # slice one cell wide: an array view even when the table has one axis
-        src[head + (slice(g - coeff, None),)].sum(axis=axis, out=dst[head + (slice(g, None),)],
-                                                   keepdims=True)
-        dst[head + (slice(coeff, g),)] = src[head + (slice(g - coeff),)]
-        dst[head + (slice(coeff),)] = 0
+        out = dst[axis]
+        into = src[axis]
+        out[coeff:] = into[:-coeff]
+        out[:coeff] = into[:1]
         src, dst, spare = dst, spare, dst
     return src
 
@@ -346,16 +350,19 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     """Models of a component over its own variables, by dynamic programming.
 
     Same precondition as :func:`count_component`. The table has one axis
-    per constraint, indexed by the mass its true open literals carry so
-    far, capped at its gap, and each entry counts the assignments of the
-    variables taken so far that reach that state. Each variable adds its
-    coefficient on the axes where its true phase is the literal, and on
-    the others in its false phase. The count is the corner entry, where
-    every mass has reached its gap. A table over m constraints holds the
-    product of their gaps plus one, about the number of distinct residual
-    states at any depth when every constraint holds every variable. This
-    is the layered construction of Abio et al., "BDDs for pseudo-Boolean
-    constraints -- revisited" (SAT 2011).
+    per constraint, indexed by a mass of its true open literals up to its
+    gap, and each entry counts the assignments of the variables taken so
+    far whose mass reaches that entry's index on every axis. It starts as
+    a 1 in the zero corner, where no variable is taken. Each variable adds
+    its coefficient, capped at the gap, on the axes where its true phase
+    is the literal, and on the others in its false phase: a shift up the
+    axis and a fill of the cells below the shift (:func:`_raise_mass`).
+    The count is the corner entry, whose assignments reach every gap. A
+    table over m constraints holds the product of their gaps plus one,
+    about the number of distinct residual states at any depth when every
+    constraint holds every variable. This is the layered construction of
+    Abio et al., "BDDs for pseudo-Boolean constraints -- revisited" (SAT
+    2011).
 
     Returns None, leaving the component to the search, past
     :data:`INT64_VARS` variables, where a count could leave
@@ -387,21 +394,24 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
             elif val[-lit] == UNASSIGNED:
                 downs[-lit].append((axis, min(a, g)))
     shape = tuple(g + 1 for g in gaps)
-    tables = [np.zeros(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
-              np.empty(shape, dtype=np.int64)]
-    tables[0][(0,) * len(gaps)] = 1
+    first = np.zeros(shape, dtype=np.int64)
+    first[(0,) * len(gaps)] = 1
+    # each table as one view per axis that puts that axis first, so that a
+    # raise slices the first axis alone; the first view is the table
+    tables = [(t,) + tuple(t.swapaxes(0, axis) for axis in range(1, len(gaps)))
+              for t in (first, np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))]
     for v in var_ids:
         if poll is not None:
             poll()
         cur, one, two = tables
-        true = _raise_mass(cur, ups[v], gaps, one, two)
+        true = _raise_mass(cur, ups[v], one, two)
         if true is cur:
-            false = _raise_mass(cur, downs[v], gaps, one, two)
+            false = _raise_mass(cur, downs[v], one, two)
         else:
-            false = _raise_mass(cur, downs[v], gaps, two if true is one else one, cur)
-        np.add(true, false, out=true)
+            false = _raise_mass(cur, downs[v], two if true is one else one, cur)
+        np.add(true[0], false[0], out=true[0])
         tables = [true] + [t for t in tables if t is not true]
-    return int(tables[0][tuple(gaps)])
+    return int(tables[0][0][tuple(gaps)])
 
 
 def decode_component(data: bytes, constraints):

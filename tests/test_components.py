@@ -435,6 +435,28 @@ class TestCountByGaps:
         assert count_by_gaps(comp, cons, gapv, val) == want
         assert 0 < want < 1 << 20
 
+    def test_raises_of_one_up_to_past_the_gap_on_a_middle_axis(self):
+        # the middle of three axes takes coefficients of 1, of exactly its
+        # gap and past it, which the table caps at the gap: the shift that
+        # keeps g + 1 - c cells, and the fill of the c cells below it
+        rng = random.Random(1103)
+        for _ in range(60):
+            g = rng.randint(1, 5)
+            coeffs = [1, g, g + rng.randint(1, 4)] + [rng.randint(1, g + 2) for _ in range(4)]
+            rng.shuffle(coeffs)
+            cons = []
+            for cid in range(3):
+                row = coeffs if cid == 1 else [rng.randint(1, 4) for _ in coeffs]
+                terms = [(a, v if rng.random() < 0.5 else -v) for v, a in enumerate(row, 1)]
+                gap = g if cid == 1 else rng.randint(1, sum(row))
+                cons.append(PBConstraint(cid, terms, gap))
+            gaps = [c.degree for c in cons]
+            comp = Component(range(1, len(coeffs) + 1), (0, 1, 2))
+            gapv, val = _hand_arrays(cons, comp, gaps)
+            want = brute_count(_helpers.component_subformula(cons_formula(cons), comp,
+                                                             gaps)).count
+            assert count_by_gaps(comp, cons, gapv, val) == want
+
     def test_past_62_variables_is_left_to_the_search(self):
         # one clause, where 2**62 - 1 is the largest count int64 must hold,
         # and two constraints over every variable

@@ -834,6 +834,29 @@ class TestGapCounts:
         assert res.stats.decisions > 0 and res.stats.gap_counts > 0
         assert res.count == _two_row_count(f) == 485191427743731894841
 
+    def test_two_row_knapsacks_past_the_oracle_count_at_the_root(self):
+        # 30 to 60 variables, past brute_count's 24: both rows hold every
+        # variable, about half of them complemented, so each row has
+        # negated literals, and one term of each weighs at least its gap
+        rng = random.Random(3011)
+        for n in (30, 41, 52, 60):
+            flipped = set(rng.sample(range(1, n + 1), n // 2))
+            lines = []
+            for _ in range(2):
+                weights = [rng.randint(1, 10) for _ in range(n)]
+                degree = sum(weights) // 2
+                weights[rng.randrange(n)] = degree + rng.randint(0, 3)
+                lines.append(" ".join("+%d %sx%d" % (w, "~" if v in flipped else "", v)
+                                      for v, w in enumerate(weights, 1))
+                             + " >= %d ;" % degree)
+            f = parse_opb("\n".join(lines) + "\n")
+            for row in f.constraints:
+                assert {l > 0 for _, l in row.terms} == {True, False}
+                assert row.terms[0][0] >= row.degree
+            res = count_models(f)
+            assert res.stats.decisions == 0 and res.stats.gap_counts == 1
+            assert res.count == _two_row_count(f)
+
 
 class TestBudgets:
     def test_timeout_raises(self):
