@@ -23,6 +23,7 @@ the store.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
@@ -186,9 +187,11 @@ def encode_component(comp: Component, constraints, gapv, val,
         if c.clausal:
             continue
         gap = gapv[cid]
-        if saturate:
-            # saturate_gap(gap, smallest open coefficient): terms run
-            # largest coefficient first, so walk them from the back
+        # saturate_gap(gap, smallest open coefficient): terms run largest
+        # coefficient first, so walk them from the back. The largest
+        # coefficient bounds the smallest open one, so a gap at or above it
+        # is kept without the walk
+        if saturate and gap < c.terms[0][0]:
             for a, v in reversed(c.terms):
                 if v < 0:
                     v = -v
@@ -313,12 +316,10 @@ def count_component(comp: Component, constraints, gapv, val, counts=PlainCounts(
 #: the largest table :func:`count_by_gaps` builds, in cells: the product of
 #: each constraint's gap plus one. Knapsack 40x3 seed 1 needs 1.7 million
 #: cells at the root. With a bound of 2**20 it took 764 decisions and 368
-#: tables just under the bound, 35 s against 0.3 s (2-vCPU VM)
+#: tables just under the bound, 35 s against 0.3 s (2-vCPU VM). Three
+#: int64 tables of this many cells take 96 MiB, which also bounds the bytes
+#: of three tables of Python ints
 GAP_TABLE_CELLS = 1 << 22
-
-#: the most variables :func:`count_by_gaps` takes: each table entry counts
-#: assignments of its variables, so it stays at or below 2**62 in int64
-INT64_VARS = 62
 
 
 def _raise_mass(src, raises, dst, spare):
@@ -364,23 +365,31 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
     Abio et al., "BDDs for pseudo-Boolean constraints -- revisited" (SAT
     2011).
 
-    Returns None, leaving the component to the search, past
-    :data:`INT64_VARS` variables, where a count could leave
-    int64, past :data:`GAP_TABLE_CELLS` cells, or when the three int64
-    tables would take more than ``max_bytes``. ``poll`` is called before
-    each variable is taken, and may raise to stop the count.
+    An entry counts assignments of at most k variables, so it is at most
+    2**k, and the tables take the narrowest exact integer: int32 up to 30
+    variables, int64 up to 62, and Python ints past that. Returns None,
+    leaving the component to the search, past :data:`GAP_TABLE_CELLS`
+    cells, or when the three tables would take more than ``max_bytes`` or
+    than three int64 tables at that bound. A Python-int cell takes a
+    pointer plus the size of 2**k. ``poll`` is called before each
+    variable is taken, and may raise to stop the count.
     """
     # imported here, so that a count that builds no table never loads numpy
     import numpy as np
 
     var_ids = comp.var_ids
-    if len(var_ids) > INT64_VARS:
-        return None
+    k = len(var_ids)
     gaps = [gapv[cid] for cid in comp.cstr_ids]
     cells = 1
     for g in gaps:
         cells *= g + 1
-    if cells > GAP_TABLE_CELLS or (max_bytes is not None and 24 * cells > max_bytes):
+    dtype = np.int32 if k <= 30 else np.int64 if k <= 62 else object
+    cell_bytes = np.dtype(dtype).itemsize
+    if dtype is object:
+        cell_bytes += sys.getsizeof(1 << k)
+    table_bytes = 3 * cell_bytes * cells
+    if (cells > GAP_TABLE_CELLS or table_bytes > 24 * GAP_TABLE_CELLS
+            or (max_bytes is not None and table_bytes > max_bytes)):
         return None
     # per variable, the (axis, coefficient) pairs of its true and false phase
     ups = {v: [] for v in var_ids}
@@ -394,12 +403,12 @@ def count_by_gaps(comp: Component, constraints, gapv, val, max_bytes: Optional[i
             elif val[-lit] == UNASSIGNED:
                 downs[-lit].append((axis, min(a, g)))
     shape = tuple(g + 1 for g in gaps)
-    first = np.zeros(shape, dtype=np.int64)
+    first = np.zeros(shape, dtype=dtype)
     first[(0,) * len(gaps)] = 1
     # each table as one view per axis that puts that axis first, so that a
     # raise slices the first axis alone; the first view is the table
     tables = [(t,) + tuple(t.swapaxes(0, axis) for axis in range(1, len(gaps)))
-              for t in (first, np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))]
+              for t in (first, np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype))]
     for v in var_ids:
         if poll is not None:
             poll()

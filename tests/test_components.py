@@ -36,6 +36,16 @@ def _gaps(gapv, comp):
     return tuple(gapv[cid] for cid in comp.cstr_ids)
 
 
+def _at_least_rows(n, m):
+    """``(comp, constraints, gapv, val)`` for rows ``i`` of ``m`` over ``n``
+    variables, each ``x1 + ... + xn >= 1 + i``: ``2**n - 1`` models for one
+    row and ``2**n - 1 - n`` for two."""
+    lits = [(1, v) for v in range(1, n + 1)]
+    cons = [PBConstraint(i, lits, 1 + i) for i in range(m)]
+    comp = Component(range(1, n + 1), range(m))
+    return (comp, cons) + _hand_arrays(cons, comp, [1 + i for i in range(m)])
+
+
 class TestResidualComponents:
     def test_disjoint_constraints_split(self):
         f = build_formula(4, [
@@ -457,16 +467,16 @@ class TestCountByGaps:
                                                              gaps)).count
             assert count_by_gaps(comp, cons, gapv, val) == want
 
-    def test_past_62_variables_is_left_to_the_search(self):
-        # one clause, where 2**62 - 1 is the largest count int64 must hold,
-        # and two constraints over every variable
-        for n, m in ((62, 1), (63, 1), (62, 2), (63, 2)):
-            lits = [(1, v) for v in range(1, n + 1)]
-            cons = [PBConstraint(i, lits, 1 + i) for i in range(m)]
-            comp = Component(range(1, n + 1), range(m))
-            gapv, val = _hand_arrays(cons, comp, [1 + i for i in range(m)])
-            want = {1: (1 << n) - 1, 2: (1 << n) - 1 - n}[m]
-            assert count_by_gaps(comp, cons, gapv, val) == (want if n == 62 else None)
+    def test_counts_stay_exact_on_both_sides_of_each_dtype_bound(self):
+        # one clause, and two constraints over every variable, at least one
+        # and at least two true: int32 tables up to 30 variables, int64 up
+        # to 62 and Python ints past that, where the zero corner ends at
+        # 2**n and the count at 2**n - 1 or 2**n - 1 - n
+        for n in (30, 31, 32, 62, 63, 64, 90):
+            for m in (1, 2):
+                want = {1: (1 << n) - 1, 2: (1 << n) - 1 - n}[m]
+                got = count_by_gaps(*_at_least_rows(n, m))
+                assert type(got) is int and got == want
 
     def test_table_past_its_bound_is_left_to_the_search(self, monkeypatch):
         # gaps 4 and 5 need 5 * 6 cells; each of the three variables
@@ -481,6 +491,16 @@ class TestCountByGaps:
         assert count_by_gaps(comp, cons, gapv, val) == want == 6
         monkeypatch.setattr(pbtally.components, "GAP_TABLE_CELLS", 29)
         assert count_by_gaps(comp, cons, gapv, val) is None
+        # three tables at the bytes of three int64 tables at the bound: two
+        # rows over 62 variables take 2 * 3 int64 cells, so the cell bound
+        # holds first, and over 63 Python-int cells of a pointer and the
+        # size of 2**63 each, held by the bytes at 33 cells and not at 32
+        for n, cell in ((62, 8), (63, 8 + sys.getsizeof(1 << 63))):
+            bound = -(-3 * cell * 6 // 24)
+            monkeypatch.setattr(pbtally.components, "GAP_TABLE_CELLS", bound)
+            assert count_by_gaps(*_at_least_rows(n, 2)) == (1 << n) - 1 - n
+            monkeypatch.setattr(pbtally.components, "GAP_TABLE_CELLS", bound - 1)
+            assert count_by_gaps(*_at_least_rows(n, 2)) is None
         # the module's bound, on one axis
         monkeypatch.undo()
         big = GAP_TABLE_CELLS
@@ -491,13 +511,21 @@ class TestCountByGaps:
             assert count_by_gaps(comp, cons, gapv, val) == want
 
     def test_tables_over_the_byte_budget_are_left_to_the_search(self):
-        # three int64 tables of 5 * 6 cells
+        # three int32 tables of 5 * 6 cells
         cons = [PBConstraint(0, [(4, 1), (4, 2), (4, 3)], 4),
                 PBConstraint(1, [(5, -1), (5, 2), (5, 3)], 5)]
         comp = Component((1, 2, 3), (0, 1))
         gapv, val = _hand_arrays(cons, comp, [4, 5])
-        assert count_by_gaps(comp, cons, gapv, val, max_bytes=3 * 8 * 30) == 6
-        assert count_by_gaps(comp, cons, gapv, val, max_bytes=3 * 8 * 30 - 1) is None
+        assert count_by_gaps(comp, cons, gapv, val, max_bytes=3 * 4 * 30) == 6
+        assert count_by_gaps(comp, cons, gapv, val, max_bytes=3 * 4 * 30 - 1) is None
+        # three tables of 2 * 3 cells on both sides of each dtype bound:
+        # int32 over 30 variables, int64 over 31 and 62, and Python ints
+        # over 63 and 90, a cell a pointer and the size of 2**n
+        for n in (30, 31, 62, 63, 90):
+            cell = 4 if n <= 30 else 8 if n <= 62 else 8 + sys.getsizeof(1 << n)
+            rows = _at_least_rows(n, 2)
+            assert count_by_gaps(*rows, max_bytes=3 * cell * 6) == (1 << n) - 1 - n
+            assert count_by_gaps(*rows, max_bytes=3 * cell * 6 - 1) is None
 
     def test_poll_runs_before_each_variable_and_may_stop_the_count(self):
         for m in (1, 2):
@@ -608,13 +636,19 @@ class TestComponentKeys:
                 seen += 1
         assert seen > 100
         # the smallest coefficient is x3's, and x3 is assigned outside the
-        # component: saturation must raise gap 3 to x2's 4, not keep it
-        constraints = [PBConstraint(0, [(5, 1), (4, 2), (2, 3)], 5)]
-        comp = Component((1, 2), (0,))
-        gapv, val = _hand_arrays(constraints, comp, (3,))
-        for saturate in (True, False):
-            assert (encode_component(comp, constraints, gapv, val, saturate)
-                    == _helpers.reference_encode_component(comp, constraints, (3,), saturate))
+        # component: saturation must raise gap 3 to x2's 4, not keep it.
+        # Gaps below the largest coefficient, 5, are saturated; gaps at or
+        # above it are kept as they are, the largest being x1's also when
+        # x1 is assigned outside
+        constraints = [PBConstraint(0, [(5, 1), (4, 2), (2, 3)], 7)]
+        for open_vars in ((1, 2), (2, 3), (2,)):
+            comp = Component(open_vars, (0,))
+            for gap in (1, 3, 4, 5, 6, 7):
+                gapv, val = _hand_arrays(constraints, comp, (gap,))
+                for saturate in (True, False):
+                    assert (encode_component(comp, constraints, gapv, val, saturate)
+                            == _helpers.reference_encode_component(comp, constraints, (gap,),
+                                                                   saturate))
 
     @pytest.mark.parametrize("n", [127, 128, 16383, 16384])
     def test_matches_reference_at_varint_boundaries(self, n):

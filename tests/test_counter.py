@@ -802,13 +802,14 @@ class TestGapCounts:
         assert mc.stats.decisions == 0 and mc.stats.gap_counts == 0
 
     def test_table_over_the_memory_budget_is_searched(self):
-        # the root table takes three times 8 bytes per cell beside what is
-        # accounted at the root, the root frame's count among it; one byte
-        # less than both, and the search branches with the count unchanged
+        # the root table of 14 variables takes three times 4 bytes, an
+        # int32, per cell beside what is accounted at the root, the root
+        # frame's count among it; one byte less than both, and the search
+        # branches with the count unchanged
         f = parse_opb(gen_knapsack(items=14, dims=3, seed=0))
         mc = ModelCounter(f)
         assert mc.engine.gapv == [45, 40, 43]
-        table_bytes = 24 * 46 * 41 * 44
+        table_bytes = 12 * 46 * 41 * 44
         at_root = []
         count_without_search = mc._count_without_search
 
@@ -826,12 +827,12 @@ class TestGapCounts:
         exact = CounterConfig(max_memory_bytes=table_bytes + at_root[0])
         assert count_models(f, exact).stats.decisions == 0
 
-    def test_search_past_the_table_variable_bound_matches_a_dp(self):
-        # 70 variables are past the table's 62, so the root is searched
-        # and the components below it are counted by their gaps
+    def test_knapsack_past_62_variables_counts_at_the_root_as_a_dp(self):
+        # 70 variables are past int64's 62, so the root table holds Python
+        # ints, and its count makes no decision
         f = parse_opb(gen_knapsack(items=70, dims=2, seed=1))
         res = count_models(f)
-        assert res.stats.decisions > 0 and res.stats.gap_counts > 0
+        assert res.stats.decisions == 0 and res.stats.gap_counts == 1
         assert res.count == _two_row_count(f) == 485191427743731894841
 
     def test_two_row_knapsacks_past_the_oracle_count_at_the_root(self):
